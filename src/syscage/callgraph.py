@@ -1,9 +1,7 @@
-"""Function call graph construction, reachability, and secure-path search.
+"""Function call graph construction, adjacency, and secure-path search.
 
 The direct graph comes from disassembly callsites; indirect edges come from
-resolved source facts.  A syscall is tainted for an API when no all-direct
-path reaches its host function: those are the syscalls the runtime verifier
-has to guard.
+resolved source facts.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .disasm import DIRECT, INDIRECT, DisasmUnit
-from .errors import UnknownApi, UnknownCaller
+from .errors import UnknownCaller
 from .srcfacts import SourceFacts, resolve_indirect_targets
 
 DEFAULT_MAX_PATH_LEN = 64
@@ -32,27 +30,15 @@ class CallGraph:
     nodes: set[str] = field(default_factory=set)
     edges: set[Edge] = field(default_factory=set)
 
-    def successors(self, direct_only: bool = False) -> dict[str, set[str]]:
+    def successors(self, direct_only: bool = False) -> dict[str, list[str]]:
+        """Each node's callees in sorted order.  Build it once per graph and
+        share it between searches."""
         adj: dict[str, set[str]] = {n: set() for n in self.nodes}
         for e in self.edges:
             if direct_only and e.kind != DIRECT:
                 continue
             adj[e.caller].add(e.callee)
-        return adj
-
-    def has_direct_edge(self, caller: str, callee: str) -> bool:
-        return any(
-            e.caller == caller and e.callee == callee and e.kind == DIRECT
-            for e in self.edges
-        )
-
-
-@dataclass(frozen=True)
-class SecurePath:
-    api: str
-    syscall_name: str
-    functions: tuple[str, ...]
-    tainted: bool
+        return {n: sorted(succ) for n, succ in adj.items()}
 
 
 @dataclass
@@ -90,7 +76,16 @@ def merge(direct: CallGraph, indirect_edges: set[Edge]) -> CallGraph:
     return merged
 
 
-def bfs_reachable(adj: dict[str, set[str]], start: str) -> set[str]:
+def predecessors(adj: dict[str, list[str]]) -> dict[str, list[str]]:
+    """The reverse of an adjacency: each node's callers."""
+    pred: dict[str, list[str]] = {n: [] for n in adj}
+    for node, succ in adj.items():
+        for nxt in succ:
+            pred[nxt].append(node)
+    return pred
+
+
+def bfs_reachable(adj: dict[str, list[str]], start: str) -> set[str]:
     seen = {start}
     queue = deque([start])
     while queue:
@@ -102,40 +97,26 @@ def bfs_reachable(adj: dict[str, set[str]], start: str) -> set[str]:
     return seen
 
 
-def reachable_syscalls(
-    graph: CallGraph, api: str, resolved_sites
-) -> set[tuple[str, bool]]:
-    """Syscall names whose host function is reachable from `api`.
-
-    tainted is False exactly when some all-direct path reaches a host that
-    invokes the syscall; direct evidence from any host wins.
-    """
-    if api not in graph.nodes:
-        raise UnknownApi(api)
-    full = bfs_reachable(graph.successors(), api)
-    direct = bfs_reachable(graph.successors(direct_only=True), api)
-
-    by_name: dict[str, bool] = {}
-    for site in resolved_sites:
-        if site.name is None or site.site.function not in full:
-            continue
-        untainted = site.site.function in direct
-        prev = by_name.get(site.name)
-        by_name[site.name] = (prev or untainted) if prev is not None else untainted
-    return {(name, not untainted) for name, untainted in by_name.items()}
-
-
 def enumerate_secure_paths(
-    graph: CallGraph,
+    adj: dict[str, list[str]],
+    pred: dict[str, list[str]],
     api: str,
     host: str,
     max_len: int = DEFAULT_MAX_PATH_LEN,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> PathEnumeration:
     """All simple paths from `api` to `host`, lexicographic by node sequence,
-    bounded by max_len nodes and max_paths paths."""
-    adj = {n: sorted(succ) for n, succ in graph.successors().items()}
+    bounded by max_len nodes and max_paths paths.  `adj` is the graph's
+    sorted successor adjacency and `pred` its reverse.
+
+    The search enters only functions that can reach `host`.  The others
+    emit no path, so skipping them changes neither the paths nor where the
+    budget cuts them off, and a cyclic component that cannot reach `host`
+    costs nothing."""
     result = PathEnumeration(paths=[], truncated=False)
+    live = bfs_reachable(pred, host)
+    if api not in live:
+        return result
     path = [api]
     on_path = {api}
 
@@ -148,8 +129,8 @@ def enumerate_secure_paths(
             return True
         if len(path) >= max_len:
             return True
-        for nxt in adj.get(node, ()):
-            if nxt in on_path:
+        for nxt in adj[node]:
+            if nxt in on_path or nxt not in live:
                 continue
             path.append(nxt)
             on_path.add(nxt)
@@ -162,10 +143,3 @@ def enumerate_secure_paths(
 
     walk(api)
     return result
-
-
-def path_is_tainted(graph: CallGraph, functions: tuple[str, ...]) -> bool:
-    """A path hop counts as indirect only when no direct edge covers it."""
-    return any(
-        not graph.has_direct_edge(a, b) for a, b in zip(functions, functions[1:])
-    )

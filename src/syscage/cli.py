@@ -57,6 +57,14 @@ class UsageError(Exception):
     pass
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a limit: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _read(path: str) -> str:
     p = Path(path)
     if not p.is_file():
@@ -216,8 +224,8 @@ def build_parser() -> _Parser:
     p.add_argument("facts", help="source facts (JSON)")
     p.add_argument("--table", help="syscall table file (default: bundled)")
     p.add_argument("-o", "--output", required=True, help="mapping output (JSON)")
-    p.add_argument("--max-paths", type=int, default=DEFAULT_MAX_PATHS)
-    p.add_argument("--max-path-len", type=int, default=DEFAULT_MAX_PATH_LEN)
+    p.add_argument("--max-paths", type=positive_int, default=DEFAULT_MAX_PATHS)
+    p.add_argument("--max-path-len", type=positive_int, default=DEFAULT_MAX_PATH_LEN)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("profile", help="generate a Seccomp profile for a target")
@@ -243,7 +251,7 @@ def build_parser() -> _Parser:
     p.add_argument("--table", help="syscall table file (default: bundled)")
     p.add_argument("--policy", choices=["indirect", "rare"], default="indirect")
     p.add_argument("--target", default="target", help="target process tag")
-    p.add_argument("--scan-limit", type=int, default=DEFAULT_SCAN_LIMIT)
+    p.add_argument("--scan-limit", type=positive_int, default=DEFAULT_SCAN_LIMIT)
     p.add_argument("-o", "--output", help="verdict log output")
     p.set_defaults(func=cmd_verify)
 

@@ -70,12 +70,6 @@ class DisasmUnit:
     callsites: list[CallSite] = field(default_factory=list)
     syscall_sites: list[SyscallSite] = field(default_factory=list)
 
-    def function(self, name: str) -> FunctionRecord:
-        for fn in self.functions:
-            if fn.canonical_name == name:
-                return fn
-        raise KeyError(name)
-
 
 def _split_operands(text: str | None) -> tuple[str, ...]:
     if not text:

@@ -1,7 +1,9 @@
 """API->syscall mapping and Seccomp profile generation.
 
 The mapping records, per exported API, the reachable syscalls with their
-taint flags and secure invocation paths.  The profile partitions the full
+taint flags and secure invocation paths.  A syscall is tainted for an API
+when no all-direct path reaches a function that invokes it: those are the
+syscalls the runtime verifier has to guard.  The profile partitions the full
 syscall table into allowed and blocked sets and carries the two suspicious
 sets the runtime verifier can guard (indirect-call-related and
 rarely-invoked).
@@ -20,15 +22,12 @@ from .callgraph import (
     CallGraph,
     bfs_reachable,
     enumerate_secure_paths,
-    path_is_tainted,
+    predecessors,
 )
 from .errors import UnknownApi, UnknownSyscallName, UnresolvedSites
 from .sysnum import ResolvedSyscallSite, SyscallTable
 
 TRACE_TOKEN_RE = re.compile(r"^[a-z0-9_]+")
-
-ACTION_ERRNO = "Errno"
-ACTION_KILL = "Kill"
 
 
 @dataclass
@@ -110,7 +109,6 @@ class SeccompProfile:
     blocked: list[str]
     suspicious_indirect: set[str]
     suspicious_rare: set[str]
-    default_action: str = ACTION_ERRNO
 
     def to_docker_document(self) -> dict:
         return {
@@ -129,6 +127,48 @@ class SeccompProfile:
         return doc
 
 
+def sites_by_host(
+    resolved_sites: list[ResolvedSyscallSite],
+) -> dict[str, list[str | None]]:
+    """The syscall name of each site, grouped by host function; None where
+    the number was not recovered."""
+    grouped: dict[str, list[str | None]] = {}
+    for rsite in resolved_sites:
+        grouped.setdefault(rsite.site.function, []).append(rsite.name)
+    return grouped
+
+
+def reachable_syscalls(
+    adj: dict[str, list[str]],
+    direct_adj: dict[str, list[str]],
+    sites: dict[str, list[str | None]],
+    api: str,
+) -> tuple[dict[str, tuple[bool, list[str]]], int]:
+    """The syscalls invoked in the functions that graph node `api` reaches,
+    as name -> (tainted, sorted hosts), and the number of sites in those
+    functions whose number was not recovered.
+
+    tainted is False exactly when some all-direct path reaches a host that
+    invokes the syscall; direct evidence from any host wins.
+    """
+    if api not in adj:
+        raise UnknownApi(api)
+    full = bfs_reachable(adj, api)
+    direct = bfs_reachable(direct_adj, api)
+    hosts_by_name: dict[str, list[str]] = {}
+    unresolved = 0
+    for host in sorted(full.intersection(sites)):
+        names = sites[host]
+        unresolved += names.count(None)
+        for name in set(names) - {None}:
+            hosts_by_name.setdefault(name, []).append(host)
+    found = {
+        name: (direct.isdisjoint(hosts), hosts)
+        for name, hosts in hosts_by_name.items()
+    }
+    return found, unresolved
+
+
 def build_mapping(
     graph: CallGraph,
     resolved_sites: list[ResolvedSyscallSite],
@@ -137,31 +177,19 @@ def build_mapping(
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> ApiSyscallMapping:
     """One record per exported API; `apis` maps api_name -> graph node."""
-    mapping = ApiSyscallMapping()
-    full_adj = graph.successors()
+    adj = graph.successors()
     direct_adj = graph.successors(direct_only=True)
+    pred = predecessors(adj)
+    sites = sites_by_host(resolved_sites)
+    mapping = ApiSyscallMapping()
     for api_name, node in sorted(apis.items()):
-        if node not in graph.nodes:
-            raise UnknownApi(node)
-        full = bfs_reachable(full_adj, node)
-        direct = bfs_reachable(direct_adj, node)
-        record = ApiRecord(api=api_name, entry_function=node)
-
-        hosts_by_name: dict[str, set[str]] = {}
-        for rsite in resolved_sites:
-            host = rsite.site.function
-            if host not in full:
-                continue
-            if rsite.name is None:
-                record.unresolved_sites += 1
-                continue
-            hosts_by_name.setdefault(rsite.name, set()).add(host)
-
-        for name, hosts in sorted(hosts_by_name.items()):
-            tainted = not any(h in direct for h in hosts)
+        found, unresolved = reachable_syscalls(adj, direct_adj, sites, node)
+        record = ApiRecord(api=api_name, entry_function=node,
+                           unresolved_sites=unresolved)
+        for name, (tainted, hosts) in sorted(found.items()):
             paths: set[tuple[str, ...]] = set()
-            for host in sorted(hosts):
-                enum = enumerate_secure_paths(graph, node, host, max_len, max_paths)
+            for host in hosts:
+                enum = enumerate_secure_paths(adj, pred, node, host, max_len, max_paths)
                 paths.update(enum.paths)
                 if enum.truncated:
                     record.path_budget_exceeded = True

@@ -46,7 +46,6 @@ def _as_constant(operand: str) -> int | None:
 
 @dataclass
 class SyscallTable:
-    abi: str
     number_to_name: dict[int, str]
     name_to_number: dict[str, int]
 
@@ -65,7 +64,7 @@ class ResolvedSyscallSite:
     name: str | None
 
 
-def load_syscall_table(text: str, abi: str = "x86_64") -> SyscallTable:
+def load_syscall_table(text: str) -> SyscallTable:
     """Parse syscall_64.tbl-shaped rows: `<num> <abi> <name> [<entry>]`."""
     number_to_name: dict[int, str] = {}
     name_to_number: dict[str, int] = {}
@@ -87,8 +86,7 @@ def load_syscall_table(text: str, abi: str = "x86_64") -> SyscallTable:
             raise MalformedRow(f"line {lineno}: duplicate name {name!r}")
         number_to_name[number] = name
         name_to_number[name] = number
-    return SyscallTable(abi=abi, number_to_name=number_to_name,
-                        name_to_number=name_to_number)
+    return SyscallTable(number_to_name=number_to_name, name_to_number=name_to_number)
 
 
 def _writes_tracked(ins: Instruction, tracked: set[str]) -> bool:

@@ -75,12 +75,6 @@ class FunctionAddressTable:
                 return name
         return None
 
-    @property
-    def span(self) -> Region:
-        if not self.entries:
-            return Region(0, 0)
-        return Region(self.entries[0][1], max(e[2] for e in self.entries))
-
 
 @dataclass(frozen=True)
 class SyscallEvent:

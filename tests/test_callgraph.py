@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,11 +10,11 @@ from syscage.callgraph import (
     build_indirect_edges,
     enumerate_secure_paths,
     merge,
-    path_is_tainted,
-    reachable_syscalls,
+    predecessors,
 )
 from syscage.disasm import DIRECT, INDIRECT, SyscallSite, parse_disassembly
 from syscage.errors import UnknownApi, UnknownCaller
+from syscage.profilegen import reachable_syscalls, sites_by_host
 from syscage.srcfacts import IndirectSite, SourceFacts
 from syscage.sysnum import ResolvedSyscallSite
 
@@ -33,6 +34,20 @@ def _graph(direct=(), indirect=()):
         g.nodes.update((a, b))
         g.edges.add(Edge(a, b, INDIRECT, f"{a}#i{i}"))
     return g
+
+
+def _reachable(graph, api, resolved_sites):
+    """(name, tainted) for each syscall `api` reaches, by build_mapping's step."""
+    found, _ = reachable_syscalls(
+        graph.successors(), graph.successors(direct_only=True),
+        sites_by_host(resolved_sites), api,
+    )
+    return {(name, tainted) for name, (tainted, _) in found.items()}
+
+
+def _paths(graph, api, host, **limits):
+    adj = graph.successors()
+    return enumerate_secure_paths(adj, predecessors(adj), api, host, **limits)
 
 
 def test_direct_fcg_chain():
@@ -104,22 +119,22 @@ def test_merge_unknown_caller():
 
 def test_reachable_direct_untainted():
     g = _graph(direct=[("api", "f")])
-    assert reachable_syscalls(g, "api", [_rsite("f", "write")]) == {("write", False)}
+    assert _reachable(g, "api", [_rsite("f", "write")]) == {("write", False)}
 
 
 def test_reachable_indirect_tainted():
     g = _graph(indirect=[("api", "g")])
-    assert reachable_syscalls(g, "api", [_rsite("g", "ioctl")]) == {("ioctl", True)}
+    assert _reachable(g, "api", [_rsite("g", "ioctl")]) == {("ioctl", True)}
 
 
 def test_direct_path_overrides_indirect():
     g = _graph(direct=[("api", "f")], indirect=[("api", "f")])
-    assert reachable_syscalls(g, "api", [_rsite("f", "read")]) == {("read", False)}
+    assert _reachable(g, "api", [_rsite("f", "read")]) == {("read", False)}
 
 
 def test_unknown_api():
     with pytest.raises(UnknownApi):
-        reachable_syscalls(_graph(direct=[("A", "B")]), "nope", [])
+        _reachable(_graph(direct=[("A", "B")]), "nope", [])
 
 
 def _random_graph(rng: random.Random, max_nodes=50):
@@ -155,7 +170,7 @@ def test_reachability_matches_closure_oracle():
             for host in (s.site.function for s in sites)
             if host in full[api]
         }
-        assert reachable_syscalls(g, api, sites) == expected
+        assert _reachable(g, api, sites) == expected
 
 
 def test_removing_indirect_edges_shrinks_and_untaints():
@@ -169,33 +184,33 @@ def test_removing_indirect_edges_shrinks_and_untaints():
         )
         api = rng.choice(nodes)
         sites = [_rsite(h, f"sys_{h}") for h in nodes]
-        before = reachable_syscalls(g, api, sites)
-        after = reachable_syscalls(stripped, api, sites)
+        before = _reachable(g, api, sites)
+        after = _reachable(stripped, api, sites)
         assert {n for n, _ in after} <= {n for n, _ in before}
         assert all(not tainted for _, tainted in after)
 
 
 def test_enumerate_chain():
     g = _graph(direct=[("A", "B"), ("B", "C")])
-    result = enumerate_secure_paths(g, "A", "C")
+    result = _paths(g, "A", "C")
     assert result.paths == [("A", "B", "C")]
     assert not result.truncated
 
 
 def test_enumerate_diamond_lexicographic():
     g = _graph(direct=[("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")])
-    result = enumerate_secure_paths(g, "A", "D")
+    result = _paths(g, "A", "D")
     assert result.paths == [("A", "B", "D"), ("A", "C", "D")]
 
 
 def test_enumerate_api_is_host():
     g = _graph(direct=[("A", "B")])
-    assert enumerate_secure_paths(g, "A", "A").paths == [("A",)]
+    assert _paths(g, "A", "A").paths == [("A",)]
 
 
 def test_enumerate_cycle_only_simple_paths():
     g = _graph(direct=[("A", "B"), ("B", "A"), ("B", "C")])
-    result = enumerate_secure_paths(g, "A", "C")
+    result = _paths(g, "A", "C")
     assert result.paths == [("A", "B", "C")]
 
 
@@ -207,7 +222,7 @@ def test_enumerate_matches_bruteforce_on_small_graphs():
         g.nodes.update(nodes)
         start, end = rng.sample(nodes, 2)
         expected = all_simple_paths_bruteforce(nodes, direct + indirect, start, end)
-        result = enumerate_secure_paths(g, start, end)
+        result = _paths(g, start, end)
         assert result.paths == expected
         assert not result.truncated
 
@@ -217,7 +232,7 @@ def test_enumerate_budget_truncation():
     direct = [("S", f"m{i}") for i in range(6)]
     direct += [(f"m{i}", "T") for i in range(6)]
     g = _graph(direct=direct)
-    result = enumerate_secure_paths(g, "S", "T", max_paths=3)
+    result = _paths(g, "S", "T", max_paths=3)
     assert len(result.paths) == 3
     assert result.truncated
     assert result.paths == sorted(result.paths)
@@ -225,14 +240,22 @@ def test_enumerate_budget_truncation():
 
 def test_enumerate_max_len():
     g = _graph(direct=[("A", "B"), ("B", "C"), ("A", "C")])
-    result = enumerate_secure_paths(g, "A", "C", max_len=2)
+    result = _paths(g, "A", "C", max_len=2)
     assert result.paths == [("A", "C")]
 
 
-def test_path_taint_prefers_direct_edge():
-    g = _graph(direct=[("A", "B")], indirect=[("A", "B"), ("B", "C")])
-    assert not path_is_tainted(g, ("A", "B"))
-    assert path_is_tainted(g, ("A", "B", "C"))
+def test_enumerate_skips_cyclic_component_that_cannot_reach_host():
+    # all 12! simple paths through the complete digraph c0..c11 lead nowhere;
+    # a search that enters it does not finish in minutes
+    cycle = [f"c{i}" for i in range(12)]
+    g = _graph(direct=[("api", "helper"), ("helper", "host"), ("api", "c0")]
+               + [(a, b) for a in cycle for b in cycle if a != b])
+    started = time.perf_counter()
+    result = _paths(g, "api", "host")
+    elapsed = time.perf_counter() - started
+    assert result.paths == [("api", "helper", "host")]
+    assert not result.truncated
+    assert elapsed < 1.0, f"took {elapsed:.1f}s"
 
 
 def test_paths_are_walks_without_repeats():
@@ -243,7 +266,7 @@ def test_paths_are_walks_without_repeats():
         g.nodes.update(nodes)
         adj = g.successors()
         start, end = rng.sample(nodes, 2)
-        result = enumerate_secure_paths(g, start, end)
+        result = _paths(g, start, end)
         assert len(set(result.paths)) == len(result.paths)
         for path in result.paths:
             assert len(set(path)) == len(path)

@@ -190,3 +190,50 @@ def test_outputs_byte_deterministic(data_dir, tmp_path):
             (mapping.read_text(), profile.read_text(), sidecar.read_text())
         )
     assert texts[0] == texts[1]
+
+
+def test_outputs_match_golden(data_dir, tmp_path):
+    """analyze -> profile -> verify on the fixtures writes exactly the files
+    under data/golden; replace them only for an intended change of output."""
+    _, mapping = _analyze(data_dir, tmp_path)
+    _, profile, sidecar = _profile(data_dir, tmp_path, mapping)
+    log = tmp_path / "verdicts.log"
+    assert main([
+        "verify", "--sidecar", str(sidecar), "--mapping", str(mapping),
+        "--memmap", str(data_dir / "memmap.txt"),
+        "--events", str(data_dir / "events.txt"),
+        "--lib-disasm", str(data_dir / "minilib.sdis"),
+        "--target", "target", "-o", str(log),
+    ]) == 0
+    for out in (mapping, profile, sidecar, log):
+        assert out.read_bytes() == (data_dir / "golden" / out.name).read_bytes(), out.name
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("analyze", "--max-paths", "-1"),
+    ("analyze", "--max-paths", "0"),
+    ("analyze", "--max-path-len", "0"),
+    ("verify", "--scan-limit", "-2"),
+    ("verify", "--scan-limit", "0"),
+])
+def test_non_positive_limit_is_a_usage_error(data_dir, tmp_path, capsys,
+                                             command, flag, value):
+    golden = data_dir / "golden"
+    argv = {
+        "analyze": [
+            "analyze", str(data_dir / "minilib.sdis"),
+            str(data_dir / "minilib.facts.json"), "-o", str(tmp_path / "m.json"),
+        ],
+        "verify": [
+            "verify", "--sidecar", str(golden / "sidecar.json"),
+            "--mapping", str(golden / "mapping.json"),
+            "--memmap", str(data_dir / "memmap.txt"),
+            "--events", str(data_dir / "events.txt"),
+            "--lib-disasm", str(data_dir / "minilib.sdis"),
+            "-o", str(tmp_path / "v.log"),
+        ],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 1
+    assert flag in capsys.readouterr().err

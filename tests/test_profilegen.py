@@ -22,6 +22,7 @@ from syscage.srcfacts import load_source_facts
 from syscage.sysnum import ResolvedSyscallSite, load_syscall_table, resolve_sites
 
 from oracles import closure_floyd_warshall
+from test_callgraph import _graph, _rsite
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +216,31 @@ def test_unresolved_site_counted(seed_table):
     mapping = build_mapping(graph, resolved, {"api": "api@@V_1"})
     assert mapping.records["api"].unresolved_sites == 1
     assert mapping.records["api"].syscalls == []
+
+
+def test_mapping_merges_sites_of_each_host():
+    # h0 is reached only by an indirect call, h1 directly; h1 also holds
+    # two sites whose numbers were not recovered
+    graph = _graph(direct=[("api", "h1")], indirect=[("api", "h0")])
+    sites = [_rsite("h0", "read"), _rsite("h0", "write"), _rsite("h1", "write"),
+             _rsite("h1", "read"), _rsite("h1", None), _rsite("h1", None)]
+    record = build_mapping(graph, sites, {"api": "api"}).records["api"]
+    assert [(e.name, e.tainted, e.paths) for e in record.syscalls] == [
+        ("read", False, [("api", "h0"), ("api", "h1")]),
+        ("write", False, [("api", "h0"), ("api", "h1")]),
+    ]
+    assert record.unresolved_sites == 2
+    only_indirect = build_mapping(graph, sites[:2], {"api": "api"}).records["api"]
+    assert [(e.name, e.tainted) for e in only_indirect.syscalls] == [
+        ("read", True), ("write", True),
+    ]
+
+
+def test_mapping_flags_a_truncated_search():
+    graph = _graph(direct=[("api", f"m{i}") for i in range(3)]
+                   + [(f"m{i}", "host") for i in range(3)])
+    sites = [_rsite("host", "read")]
+    record = build_mapping(graph, sites, {"api": "api"}, max_paths=2).records["api"]
+    assert record.syscalls[0].paths == [("api", "m0", "host"), ("api", "m1", "host")]
+    assert record.path_budget_exceeded
+    assert not build_mapping(graph, sites, {"api": "api"}).records["api"].path_budget_exceeded
