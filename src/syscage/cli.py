@@ -11,13 +11,7 @@ import sys
 from pathlib import Path
 
 from . import packaged_data
-from .callgraph import (
-    DEFAULT_MAX_PATH_LEN,
-    DEFAULT_MAX_PATHS,
-    build_direct_fcg,
-    build_indirect_edges,
-    merge,
-)
+from .callgraph import build_direct_fcg, build_indirect_edges, merge
 from .cve import load_cve_dataset, report_document
 from .disasm import extract_plt_imports, parse_disassembly
 from .errors import AnalysisError, ParseError, UnknownApi
@@ -27,6 +21,7 @@ from .profilegen import (
     dump_json,
     generate_profile,
     load_trace,
+    suspicious_names,
 )
 from .srcfacts import load_source_facts
 from .sysnum import load_syscall_table, resolve_sites
@@ -101,9 +96,7 @@ def cmd_analyze(args) -> int:
     apis = {
         fn.api_name: fn.canonical_name for fn in unit.functions if fn.is_api_export
     }
-    mapping = build_mapping(
-        graph, resolved, apis, max_len=args.max_path_len, max_paths=args.max_paths
-    )
+    mapping = build_mapping(graph, resolved, apis)
     _write(args.output, dump_json(mapping.to_document()))
     return EXIT_OK
 
@@ -158,21 +151,17 @@ def cmd_verify(args) -> int:
         ]
     fat = locate_functions(memmap, offsets)
 
-    secure_paths: dict[str, list[tuple[str, ...]]] = {}
-    for record in mapping.records.values():
-        for entry in record.syscalls:
-            secure_paths.setdefault(entry.name, []).extend(
-                tuple(p) for p in entry.paths
-            )
-
     suspicious_key = (
         "suspicious_indirect" if args.policy == POLICY_INDIRECT else "suspicious_rare"
     )
+    entries, hosts = mapping.walk_ends()
     ctx = VerifierContext(
         target_tag=args.target,
-        suspicious=set(sidecar.get(suspicious_key, [])),
+        suspicious=suspicious_names(sidecar, suspicious_key),
         known_syscalls=table.names,
-        secure_paths=secure_paths,
+        call_graph=mapping.call_graph,
+        entries=entries,
+        hosts=hosts,
         table=fat,
         memmap=memmap,
     )
@@ -224,8 +213,6 @@ def build_parser() -> _Parser:
     p.add_argument("facts", help="source facts (JSON)")
     p.add_argument("--table", help="syscall table file (default: bundled)")
     p.add_argument("-o", "--output", required=True, help="mapping output (JSON)")
-    p.add_argument("--max-paths", type=positive_int, default=DEFAULT_MAX_PATHS)
-    p.add_argument("--max-path-len", type=positive_int, default=DEFAULT_MAX_PATH_LEN)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("profile", help="generate a Seccomp profile for a target")

@@ -74,6 +74,10 @@ class UnresolvedSites(AnalysisError):
     pass
 
 
+class MalformedDocument(ParseError):
+    """A mapping or sidecar JSON document of the wrong shape."""
+
+
 # verifier
 class MalformedMapLine(ParseError):
     pass

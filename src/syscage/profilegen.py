@@ -1,12 +1,13 @@
 """API->syscall mapping and Seccomp profile generation.
 
-The mapping records, per exported API, the reachable syscalls with their
-taint flags and secure invocation paths.  A syscall is tainted for an API
-when no all-direct path reaches a function that invokes it: those are the
-syscalls the runtime verifier has to guard.  The profile partitions the full
-syscall table into allowed and blocked sets and carries the two suspicious
-sets the runtime verifier can guard (indirect-call-related and
-rarely-invoked).
+The mapping holds the library's call graph once and, per exported API, the
+reachable syscalls with their taint flags and the functions that invoke
+them (their hosts).  A syscall is tainted for an API when no all-direct path
+reaches a host: those are the syscalls the runtime verifier has to guard, by
+finding a call-graph walk from an API to a host in the intercepted stack.
+The profile partitions the full syscall table into allowed and blocked sets
+and carries the two suspicious sets the runtime verifier can guard
+(indirect-call-related and rarely-invoked).
 """
 
 from __future__ import annotations
@@ -17,24 +18,32 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .callgraph import (
-    DEFAULT_MAX_PATH_LEN,
-    DEFAULT_MAX_PATHS,
     CallGraph,
     bfs_reachable,
-    enumerate_secure_paths,
-    predecessors,
+    # not called here: the benchmark's traced run wraps this name in
+    # profilegen; the tests keep it as the reference path matcher
+    enumerate_secure_paths,  # noqa: F401
 )
-from .errors import UnknownApi, UnknownSyscallName, UnresolvedSites
+from .errors import MalformedDocument, UnknownApi, UnknownSyscallName, UnresolvedSites
 from .sysnum import ResolvedSyscallSite, SyscallTable
 
 TRACE_TOKEN_RE = re.compile(r"^[a-z0-9_]+")
+MAPPING_FORMAT = 2
+JSON_TYPES = {dict: "object", list: "array"}
+
+
+def expect_json(value, kind: type, what: str):
+    """`value` when it has the JSON type `kind`; MalformedDocument otherwise."""
+    if not isinstance(value, kind):
+        raise MalformedDocument(f"{what} is not a JSON {JSON_TYPES[kind]}")
+    return value
 
 
 @dataclass
 class SyscallEntry:
     name: str
     tainted: bool
-    paths: list[tuple[str, ...]]
+    hosts: list[str]  # sorted functions that invoke the syscall
 
 
 @dataclass
@@ -43,50 +52,58 @@ class ApiRecord:
     entry_function: str
     syscalls: list[SyscallEntry] = field(default_factory=list)
     unresolved_sites: int = 0
-    path_budget_exceeded: bool = False
 
 
 @dataclass
 class ApiSyscallMapping:
     records: dict[str, ApiRecord] = field(default_factory=dict)
+    # caller -> sorted callees; functions that call nothing are left out
+    call_graph: dict[str, list[str]] = field(default_factory=dict)
 
     def to_document(self) -> dict:
         return {
+            "format": MAPPING_FORMAT,
+            "call_graph": self.call_graph,
             "apis": {
                 api: {
                     "entry_function": rec.entry_function,
                     "unresolved_sites": rec.unresolved_sites,
-                    "path_budget_exceeded": rec.path_budget_exceeded,
                     "syscalls": [
-                        {
-                            "syscall": e.name,
-                            "tainted": e.tainted,
-                            "paths": [list(p) for p in e.paths],
-                        }
+                        {"syscall": e.name, "tainted": e.tainted, "hosts": e.hosts}
                         for e in sorted(rec.syscalls, key=lambda e: e.name)
                     ],
                 }
                 for api, rec in sorted(self.records.items())
-            }
+            },
         }
 
     @classmethod
-    def from_document(cls, doc: dict) -> "ApiSyscallMapping":
-        mapping = cls()
-        for api, rec in doc.get("apis", {}).items():
+    def from_document(cls, doc) -> "ApiSyscallMapping":
+        if not isinstance(doc, dict) or doc.get("format") != MAPPING_FORMAT:
+            raise MalformedDocument(
+                f"mapping is not format {MAPPING_FORMAT}; "
+                "re-run `syscage analyze` to regenerate it"
+            )
+        graph = expect_json(doc.get("call_graph", {}), dict, "mapping call_graph")
+        if not all(isinstance(callees, list) for callees in graph.values()):
+            raise MalformedDocument("mapping call_graph maps a caller to a non-array")
+        mapping = cls(call_graph=graph)
+        for api, rec in expect_json(doc.get("apis", {}), dict, "mapping apis").items():
+            rec = expect_json(rec, dict, f"mapping API {api!r}")
+            entries = []
+            for e in expect_json(rec.get("syscalls", []), list, f"mapping API {api!r} syscalls"):
+                if not (isinstance(e, dict) and "syscall" in e and "tainted" in e
+                        and isinstance(e.get("hosts", []), list)):
+                    raise MalformedDocument(
+                        f"mapping API {api!r}: {e!r} is not an object with "
+                        '"syscall", "tainted" and an array of "hosts"'
+                    )
+                entries.append(SyscallEntry(e["syscall"], bool(e["tainted"]), e.get("hosts", [])))
             mapping.records[api] = ApiRecord(
                 api=api,
                 entry_function=rec.get("entry_function", api),
-                syscalls=[
-                    SyscallEntry(
-                        name=e["syscall"],
-                        tainted=bool(e["tainted"]),
-                        paths=[tuple(p) for p in e.get("paths", [])],
-                    )
-                    for e in rec.get("syscalls", [])
-                ],
+                syscalls=entries,
                 unresolved_sites=int(rec.get("unresolved_sites", 0)),
-                path_budget_exceeded=bool(rec.get("path_budget_exceeded", False)),
             )
         return mapping
 
@@ -95,6 +112,20 @@ class ApiSyscallMapping:
             if api in self.records:
                 raise UnknownApi(f"API {api!r} defined by more than one mapping")
             self.records[api] = rec
+        for caller, callees in other.call_graph.items():
+            mine = self.call_graph.get(caller)
+            self.call_graph[caller] = sorted(set(mine).union(callees)) if mine else callees
+
+    def walk_ends(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+        """Per syscall: the entry functions of the APIs whose records list
+        it, and the functions that invoke it."""
+        entries: dict[str, set[str]] = {}
+        hosts: dict[str, set[str]] = {}
+        for rec in self.records.values():
+            for e in rec.syscalls:
+                entries.setdefault(e.name, set()).add(rec.entry_function)
+                hosts.setdefault(e.name, set()).update(e.hosts)
+        return entries, hosts
 
 
 @dataclass
@@ -125,6 +156,12 @@ class SeccompProfile:
         if mapping_ref is not None:
             doc["secure_paths"] = mapping_ref
         return doc
+
+
+def suspicious_names(sidecar, key: str) -> set[str]:
+    """The syscall names that a sidecar document lists under `key`."""
+    doc = expect_json(sidecar, dict, "sidecar")
+    return set(expect_json(doc.get(key, []), list, f"sidecar {key}"))
 
 
 def sites_by_host(
@@ -173,30 +210,25 @@ def build_mapping(
     graph: CallGraph,
     resolved_sites: list[ResolvedSyscallSite],
     apis: dict[str, str],
-    max_len: int = DEFAULT_MAX_PATH_LEN,
-    max_paths: int = DEFAULT_MAX_PATHS,
 ) -> ApiSyscallMapping:
     """One record per exported API; `apis` maps api_name -> graph node."""
     adj = graph.successors()
     direct_adj = graph.successors(direct_only=True)
-    pred = predecessors(adj)
     sites = sites_by_host(resolved_sites)
-    mapping = ApiSyscallMapping()
+    mapping = ApiSyscallMapping(
+        call_graph={node: succ for node, succ in adj.items() if succ}
+    )
     for api_name, node in sorted(apis.items()):
         found, unresolved = reachable_syscalls(adj, direct_adj, sites, node)
-        record = ApiRecord(api=api_name, entry_function=node,
-                           unresolved_sites=unresolved)
-        for name, (tainted, hosts) in sorted(found.items()):
-            paths: set[tuple[str, ...]] = set()
-            for host in hosts:
-                enum = enumerate_secure_paths(adj, pred, node, host, max_len, max_paths)
-                paths.update(enum.paths)
-                if enum.truncated:
-                    record.path_budget_exceeded = True
-            record.syscalls.append(
-                SyscallEntry(name=name, tainted=tainted, paths=sorted(paths))
-            )
-        mapping.records[api_name] = record
+        mapping.records[api_name] = ApiRecord(
+            api=api_name,
+            entry_function=node,
+            syscalls=[
+                SyscallEntry(name, tainted, hosts)
+                for name, (tainted, hosts) in sorted(found.items())
+            ],
+            unresolved_sites=unresolved,
+        )
     return mapping
 
 

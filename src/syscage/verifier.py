@@ -3,8 +3,8 @@
 Events stand in for intercepted syscalls: a process tag, the syscall name,
 RIP/RSP, and the raw stack words read upward from RSP.  The verifier
 reconstructs the invocation path by scanning those words against the
-in-memory function layout and matches it against the statically derived
-secure paths.
+in-memory function layout and looks in it for a walk of the library's call
+graph from an API that can issue the syscall to a function that issues it.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import (
-    MalformedEvent,
-    MalformedMapLine,
-    RegionOverflow,
-    UnknownSyscallName,
-)
+from .errors import MalformedEvent, MalformedMapLine, RegionOverflow
 
 DEFAULT_SCAN_LIMIT = 512
 
@@ -33,6 +28,7 @@ PATH_MATCHED = "PathMatched"
 RSP_OUT_OF_RANGE = "RspOutOfRange"
 RIP_OUT_OF_RANGE = "RipOutOfRange"
 NO_PATH_MATCH = "NoPathMatch"
+UNKNOWN_SYSCALL = "UnknownSyscall"
 
 POLICY_INDIRECT = "IndirectOnly"
 POLICY_RARE = "RareOnly"
@@ -133,14 +129,20 @@ def _check_regions(libraries, stack: Region, code: Region) -> None:
 def locate_functions(
     memmap: MemoryMap, offsets: dict[str, list[tuple[str, int, int]]]
 ) -> FunctionAddressTable:
-    """Rebase per-library static offsets onto the load addresses."""
+    """Rebase per-library static offsets onto the load addresses.  Each
+    function extends to the start of the next function of its library, so
+    that the return address of a trailing call (to a function that does not
+    return) still lies in the caller; the last function keeps its end."""
     table = FunctionAddressTable()
     for name, base, size in memmap.libraries:
-        for fname, start, end in offsets.get(name, []):
+        funcs = sorted(offsets.get(name, []), key=lambda f: f[1])
+        for i, (fname, start, end) in enumerate(funcs):
             if end > size:
                 raise RegionOverflow(
                     f"{fname} [{start:#x},{end:#x}) exceeds {name} size {size:#x}"
                 )
+            if i + 1 < len(funcs):
+                end = funcs[i + 1][1]
             table.entries.append((fname, base + start, base + end))
     table.freeze()
     return table
@@ -151,13 +153,14 @@ def reconstruct_path(
 ) -> tuple[str, ...]:
     """Scan stack words for return addresses inside known functions; stop at
     the first word pointing into the code segment.  The function holding RIP
-    is prepended as the innermost frame."""
+    is prepended as the innermost frame.  A return address points just past
+    its call, so each word is looked up as `word - 1`, as unwinders do."""
     path: list[str] = []
     rip_fn = table.find(event.rip)
     if rip_fn is not None:
         path.append(rip_fn)
     for word in event.stack_words:
-        fn = table.find(word)
+        fn = table.find(word - 1)
         if fn is not None:
             path.append(fn)
         elif word in memmap.code_segment:
@@ -165,9 +168,33 @@ def reconstruct_path(
     return tuple(path)
 
 
+# The matcher of enumerated secure paths, no longer called here: the tests
+# keep it as a reference for walk_embeds, and the benchmark's traced run
+# counts calls to this name.
 def is_subsequence(needle, haystack) -> bool:
     it = iter(haystack)
     return all(item in it for item in needle)
+
+
+def walk_embeds(frames, call_graph: dict[str, list[str]], entries, hosts) -> bool:
+    """True when some walk of `call_graph` from a function in `entries` to
+    one in `hosts` is an ordered subsequence of `frames`, outermost first.
+
+    One pass over the frames: a frame ends such a walk when it is an entry
+    or a callee of an earlier frame that ends one.  Cutting a cycle out of a
+    walk keeps it a subsequence, so this is "some simple path embeds", with
+    no cap on its length.  The work is the number of frames plus the callees
+    of each distinct frame that ends a walk."""
+    ends: set[str] = set()
+    callees: set[str] = set()  # of every frame in `ends`
+    for fn in frames:
+        if fn in entries or fn in callees:
+            if fn in hosts:
+                return True
+            if fn not in ends:
+                ends.add(fn)
+                callees.update(call_graph.get(fn, ()))
+    return False
 
 
 @dataclass
@@ -175,7 +202,9 @@ class VerifierContext:
     target_tag: str
     suspicious: set[str]
     known_syscalls: set[str]
-    secure_paths: dict[str, list[tuple[str, ...]]]  # api-first order
+    call_graph: dict[str, list[str]]  # caller -> callees
+    entries: dict[str, set[str]]  # syscall -> entry functions of its APIs
+    hosts: dict[str, set[str]]  # syscall -> functions that invoke it
     table: FunctionAddressTable
     memmap: MemoryMap
     cache: set[tuple[str, str]] = field(default_factory=set)
@@ -183,7 +212,7 @@ class VerifierContext:
 
 def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
     if event.syscall_name not in ctx.known_syscalls:
-        raise UnknownSyscallName(event.syscall_name)
+        return Verdict(DENY, UNKNOWN_SYSCALL)
     if event.process_tag != ctx.target_tag:
         return Verdict(ALLOW, NOT_TARGET)
     if event.syscall_name not in ctx.suspicious:
@@ -195,10 +224,11 @@ def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
     if ctx.table.find(event.rip) is None and event.rip not in ctx.memmap.code_segment:
         return Verdict(DENY, RIP_OUT_OF_RANGE)
     path = reconstruct_path(event, ctx.table, ctx.memmap)
-    for secure in ctx.secure_paths.get(event.syscall_name, []):
-        if is_subsequence(tuple(reversed(secure)), path):
-            ctx.cache.add((event.process_tag, event.syscall_name))
-            return Verdict(ALLOW, PATH_MATCHED, path)
+    name = event.syscall_name
+    if walk_embeds(reversed(path), ctx.call_graph,
+                   ctx.entries.get(name, ()), ctx.hosts.get(name, ())):
+        ctx.cache.add((event.process_tag, name))
+        return Verdict(ALLOW, PATH_MATCHED, path)
     return Verdict(DENY, NO_PATH_MATCH, path)
 
 

@@ -27,6 +27,7 @@ from oracles import closure_floyd_warshall, interpret_accumulator
 from test_callgraph import _reachable
 from test_cve import SEED_COUNTS
 from test_sysnum import _function, _random_body
+from test_verifier import walk_sets
 
 
 def _passed(name):
@@ -113,13 +114,12 @@ def test_profile_partition_on_fixture_targets():
             for _ in range(rng.randint(0, 6))
         ]
         apis[f"api{i}"] = syscalls
-    doc = {"apis": {
+    doc = {"format": 2, "apis": {
         api: {
             "entry_function": api,
             "unresolved_sites": 0,
-            "path_budget_exceeded": False,
             "syscalls": [
-                {"syscall": n, "tainted": t, "paths": [[api]]}
+                {"syscall": n, "tainted": t, "hosts": [api]}
                 for n, t in dict(syscalls).items()
             ],
         }
@@ -157,12 +157,12 @@ def test_verifier_conformance(data_dir):
         {"minilib": [(f.canonical_name, f.start, f.end) for f in unit.functions]},
     )
     base = 0x7F0000000000
-    secure = {"open": [("open@@GLIBC_2.2.5", "dispatch", "open_handler")]}
+    secure = walk_sets({"open": [("open@@GLIBC_2.2.5", "dispatch", "open_handler")]})
     ctx = VerifierContext(
         target_tag="target",
         suspicious={"open"},
         known_syscalls={"open"},
-        secure_paths=secure,
+        **secure,
         table=table,
         memmap=memmap,
     )
@@ -179,7 +179,7 @@ def test_verifier_conformance(data_dir):
     assert [v.reason for v in verdicts] == [RSP_OUT_OF_RANGE, PATH_MATCHED, CACHE_HIT]
     fresh = VerifierContext(
         target_tag="target", suspicious={"open"}, known_syscalls={"open"},
-        secure_paths=secure, table=table, memmap=memmap,
+        **secure, table=table, memmap=memmap,
     )
     verdicts, _ = run_event_trace(scrambled, fresh)
     assert [v.reason for v in verdicts] == [NO_PATH_MATCH]

@@ -209,31 +209,139 @@ def test_outputs_match_golden(data_dir, tmp_path):
         assert out.read_bytes() == (data_dir / "golden" / out.name).read_bytes(), out.name
 
 
+def _verify_golden(data_dir, tmp_path, sidecar=None, mapping=None, events=None):
+    """verify on the fixtures with the golden sidecar and mapping, or the
+    given replacements; returns the exit code and the verdict log's path."""
+    golden = data_dir / "golden"
+    log = tmp_path / "v.log"
+    code = main([
+        "verify", "--sidecar", str(sidecar or golden / "sidecar.json"),
+        "--mapping", str(mapping or golden / "mapping.json"),
+        "--memmap", str(data_dir / "memmap.txt"),
+        "--events", str(events or data_dir / "events.txt"),
+        "--lib-disasm", str(data_dir / "minilib.sdis"),
+        "--target", "target", "-o", str(log),
+    ])
+    return code, log
+
+
 @pytest.mark.parametrize("command, flag, value", [
-    ("analyze", "--max-paths", "-1"),
-    ("analyze", "--max-paths", "0"),
-    ("analyze", "--max-path-len", "0"),
     ("verify", "--scan-limit", "-2"),
     ("verify", "--scan-limit", "0"),
 ])
 def test_non_positive_limit_is_a_usage_error(data_dir, tmp_path, capsys,
                                              command, flag, value):
     golden = data_dir / "golden"
-    argv = {
-        "analyze": [
-            "analyze", str(data_dir / "minilib.sdis"),
-            str(data_dir / "minilib.facts.json"), "-o", str(tmp_path / "m.json"),
-        ],
-        "verify": [
-            "verify", "--sidecar", str(golden / "sidecar.json"),
-            "--mapping", str(golden / "mapping.json"),
-            "--memmap", str(data_dir / "memmap.txt"),
-            "--events", str(data_dir / "events.txt"),
-            "--lib-disasm", str(data_dir / "minilib.sdis"),
-            "-o", str(tmp_path / "v.log"),
-        ],
-    }[command]
+    argv = [
+        "verify", "--sidecar", str(golden / "sidecar.json"),
+        "--mapping", str(golden / "mapping.json"),
+        "--memmap", str(data_dir / "memmap.txt"),
+        "--events", str(data_dir / "events.txt"),
+        "--lib-disasm", str(data_dir / "minilib.sdis"),
+        "-o", str(tmp_path / "v.log"),
+    ]
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag, value])
     assert exc.value.code == 1
     assert flag in capsys.readouterr().err
+
+
+def test_unknown_syscall_gets_its_own_verdict(data_dir, tmp_path):
+    events = tmp_path / "events.txt"
+    events.write_text((data_dir / "events.txt").read_text()
+                      + "target frobnicate rip=7f0000001005 rsp=7ffc00001000 stack=400014\n")
+    code, log = _verify_golden(data_dir, tmp_path, events=events)
+    assert code == 0
+    golden = (data_dir / "golden" / "verdicts.log").read_text()
+    assert log.read_text() == golden + "6 Deny UnknownSyscall path=\n"
+
+
+def _golden_mapping(data_dir):
+    return json.loads((data_dir / "golden" / "mapping.json").read_text())
+
+
+def _without_format(doc):
+    del doc["format"]
+
+
+def _format_1(doc):
+    doc["format"] = 1
+
+
+def _entry_without_syscall(doc):
+    del doc["apis"]["open"]["syscalls"][0]["syscall"]
+
+
+def _hosts_not_a_list(doc):
+    doc["apis"]["open"]["syscalls"][0]["hosts"] = "open_handler"
+
+
+def _call_graph_not_an_object(doc):
+    doc["call_graph"] = [["dispatch", "open_handler"]]
+
+
+@pytest.mark.parametrize("spoil", [
+    _without_format, _format_1, _entry_without_syscall, _hosts_not_a_list,
+    _call_graph_not_an_object, "sidecar-list",
+])
+def test_malformed_mapping_or_sidecar_is_a_parse_error(data_dir, tmp_path, capsys, spoil):
+    if spoil == "sidecar-list":
+        bad = tmp_path / "sidecar.json"
+        bad.write_text(json.dumps(["ioctl", "open"]))
+        code, _ = _verify_golden(data_dir, tmp_path, sidecar=bad)
+    else:
+        doc = _golden_mapping(data_dir)
+        spoil(doc)
+        bad = tmp_path / "mapping.json"
+        bad.write_text(json.dumps(doc))
+        code, _ = _verify_golden(data_dir, tmp_path, mapping=bad)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "parse error" in err
+    if spoil in (_without_format, _format_1):
+        assert "re-run `syscage analyze`" in err
+
+
+def _chain_library(n):
+    """SDIS for api@@V_1 -> f1 -> ... -> f{n-1}, each calling the next from
+    its first instruction; f{n-1} issues getpid."""
+    names = ["api@@V_1"] + [f"f{i}" for i in range(1, n)]
+    lines = []
+    for i, name in enumerate(names):
+        start = 0x1000 + 0x10 * i
+        lines.append(f"{start:016x} <{name}>:")
+        if i + 1 < n:
+            lines.append(f"    {start:x}:\tcallq\t{start + 0x10:x} <{names[i + 1]}>")
+            lines.append(f"    {start + 5:x}:\tretq")
+        else:
+            lines.append(f"    {start:x}:\tmov\t$0x27,%eax")
+            lines.append(f"    {start + 5:x}:\tsyscall")
+    return "\n".join(lines) + "\n"
+
+
+def test_long_call_chain_matches(tmp_path):
+    # one 100-function walk leads from the API to the syscall; a cap on the
+    # length of secure paths would deny the event
+    n = 100
+    base = 0x7F0000000000
+    (tmp_path / "chain.sdis").write_text(_chain_library(n))
+    (tmp_path / "chain.facts.json").write_text("{}")
+    (tmp_path / "sidecar.json").write_text(
+        json.dumps({"suspicious_indirect": ["getpid"], "suspicious_rare": []}))
+    (tmp_path / "memmap.txt").write_text(
+        f"lib chain {base:x} 10000\nstack 7ffc00000000 7ffc00100000\ncode 400000 500000\n")
+    returns = [base + 0x1000 + 0x10 * i + 5 for i in reversed(range(n - 1))]
+    rip = base + 0x1000 + 0x10 * (n - 1) + 5
+    (tmp_path / "events.txt").write_text(
+        f"target getpid rip={rip:x} rsp=7ffc00001000 "
+        f"stack={','.join(f'{w:x}' for w in returns)},400014\n")
+    mapping = tmp_path / "mapping.json"
+    assert main(["analyze", str(tmp_path / "chain.sdis"),
+                 str(tmp_path / "chain.facts.json"), "-o", str(mapping)]) == 0
+    log = tmp_path / "verdicts.log"
+    assert main([
+        "verify", "--sidecar", str(tmp_path / "sidecar.json"), "--mapping", str(mapping),
+        "--memmap", str(tmp_path / "memmap.txt"), "--events", str(tmp_path / "events.txt"),
+        "--lib-disasm", str(tmp_path / "chain.sdis"), "-o", str(log),
+    ]) == 0
+    assert log.read_text().startswith("0 Allow PathMatched path=f99,f98,")

@@ -42,14 +42,14 @@ def minilib_mapping(minilib_unit, minilib_facts, seed_table):
 def test_mapping_direct_wrapper(minilib_mapping):
     record = minilib_mapping.records["read"]
     assert [(e.name, e.tainted) for e in record.syscalls] == [("read", False)]
-    assert record.syscalls[0].paths == [("read@@GLIBC_2.2.5",)]
+    assert record.syscalls[0].hosts == ["read@@GLIBC_2.2.5"]
     assert record.unresolved_sites == 0
 
 
 def test_mapping_chain_paths(minilib_mapping):
     record = minilib_mapping.records["write"]
     assert [(e.name, e.tainted) for e in record.syscalls] == [("write", False)]
-    assert record.syscalls[0].paths == [("write@@GLIBC_2.2.5", "do_write")]
+    assert record.syscalls[0].hosts == ["do_write"]
 
 
 def test_mapping_tainted_via_indirect(minilib_mapping):
@@ -57,12 +57,21 @@ def test_mapping_tainted_via_indirect(minilib_mapping):
     entries = {e.name: e for e in record.syscalls}
     assert set(entries) == {"open", "ioctl"}
     assert entries["open"].tainted and entries["ioctl"].tainted
-    assert entries["open"].paths == [
-        ("open@@GLIBC_2.2.5", "dispatch", "open_handler")
-    ]
-    assert entries["ioctl"].paths == [
-        ("open@@GLIBC_2.2.5", "dispatch", "ioctl_handler")
-    ]
+    assert entries["open"].hosts == ["open_handler"]
+    assert entries["ioctl"].hosts == ["ioctl_handler"]
+
+
+def test_mapping_call_graph_leaves_out_leaves(minilib_mapping):
+    graph = minilib_mapping.call_graph
+    assert graph["dispatch"] == ["ioctl_handler", "log_call", "open_handler"]
+    assert graph["open@@GLIBC_2.2.5"] == ["dispatch"]
+    assert "read@@GLIBC_2.2.5" not in graph and "noop" not in graph
+
+
+def test_merge_from_unions_call_graphs():
+    first = ApiSyscallMapping(call_graph={"a": ["b", "d"], "x": ["y"]})
+    first.merge_from(ApiSyscallMapping(call_graph={"a": ["c", "d"], "p": ["q"]}))
+    assert first.call_graph == {"a": ["b", "c", "d"], "x": ["y"], "p": ["q"]}
 
 
 def test_mapping_document_roundtrip(minilib_mapping):
@@ -90,7 +99,7 @@ def test_mapping_matches_reachability_oracle():
             if rng.random() < 0.3
         ]
         apis = {f"api_{node}": node for node in rng.sample(nodes, 3)}
-        mapping = build_mapping(graph, sites, apis, max_paths=100000)
+        mapping = build_mapping(graph, sites, apis)
         closure = closure_floyd_warshall(nodes, pairs)
         for api, node in apis.items():
             expected = {
@@ -118,14 +127,13 @@ def test_load_trace_merge_adds():
 
 
 def _simple_mapping(entries, unresolved=0):
-    doc = {"apis": {}}
+    doc = {"format": 2, "apis": {}}
     for api, syscalls in entries.items():
         doc["apis"][api] = {
             "entry_function": api,
             "unresolved_sites": unresolved,
-            "path_budget_exceeded": False,
             "syscalls": [
-                {"syscall": name, "tainted": tainted, "paths": [[api]]}
+                {"syscall": name, "tainted": tainted, "hosts": [api]}
                 for name, tainted in syscalls
             ],
         }
@@ -225,22 +233,12 @@ def test_mapping_merges_sites_of_each_host():
     sites = [_rsite("h0", "read"), _rsite("h0", "write"), _rsite("h1", "write"),
              _rsite("h1", "read"), _rsite("h1", None), _rsite("h1", None)]
     record = build_mapping(graph, sites, {"api": "api"}).records["api"]
-    assert [(e.name, e.tainted, e.paths) for e in record.syscalls] == [
-        ("read", False, [("api", "h0"), ("api", "h1")]),
-        ("write", False, [("api", "h0"), ("api", "h1")]),
+    assert [(e.name, e.tainted, e.hosts) for e in record.syscalls] == [
+        ("read", False, ["h0", "h1"]),
+        ("write", False, ["h0", "h1"]),
     ]
     assert record.unresolved_sites == 2
     only_indirect = build_mapping(graph, sites[:2], {"api": "api"}).records["api"]
     assert [(e.name, e.tainted) for e in only_indirect.syscalls] == [
         ("read", True), ("write", True),
     ]
-
-
-def test_mapping_flags_a_truncated_search():
-    graph = _graph(direct=[("api", f"m{i}") for i in range(3)]
-                   + [(f"m{i}", "host") for i in range(3)])
-    sites = [_rsite("host", "read")]
-    record = build_mapping(graph, sites, {"api": "api"}, max_paths=2).records["api"]
-    assert record.syscalls[0].paths == [("api", "m0", "host"), ("api", "m1", "host")]
-    assert record.path_budget_exceeded
-    assert not build_mapping(graph, sites, {"api": "api"}).records["api"].path_budget_exceeded

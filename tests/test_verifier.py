@@ -1,13 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from syscage.errors import (
-    MalformedEvent,
-    MalformedMapLine,
-    RegionOverflow,
-    UnknownSyscallName,
-)
+from syscage.callgraph import enumerate_secure_paths, predecessors
+from syscage.disasm import parse_disassembly
+from syscage.errors import MalformedEvent, MalformedMapLine, RegionOverflow
 from syscage.verifier import (
     ALLOW,
     CACHE_HIT,
@@ -18,6 +17,7 @@ from syscage.verifier import (
     PATH_MATCHED,
     RIP_OUT_OF_RANGE,
     RSP_OUT_OF_RANGE,
+    UNKNOWN_SYSCALL,
     FunctionAddressTable,
     MemoryMap,
     Region,
@@ -31,9 +31,10 @@ from syscage.verifier import (
     reconstruct_path,
     run_event_trace,
     verify_event,
+    walk_embeds,
 )
 
-from oracles import subsequence_bruteforce
+from oracles import all_simple_paths_bruteforce, subsequence_bruteforce
 
 BASE = 0x7F0000000000
 
@@ -63,12 +64,25 @@ def _event(name="open", tag="target", rip=BASE + 0x1005,
     return SyscallEvent(tag, name, rip, rsp, tuple(stack))
 
 
+def walk_sets(secure_paths):
+    """VerifierContext's call_graph, entries and hosts from api-first secure
+    paths per syscall: each path's edges, first node and last node."""
+    graph, entries, hosts = {}, {}, {}
+    for name, paths in secure_paths.items():
+        for path in paths:
+            entries.setdefault(name, set()).add(path[0])
+            hosts.setdefault(name, set()).add(path[-1])
+            for caller, callee in zip(path, path[1:]):
+                graph.setdefault(caller, []).append(callee)
+    return {"call_graph": graph, "entries": entries, "hosts": hosts}
+
+
 def _ctx(table, memmap, suspicious=("open",), secure=None):
     return VerifierContext(
         target_tag="target",
         suspicious=set(suspicious),
         known_syscalls={"open", "read", "close"},
-        secure_paths=secure or {"open": [("A", "B", "wrapper")]},
+        **walk_sets(secure or {"open": [("A", "B", "wrapper")]}),
         table=table,
         memmap=memmap,
     )
@@ -133,8 +147,9 @@ def test_verify_not_suspicious():
 
 def test_verify_unknown_syscall():
     table, memmap = _table()
-    with pytest.raises(UnknownSyscallName):
-        verify_event(_event(name="frobnicate"), _ctx(table, memmap))
+    for tag in ("target", "other"):
+        verdict = verify_event(_event(name="frobnicate", tag=tag), _ctx(table, memmap))
+        assert (verdict.decision, verdict.reason) == (DENY, UNKNOWN_SYSCALL)
 
 
 def test_verify_path_match_then_cache_hit():
@@ -197,6 +212,67 @@ def test_subsequence_equivalence_with_bruteforce():
         assert is_subsequence(needle, haystack) == subsequence_bruteforce(
             needle, haystack
         )
+
+
+def test_return_address_after_a_trailing_call_keeps_its_caller():
+    # api ends in a call to host, which does not return: the return address
+    # 0x100b + 5 lies past api's last instruction, at host's first byte
+    unit = parse_disassembly(
+        "0000000000001000 <api@@V_1>:\n"
+        "    1000:\tpush\t%rbp\n"
+        "    100b:\tcallq\t1010 <host>\n"
+        "0000000000001010 <host>:\n"
+        "    1010:\tmov\t$0x2,%eax\n"
+        "    1015:\tsyscall\n"
+    )
+    memmap = _memmap()
+    table = locate_functions(
+        memmap, {"lib": [(f.canonical_name, f.start, f.end) for f in unit.functions]}
+    )
+    ctx = _ctx(table, memmap, secure={"open": [("api@@V_1", "host")]})
+    verdict = verify_event(_event(rip=BASE + 0x1015, stack=[BASE + 0x100B + 5, 0x400abc]), ctx)
+    assert (verdict.decision, verdict.reason) == (ALLOW, PATH_MATCHED)
+    assert verdict.reconstructed_path == ("host", "api@@V_1")
+    # the last function keeps its own end
+    assert table.find(BASE + 0x1015) == "host"
+    assert table.find(BASE + 0x1016) is None
+
+
+def _reference_match(graph, entries, hosts, frames):
+    """The matcher walk_embeds replaced: enumerate the secure paths from each
+    entry to each host, then test each as a subsequence of the frames."""
+    pred = predecessors(graph)
+    return any(
+        is_subsequence(path, frames)
+        for api in entries for host in hosts
+        for path in enumerate_secure_paths(graph, pred, api, host).paths
+    )
+
+
+@st.composite
+def _walk_cases(draw):
+    nodes = [f"f{i}" for i in range(draw(st.integers(1, 7)))]
+    pairs = [(a, b) for a in nodes for b in nodes]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20))
+    entries = draw(st.sets(st.sampled_from(nodes), max_size=3))
+    hosts = draw(st.sets(st.sampled_from(nodes), max_size=3))
+    frames = draw(st.lists(st.sampled_from(nodes), max_size=9))
+    return nodes, edges, entries, hosts, frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_cases())
+def test_walk_embeds_equals_bruteforce_and_path_enumeration(case):
+    nodes, edges, entries, hosts, frames = case
+    graph = {n: sorted(b for a, b in edges if a == n) for n in nodes}
+    got = walk_embeds(frames, graph, entries, hosts)
+    brute = any(
+        subsequence_bruteforce(path, frames)
+        for api in entries for host in hosts
+        for path in all_simple_paths_bruteforce(nodes, edges, api, host)
+    )
+    assert got == brute
+    assert got == _reference_match(graph, entries, hosts, frames)
 
 
 def test_parse_memory_map_roundtrip():
