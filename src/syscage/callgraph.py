@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .disasm import DIRECT, INDIRECT, DisasmUnit
-from .errors import UnknownCaller
+from .errors import AnalysisError
 from .srcfacts import SourceFacts, resolve_indirect_targets
 
 DEFAULT_MAX_PATH_LEN = 64
@@ -67,12 +67,11 @@ def build_indirect_edges(facts: SourceFacts) -> set[Edge]:
 
 
 def merge(direct: CallGraph, indirect_edges: set[Edge]) -> CallGraph:
-    merged = CallGraph(nodes=set(direct.nodes), edges=set(direct.edges))
-    for edge in indirect_edges:
-        if edge.caller not in direct.nodes:
-            raise UnknownCaller(edge.caller)
-        merged.nodes.add(edge.callee)
-        merged.edges.add(edge)
+    unknown = sorted({e.caller for e in indirect_edges} - direct.nodes)
+    if unknown:
+        raise AnalysisError(f"indirect calls from unknown caller(s): {', '.join(unknown)}")
+    merged = CallGraph(nodes=set(direct.nodes), edges=direct.edges | indirect_edges)
+    merged.nodes.update(e.callee for e in indirect_edges)
     return merged
 
 

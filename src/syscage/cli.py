@@ -1,6 +1,7 @@
 """Command-line driver for the analysis pipeline.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 analysis error.
+Exit codes, all set in `main`: 0 success, 1 usage error (bad options, or a
+path that cannot be read or written), 2 parse error, 3 analysis error.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from . import packaged_data
 from .callgraph import build_direct_fcg, build_indirect_edges, merge
 from .cve import load_cve_dataset, report_document
 from .disasm import extract_plt_imports, parse_disassembly
-from .errors import AnalysisError, ParseError, UnknownApi
+from .errors import AnalysisError, ParseError
 from .profilegen import (
     ApiSyscallMapping,
+    SeccompProfile,
     build_mapping,
     dump_json,
     generate_profile,
@@ -27,8 +29,6 @@ from .srcfacts import load_source_facts
 from .sysnum import load_syscall_table, resolve_sites
 from .verifier import (
     DEFAULT_SCAN_LIMIT,
-    POLICY_INDIRECT,
-    POLICY_RARE,
     VerifierContext,
     format_verdict_log,
     locate_functions,
@@ -48,10 +48,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class UsageError(Exception):
-    pass
-
-
 def positive_int(text: str) -> int:
     """argparse type for a limit: an integer of at least 1."""
     value = int(text)
@@ -61,35 +57,50 @@ def positive_int(text: str) -> int:
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"input file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def _load(path: str | None, parse, bundled: str | None = None):
+    """`parse` applied to the text of `path`, or of the bundled data file
+    `bundled` when no path is given; a parse error names the file.  JSON
+    nested too deeply for the decoder is a parse error too."""
+    text = _read(path) if path else packaged_data(bundled)
+    try:
+        return parse(text)
+    except (ParseError, json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path or bundled}: {exc}") from exc
 
 
 def _read_table(path: str | None):
-    text = _read(path) if path else packaged_data("syscall_64.tbl")
-    return load_syscall_table(text)
+    return _load(path, load_syscall_table, "syscall_64.tbl")
 
 
 def _parse_unit(path: str):
-    return parse_disassembly(_read(path), unit_name=Path(path).stem)
+    return _load(path, lambda text: parse_disassembly(text, unit_name=Path(path).stem))
 
 
 def _load_mappings(paths: list[str]) -> ApiSyscallMapping:
     mapping = ApiSyscallMapping()
     for path in paths:
-        mapping.merge_from(ApiSyscallMapping.from_document(json.loads(_read(path))))
+        mapping.merge_from(
+            _load(path, lambda text: ApiSyscallMapping.from_document(json.loads(text))))
     return mapping
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _write(path: str | None, text: str) -> None:
+    """Write `text` to the file `path`, or to stdout when there is none."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_analyze(args) -> int:
     unit = _parse_unit(args.lib_disasm)
-    facts = load_source_facts(_read(args.facts))
+    facts = _load(args.facts, load_source_facts)
     table = _read_table(args.table)
     graph = merge(build_direct_fcg(unit), build_indirect_edges(facts))
     resolved = resolve_sites(unit.functions, unit.syscall_sites, table)
@@ -106,15 +117,6 @@ def cmd_profile(args) -> int:
     table = _read_table(args.table)
     mapping = _load_mappings(args.mapping)
     imports = extract_plt_imports(unit)
-    unknown = imports - set(mapping.records)
-    if unknown:
-        if args.strict:
-            raise UnknownApi(", ".join(sorted(unknown)))
-        print(
-            f"warning: ignoring unmapped APIs: {', '.join(sorted(unknown))}",
-            file=sys.stderr,
-        )
-        imports -= unknown
     embedded = {
         r.name for r in resolve_sites(unit.functions, unit.syscall_sites, table)
         if r.name is not None
@@ -131,6 +133,12 @@ def cmd_profile(args) -> int:
         strict=args.strict,
         min_count=args.min_count,
     )
+    if profile.unmapped:
+        print(f"warning: ignoring unmapped APIs: {', '.join(profile.unmapped)}",
+              file=sys.stderr)
+    if profile.fallback:
+        print("warning: allowing every syscall: unresolved syscall sites in API(s): "
+              + ", ".join(profile.fallback), file=sys.stderr)
     _write(args.output, dump_json(profile.to_docker_document()))
     mapping_ref = Path(args.mapping[0]).name
     _write(args.sidecar, dump_json(profile.sidecar_document(mapping_ref=mapping_ref)))
@@ -138,9 +146,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sidecar = json.loads(_read(args.sidecar))
+    suspicious = _load(args.sidecar, lambda text: suspicious_names(
+        json.loads(text), f"suspicious_{args.policy}"))
     mapping = _load_mappings(args.mapping)
-    memmap = parse_memory_map(_read(args.memmap))
+    memmap = _load(args.memmap, parse_memory_map)
     table = _read_table(args.table)
 
     offsets: dict[str, list[tuple[str, int, int]]] = {}
@@ -151,13 +160,10 @@ def cmd_verify(args) -> int:
         ]
     fat = locate_functions(memmap, offsets)
 
-    suspicious_key = (
-        "suspicious_indirect" if args.policy == POLICY_INDIRECT else "suspicious_rare"
-    )
     entries, hosts = mapping.walk_ends()
     ctx = VerifierContext(
         target_tag=args.target,
-        suspicious=suspicious_names(sidecar, suspicious_key),
+        suspicious=suspicious,
         known_syscalls=table.names,
         call_graph=mapping.call_graph,
         entries=entries,
@@ -165,12 +171,10 @@ def cmd_verify(args) -> int:
         table=fat,
         memmap=memmap,
     )
-    verdicts, summary = run_event_trace(_read(args.events), ctx, args.scan_limit)
+    verdicts, summary = _load(
+        args.events, lambda text: run_event_trace(text, ctx, args.scan_limit))
     log = format_verdict_log(verdicts)
-    if args.output:
-        _write(args.output, log)
-    else:
-        sys.stdout.write(log)
+    _write(args.output, log)
     for reason in sorted(summary):
         print(f"# {reason}: {summary[reason]}", file=sys.stderr)
     return EXIT_OK
@@ -178,29 +182,19 @@ def cmd_verify(args) -> int:
 
 def cmd_cve(args) -> int:
     table = _read_table(args.table)
-    text = _read(args.dataset) if args.dataset else packaged_data("cve_seed.tsv")
-    records = load_cve_dataset(text, table_names=table.names, strict=args.strict)
-    profile = json.loads(_read(args.profile))
-    allowed: set[str] = set()
-    for rule in profile.get("syscalls", []):
-        if rule.get("action") == "SCMP_ACT_ALLOW":
-            allowed.update(rule.get("names", []))
+    records = _load(args.dataset, lambda text: load_cve_dataset(
+        text, table_names=table.names, strict=args.strict), "cve_seed.tsv")
+    allowed = _load(args.profile, lambda text: SeccompProfile.allowed_in_docker_document(
+        json.loads(text)))
     blocked = table.names - allowed
-    doc = report_document(records, blocked)
-    if args.output:
-        _write(args.output, dump_json(doc))
-    else:
-        sys.stdout.write(dump_json(doc))
+    _write(args.output, dump_json(report_document(records, blocked)))
     return EXIT_OK
 
 
 def cmd_trace_merge(args) -> int:
     summary = load_trace([_read(p) for p in args.traces])
     doc = {"runs": summary.runs, "counts": dict(sorted(summary.counts.items()))}
-    if args.output:
-        _write(args.output, dump_json(doc))
-    else:
-        sys.stdout.write(dump_json(doc))
+    _write(args.output, dump_json(doc))
     return EXIT_OK
 
 
@@ -225,7 +219,7 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True, help="profile output (JSON)")
     p.add_argument("--sidecar", required=True, help="suspicious-sets output (JSON)")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--min-count", type=positive_int, default=1)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("verify", help="replay a syscall event trace")
@@ -261,14 +255,13 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "policy"):
-        args.policy = POLICY_INDIRECT if args.policy == "indirect" else POLICY_RARE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"syscage: error: {exc}", file=sys.stderr)
+    except OSError as exc:  # an input or output path that cannot be used
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"syscage: error: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, json.JSONDecodeError) as exc:
+    except ParseError as exc:
         print(f"syscage: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except AnalysisError as exc:

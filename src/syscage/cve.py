@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import MalformedCveId, UnknownSyscall
+from .errors import AnalysisError, ParseError
 
 CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,}$")
 
@@ -36,14 +36,14 @@ def load_cve_dataset(
         fields = stripped.split("\t")
         cve_id = fields[0].strip()
         if not CVE_ID_RE.match(cve_id):
-            raise MalformedCveId(f"line {lineno}: {cve_id!r}")
+            raise ParseError(f"line {lineno}: bad CVE id {cve_id!r}")
         if len(fields) < 2 or not fields[1].strip():
-            raise MalformedCveId(f"line {lineno}: missing syscall list")
+            raise ParseError(f"line {lineno}: missing syscall list")
         syscalls = {s.strip() for s in fields[1].split(",") if s.strip()}
         if strict and table_names is not None:
             unknown = sorted(syscalls - table_names)
             if unknown:
-                raise UnknownSyscall(f"line {lineno}: {', '.join(unknown)}")
+                raise AnalysisError(f"line {lineno}: unknown syscall(s): {', '.join(unknown)}")
         note = fields[2].strip() if len(fields) > 2 else ""
         if cve_id in by_id:
             by_id[cve_id].syscalls |= syscalls

@@ -11,12 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import (
-    AddressOrder,
-    MalformedHeader,
-    MalformedInstruction,
-    OverlappingFunctions,
-)
+from .errors import ParseError
 
 HEADER_RE = re.compile(r"^([0-9a-f]{1,16}) <([^>]+)>:$")
 INSN_RE = re.compile(
@@ -118,14 +113,10 @@ def parse_disassembly(text: str, unit_name: str = "unit") -> DisasmUnit:
         m = INSN_RE.match(line)
         if m:
             if cur_symbol is None:
-                raise MalformedInstruction(
-                    f"line {lineno}: instruction outside any function"
-                )
+                raise ParseError(f"line {lineno}: instruction outside any function")
             addr = int(m.group(1), 16)
             if addr < cur_start or (cur_insns and addr <= cur_insns[-1].address):
-                raise AddressOrder(
-                    f"line {lineno}: address {addr:#x} does not increase"
-                )
+                raise ParseError(f"line {lineno}: address {addr:#x} does not increase")
             cur_insns.append(
                 Instruction(
                     address=addr,
@@ -136,8 +127,8 @@ def parse_disassembly(text: str, unit_name: str = "unit") -> DisasmUnit:
             )
             continue
         if cur_symbol is None or not line[0].isspace():
-            raise MalformedHeader(f"line {lineno}: bad function header: {line!r}")
-        raise MalformedInstruction(f"line {lineno}: bad instruction line: {line!r}")
+            raise ParseError(f"line {lineno}: bad function header: {line!r}")
+        raise ParseError(f"line {lineno}: bad instruction line: {line!r}")
 
     if cur_symbol is not None:
         functions.append(_finish_function(cur_symbol, cur_start, cur_insns))
@@ -176,8 +167,8 @@ def _check_disjoint(functions: list[FunctionRecord]) -> None:
     ordered = sorted(functions, key=lambda f: f.start)
     for a, b in zip(ordered, ordered[1:]):
         if b.start < a.end:
-            raise OverlappingFunctions(
-                f"{a.canonical_name} [{a.start:#x},{a.end:#x}) overlaps "
+            raise ParseError(
+                f"function {a.canonical_name} [{a.start:#x},{a.end:#x}) overlaps "
                 f"{b.canonical_name} [{b.start:#x},{b.end:#x})"
             )
 

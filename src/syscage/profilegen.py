@@ -24,19 +24,12 @@ from .callgraph import (
     # profilegen; the tests keep it as the reference path matcher
     enumerate_secure_paths,  # noqa: F401
 )
-from .errors import MalformedDocument, UnknownApi, UnknownSyscallName, UnresolvedSites
+from .errors import AnalysisError, ParseError, expect_json, expect_names
 from .sysnum import ResolvedSyscallSite, SyscallTable
 
 TRACE_TOKEN_RE = re.compile(r"^[a-z0-9_]+")
 MAPPING_FORMAT = 2
-JSON_TYPES = {dict: "object", list: "array"}
-
-
-def expect_json(value, kind: type, what: str):
-    """`value` when it has the JSON type `kind`; MalformedDocument otherwise."""
-    if not isinstance(value, kind):
-        raise MalformedDocument(f"{what} is not a JSON {JSON_TYPES[kind]}")
-    return value
+SYSCALL_ENTRY = "mapping API {!r} syscalls[{}]"
 
 
 @dataclass
@@ -80,37 +73,40 @@ class ApiSyscallMapping:
     @classmethod
     def from_document(cls, doc) -> "ApiSyscallMapping":
         if not isinstance(doc, dict) or doc.get("format") != MAPPING_FORMAT:
-            raise MalformedDocument(
+            raise ParseError(
                 f"mapping is not format {MAPPING_FORMAT}; "
                 "re-run `syscage analyze` to regenerate it"
             )
         graph = expect_json(doc.get("call_graph", {}), dict, "mapping call_graph")
-        if not all(isinstance(callees, list) for callees in graph.values()):
-            raise MalformedDocument("mapping call_graph maps a caller to a non-array")
+        for caller, callees in graph.items():
+            expect_names(callees, "mapping call_graph[{!r}]", caller)
         mapping = cls(call_graph=graph)
         for api, rec in expect_json(doc.get("apis", {}), dict, "mapping apis").items():
-            rec = expect_json(rec, dict, f"mapping API {api!r}")
+            expect_json(rec, dict, "mapping API {!r}", api)
             entries = []
-            for e in expect_json(rec.get("syscalls", []), list, f"mapping API {api!r} syscalls"):
-                if not (isinstance(e, dict) and "syscall" in e and "tainted" in e
-                        and isinstance(e.get("hosts", []), list)):
-                    raise MalformedDocument(
-                        f"mapping API {api!r}: {e!r} is not an object with "
-                        '"syscall", "tainted" and an array of "hosts"'
-                    )
-                entries.append(SyscallEntry(e["syscall"], bool(e["tainted"]), e.get("hosts", [])))
+            syscalls = expect_json(rec.get("syscalls", []), list, "mapping API {!r} syscalls", api)
+            for i, e in enumerate(syscalls):
+                if not (isinstance(e, dict) and isinstance(e.get("syscall"), str)
+                        and isinstance(e.get("tainted"), bool)):  # say which is wrong
+                    expect_json(e, dict, SYSCALL_ENTRY, api, i)
+                    expect_json(e.get("syscall"), str, SYSCALL_ENTRY + " syscall", api, i)
+                    expect_json(e.get("tainted"), bool, SYSCALL_ENTRY + " tainted", api, i)
+                hosts = expect_names(e.get("hosts", []), SYSCALL_ENTRY + " hosts", api, i)
+                entries.append(SyscallEntry(e["syscall"], e["tainted"], hosts))
             mapping.records[api] = ApiRecord(
                 api=api,
-                entry_function=rec.get("entry_function", api),
+                entry_function=expect_json(rec.get("entry_function", api), str,
+                                           "mapping API {!r} entry_function", api),
                 syscalls=entries,
-                unresolved_sites=int(rec.get("unresolved_sites", 0)),
+                unresolved_sites=expect_json(rec.get("unresolved_sites", 0), int,
+                                             "mapping API {!r} unresolved_sites", api),
             )
         return mapping
 
     def merge_from(self, other: "ApiSyscallMapping") -> None:
         for api, rec in other.records.items():
             if api in self.records:
-                raise UnknownApi(f"API {api!r} defined by more than one mapping")
+                raise AnalysisError(f"API {api!r} defined by more than one mapping")
             self.records[api] = rec
         for caller, callees in other.call_graph.items():
             mine = self.call_graph.get(caller)
@@ -140,6 +136,8 @@ class SeccompProfile:
     blocked: list[str]
     suspicious_indirect: set[str]
     suspicious_rare: set[str]
+    unmapped: list[str] = field(default_factory=list)  # imports left out
+    fallback: list[str] = field(default_factory=list)  # imports that allow all
 
     def to_docker_document(self) -> dict:
         return {
@@ -147,6 +145,17 @@ class SeccompProfile:
             "architectures": ["SCMP_ARCH_X86_64"],
             "syscalls": [{"names": self.allowed, "action": "SCMP_ACT_ALLOW"}],
         }
+
+    @staticmethod
+    def allowed_in_docker_document(doc) -> set[str]:
+        """The syscall names that the rules of a Docker profile allow."""
+        rules = expect_json(expect_json(doc, dict, "profile").get("syscalls", []),
+                            list, "profile syscalls")
+        allowed: set[str] = set()
+        for i, rule in enumerate(rules):
+            if expect_json(rule, dict, "profile syscalls[{}]", i).get("action") == "SCMP_ACT_ALLOW":
+                allowed.update(expect_names(rule.get("names", []), "profile syscalls[{}] names", i))
+        return allowed
 
     def sidecar_document(self, mapping_ref: str | None = None) -> dict:
         doc = {
@@ -161,7 +170,7 @@ class SeccompProfile:
 def suspicious_names(sidecar, key: str) -> set[str]:
     """The syscall names that a sidecar document lists under `key`."""
     doc = expect_json(sidecar, dict, "sidecar")
-    return set(expect_json(doc.get(key, []), list, f"sidecar {key}"))
+    return set(expect_names(doc.get(key, []), "sidecar {}", key))
 
 
 def sites_by_host(
@@ -189,7 +198,7 @@ def reachable_syscalls(
     invokes the syscall; direct evidence from any host wins.
     """
     if api not in adj:
-        raise UnknownApi(api)
+        raise AnalysisError(f"API {api} is not a call-graph node")
     full = bfs_reachable(adj, api)
     direct = bfs_reachable(direct_adj, api)
     hosts_by_name: dict[str, list[str]] = {}
@@ -253,12 +262,17 @@ def generate_profile(
     strict: bool = True,
     min_count: int = 1,
 ) -> SeccompProfile:
+    """The profile of a target that imports `imported_apis` and issues
+    `embedded_syscall_names` itself.  An import that no mapping defines is
+    left out, and one that reaches an unresolved syscall site allows the
+    whole table; the profile lists both.  Strict, either is an AnalysisError."""
     unknown = sorted(imported_apis - set(mapping.records))
-    if unknown:
-        raise UnknownApi(", ".join(unknown))
+    if unknown and strict:
+        raise AnalysisError(f"unknown API(s): {', '.join(unknown)}")
+    imported_apis = imported_apis - set(unknown)
     bad_embedded = sorted(embedded_syscall_names - table.names)
     if bad_embedded:
-        raise UnknownSyscallName(", ".join(bad_embedded))
+        raise AnalysisError(f"embedded syscall(s) not in the table: {', '.join(bad_embedded)}")
 
     allowed: set[str] = set(embedded_syscall_names)
     taint_votes: dict[str, list[bool]] = {}
@@ -273,7 +287,8 @@ def generate_profile(
 
     if unresolved_apis:
         if strict:
-            raise UnresolvedSites(", ".join(unresolved_apis))
+            raise AnalysisError(
+                f"unresolved syscall sites in API(s): {', '.join(unresolved_apis)}")
         # Conservative fallback: an API with unresolved syscall sites may
         # reach anything, so allow the whole table rather than break it.
         allowed = set(table.names)
@@ -296,6 +311,8 @@ def generate_profile(
         blocked=sorted(blocked),
         suspicious_indirect=suspicious_indirect,
         suspicious_rare=suspicious_rare,
+        unmapped=unknown,
+        fallback=unresolved_apis,
     )
 
 

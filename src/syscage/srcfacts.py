@@ -12,13 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import AliasCycle, DuplicateSignature, MalformedRecord
+from .errors import ParseError, expect_json, expect_names
 
 VARIADIC = "..."
-
-
-def canonical_type(token: str) -> str:
-    return " ".join(token.split())
 
 
 @dataclass(frozen=True)
@@ -50,10 +46,26 @@ def _close_aliases(pairs: list[dict]) -> dict[str, str]:
         while cur in raw:
             cur = raw[cur]
             if cur in seen:
-                raise AliasCycle(" -> ".join(seen + [cur]))
+                raise ParseError("alias cycle: " + " -> ".join(seen + [cur]))
             seen.append(cur)
         closed[alias] = cur
     return closed
+
+
+def _records(doc: dict, key: str, *fields: str):
+    """(location, record) for each object listed under `key`, whose
+    `fields` must be strings."""
+    for i, rec in enumerate(expect_json(doc.get(key, []), list, "facts {}", key)):
+        expect_json(rec, dict, "facts {}[{}]", key, i)
+        for name in fields:
+            expect_json(rec.get(name), str, "facts {}[{}] {}", key, i, name)
+        yield (key, i), rec
+
+
+def _param_types(rec: dict, where: tuple[str, int]) -> tuple[str, ...]:
+    """The record's parameter types, each with its whitespace canonicalized."""
+    names = expect_names(rec.get("param_types"), "facts {}[{}] param_types", *where)
+    return tuple(" ".join(t.split()) for t in names)
 
 
 def load_source_facts(text: str) -> SourceFacts:
@@ -62,32 +74,30 @@ def load_source_facts(text: str) -> SourceFacts:
     try:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"facts document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedRecord("facts document must be a JSON object")
+        raise ParseError(f"facts document is not valid JSON: {exc}") from exc
+    expect_json(doc, dict, "facts document")
 
-    try:
-        aliases = _close_aliases(doc.get("aliases", []))
-        facts = SourceFacts(aliases=aliases)
-        canon = facts.canonical
-        for name in doc.get("address_taken", []):
-            facts.address_taken.add(canon(name))
-        for rec in doc.get("signatures", []):
-            fn = canon(rec["function"])
-            params = tuple(canonical_type(t) for t in rec["param_types"])
-            if fn in facts.signatures and facts.signatures[fn] != params:
-                raise DuplicateSignature(fn)
-            facts.signatures[fn] = params
-        for rec in doc.get("indirect_sites", []):
-            facts.indirect_sites.append(
-                IndirectSite(
-                    site_id=rec["site_id"],
-                    caller=canon(rec["caller"]),
-                    param_types=tuple(canonical_type(t) for t in rec["param_types"]),
-                )
+    aliases = _close_aliases(
+        [rec for _, rec in _records(doc, "aliases", "alias", "canonical")]
+    )
+    facts = SourceFacts(aliases=aliases)
+    canon = facts.canonical
+    for name in expect_names(doc.get("address_taken", []), "facts address_taken"):
+        facts.address_taken.add(canon(name))
+    for where, rec in _records(doc, "signatures", "function"):
+        fn = canon(rec["function"])
+        params = _param_types(rec, where)
+        if fn in facts.signatures and facts.signatures[fn] != params:
+            raise ParseError("facts {}[{}]: conflicting signatures for {}".format(*where, fn))
+        facts.signatures[fn] = params
+    for where, rec in _records(doc, "indirect_sites", "site_id", "caller"):
+        facts.indirect_sites.append(
+            IndirectSite(
+                site_id=rec["site_id"],
+                caller=canon(rec["caller"]),
+                param_types=_param_types(rec, where),
             )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise MalformedRecord(f"malformed facts record: {exc!r}") from exc
+        )
     return facts
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .disasm import CALL_MNEMONICS, FunctionRecord, Instruction, SyscallSite
-from .errors import DuplicateNumber, MalformedRow
+from .errors import ParseError
 
 MASK32 = 0xFFFFFFFF
 
@@ -74,16 +74,16 @@ def load_syscall_table(text: str) -> SyscallTable:
             continue
         fields = stripped.split()
         if len(fields) < 3:
-            raise MalformedRow(f"line {lineno}: expected <num> <abi> <name>")
+            raise ParseError(f"line {lineno}: expected <num> <abi> <name>")
         try:
             number = int(fields[0])
         except ValueError as exc:
-            raise MalformedRow(f"line {lineno}: bad number {fields[0]!r}") from exc
+            raise ParseError(f"line {lineno}: bad number {fields[0]!r}") from exc
         name = fields[2]
         if number in number_to_name:
-            raise DuplicateNumber(str(number))
+            raise ParseError(f"line {lineno}: duplicate syscall number {number}")
         if name in name_to_number:
-            raise MalformedRow(f"line {lineno}: duplicate name {name!r}")
+            raise ParseError(f"line {lineno}: duplicate syscall name {name!r}")
         number_to_name[number] = name
         name_to_number[name] = number
     return SyscallTable(number_to_name=number_to_name, name_to_number=name_to_number)

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import MalformedEvent, MalformedMapLine, RegionOverflow
+from .errors import AnalysisError, ParseError
 
 DEFAULT_SCAN_LIMIT = 512
 
@@ -29,9 +29,6 @@ RSP_OUT_OF_RANGE = "RspOutOfRange"
 RIP_OUT_OF_RANGE = "RipOutOfRange"
 NO_PATH_MATCH = "NoPathMatch"
 UNKNOWN_SYSCALL = "UnknownSyscall"
-
-POLICY_INDIRECT = "IndirectOnly"
-POLICY_RARE = "RareOnly"
 
 EVENT_RE = re.compile(
     r"^(\S+)\s+([a-z0-9_]+)\s+rip=([0-9a-fx]+)\s+rsp=([0-9a-fx]+)\s+stack=([0-9a-fx,]*)$"
@@ -107,9 +104,9 @@ def parse_memory_map(text: str) -> MemoryMap:
             else:
                 raise ValueError(stripped)
         except ValueError as exc:
-            raise MalformedMapLine(f"line {lineno}: {stripped!r}") from exc
+            raise ParseError(f"line {lineno}: bad memory map line {stripped!r}") from exc
     if stack is None or code is None:
-        raise MalformedMapLine("memory map needs both stack and code regions")
+        raise ParseError("memory map needs both a stack and a code region")
     _check_regions(libraries, stack, code)
     return MemoryMap(libraries=libraries, stack=stack, code_segment=code)
 
@@ -119,11 +116,12 @@ def _check_regions(libraries, stack: Region, code: Region) -> None:
     regions += [(base, base + size) for _, base, size in libraries]
     for lo, hi in regions:
         if lo >= hi:
-            raise MalformedMapLine(f"empty region [{lo:#x},{hi:#x})")
+            raise ParseError(f"memory map: empty region [{lo:#x},{hi:#x})")
     regions.sort()
     for (alo, ahi), (blo, bhi) in zip(regions, regions[1:]):
         if blo < ahi:
-            raise MalformedMapLine("memory regions overlap")
+            raise ParseError(
+                f"memory map: regions [{alo:#x},{ahi:#x}) and [{blo:#x},{bhi:#x}) overlap")
 
 
 def locate_functions(
@@ -138,8 +136,9 @@ def locate_functions(
         funcs = sorted(offsets.get(name, []), key=lambda f: f[1])
         for i, (fname, start, end) in enumerate(funcs):
             if end > size:
-                raise RegionOverflow(
-                    f"{fname} [{start:#x},{end:#x}) exceeds {name} size {size:#x}"
+                raise AnalysisError(
+                    f"function {fname} [{start:#x},{end:#x}) exceeds the size "
+                    f"{size:#x} that the memory map gives library {name}"
                 )
             if i + 1 < len(funcs):
                 end = funcs[i + 1][1]
@@ -235,7 +234,7 @@ def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
 def parse_event_line(line: str, scan_limit: int = DEFAULT_SCAN_LIMIT) -> SyscallEvent:
     m = EVENT_RE.match(line.strip())
     if not m:
-        raise MalformedEvent(line.strip())
+        raise ParseError(f"bad event line {line.strip()!r}")
     try:
         rip = int(m.group(3), 16)
         rsp = int(m.group(4), 16)
@@ -243,7 +242,7 @@ def parse_event_line(line: str, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Syscall
             int(w, 16) for w in m.group(5).split(",") if w
         )
     except ValueError as exc:
-        raise MalformedEvent(line.strip()) from exc
+        raise ParseError(f"bad address in event line {line.strip()!r}") from exc
     return SyscallEvent(
         process_tag=m.group(1),
         syscall_name=m.group(2),
@@ -264,8 +263,8 @@ def run_event_trace(
             continue
         try:
             event = parse_event_line(line, scan_limit)
-        except MalformedEvent as exc:
-            raise MalformedEvent(f"line {lineno}: {exc}") from exc
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
         verdict = verify_event(event, ctx)
         verdicts.append(verdict)
         summary[verdict.reason] += 1

@@ -77,7 +77,7 @@ def test_profile_outputs(data_dir, outdir):
     assert side["suspicious_rare"] == ["ioctl", "open"]
 
 
-def test_profile_unknown_api_strict(data_dir, outdir, tmp_path):
+def test_profile_unknown_api_strict(data_dir, outdir, tmp_path, capsys):
     _, mapping = _analyze(data_dir, outdir)
     target = tmp_path / "t.sdis"
     target.write_text(
@@ -88,9 +88,10 @@ def test_profile_unknown_api_strict(data_dir, outdir, tmp_path):
         "-o", str(tmp_path / "p.json"), "--sidecar", str(tmp_path / "s.json"),
     ])
     assert code == 3
+    assert capsys.readouterr().err == "syscage: analysis error: unknown API(s): mystery\n"
 
 
-def test_profile_unknown_api_lenient(data_dir, outdir, tmp_path):
+def test_profile_unknown_api_lenient(data_dir, outdir, tmp_path, capsys):
     _, mapping = _analyze(data_dir, outdir)
     target = tmp_path / "t.sdis"
     target.write_text(
@@ -105,6 +106,7 @@ def test_profile_unknown_api_lenient(data_dir, outdir, tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "p.json").read_text())
     assert doc["syscalls"][0]["names"] == ["read"]
+    assert capsys.readouterr().err == "warning: ignoring unmapped APIs: mystery\n"
 
 
 def test_profile_embedded_syscall(data_dir, outdir):
@@ -228,18 +230,28 @@ def _verify_golden(data_dir, tmp_path, sidecar=None, mapping=None, events=None):
 @pytest.mark.parametrize("command, flag, value", [
     ("verify", "--scan-limit", "-2"),
     ("verify", "--scan-limit", "0"),
+    ("profile", "--min-count", "-1"),
+    ("profile", "--min-count", "0"),
 ])
 def test_non_positive_limit_is_a_usage_error(data_dir, tmp_path, capsys,
                                              command, flag, value):
     golden = data_dir / "golden"
-    argv = [
-        "verify", "--sidecar", str(golden / "sidecar.json"),
-        "--mapping", str(golden / "mapping.json"),
-        "--memmap", str(data_dir / "memmap.txt"),
-        "--events", str(data_dir / "events.txt"),
-        "--lib-disasm", str(data_dir / "minilib.sdis"),
-        "-o", str(tmp_path / "v.log"),
-    ]
+    if command == "verify":
+        argv = [
+            "verify", "--sidecar", str(golden / "sidecar.json"),
+            "--mapping", str(golden / "mapping.json"),
+            "--memmap", str(data_dir / "memmap.txt"),
+            "--events", str(data_dir / "events.txt"),
+            "--lib-disasm", str(data_dir / "minilib.sdis"),
+            "-o", str(tmp_path / "v.log"),
+        ]
+    else:
+        argv = [
+            "profile", str(data_dir / "target.sdis"),
+            "--mapping", str(golden / "mapping.json"),
+            "--trace", str(data_dir / "target.trace"),
+            "-o", str(tmp_path / "p.json"), "--sidecar", str(tmp_path / "s.json"),
+        ]
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag, value])
     assert exc.value.code == 1
@@ -280,14 +292,51 @@ def _call_graph_not_an_object(doc):
     doc["call_graph"] = [["dispatch", "open_handler"]]
 
 
+def _unresolved_sites_a_string(doc):
+    doc["apis"]["open"]["unresolved_sites"] = "two"
+
+
+def _unresolved_sites_true(doc):
+    doc["apis"]["open"]["unresolved_sites"] = True
+
+
+def _syscall_an_array(doc):
+    doc["apis"]["open"]["syscalls"][0]["syscall"] = ["ioctl"]
+
+
+def _tainted_a_string(doc):
+    doc["apis"]["open"]["syscalls"][0]["tainted"] = "yes"
+
+
+def _host_an_array(doc):
+    doc["apis"]["open"]["syscalls"][0]["hosts"] = [["open_handler"]]
+
+
+def _entry_function_a_number(doc):
+    doc["apis"]["open"]["entry_function"] = 7
+
+
+def _callee_an_array(doc):
+    doc["call_graph"]["dispatch"] = [["open_handler"]]
+
+
+SIDECARS = {
+    "sidecar-list": ["ioctl", "open"],
+    "sidecar-listing-an-array": {"suspicious_indirect": [[1]], "suspicious_rare": []},
+}
+
+
 @pytest.mark.parametrize("spoil", [
     _without_format, _format_1, _entry_without_syscall, _hosts_not_a_list,
-    _call_graph_not_an_object, "sidecar-list",
+    _call_graph_not_an_object, _unresolved_sites_a_string, _unresolved_sites_true,
+    _syscall_an_array,
+    _tainted_a_string, _host_an_array, _entry_function_a_number, _callee_an_array,
+    *SIDECARS,
 ])
 def test_malformed_mapping_or_sidecar_is_a_parse_error(data_dir, tmp_path, capsys, spoil):
-    if spoil == "sidecar-list":
+    if spoil in SIDECARS:
         bad = tmp_path / "sidecar.json"
-        bad.write_text(json.dumps(["ioctl", "open"]))
+        bad.write_text(json.dumps(SIDECARS[spoil]))
         code, _ = _verify_golden(data_dir, tmp_path, sidecar=bad)
     else:
         doc = _golden_mapping(data_dir)
@@ -297,7 +346,7 @@ def test_malformed_mapping_or_sidecar_is_a_parse_error(data_dir, tmp_path, capsy
         code, _ = _verify_golden(data_dir, tmp_path, mapping=bad)
     err = capsys.readouterr().err
     assert code == 2
-    assert "Traceback" not in err and "parse error" in err
+    assert "Traceback" not in err and f"parse error: {bad}: " in err
     if spoil in (_without_format, _format_1):
         assert "re-run `syscage analyze`" in err
 
@@ -345,3 +394,71 @@ def test_long_call_chain_matches(tmp_path):
         "--lib-disasm", str(tmp_path / "chain.sdis"), "-o", str(log),
     ]) == 0
     assert log.read_text().startswith("0 Allow PathMatched path=f99,f98,")
+
+
+def test_non_utf8_disassembly_is_a_parse_error(data_dir, tmp_path, capsys):
+    bad = tmp_path / "lib.sdis"
+    bad.write_bytes(b"0000000000001000 <f\xff>:\n")
+    code = main(["analyze", str(bad), str(data_dir / "minilib.facts.json"),
+                 "-o", str(tmp_path / "m.json")])
+    assert code == 2
+    assert f"parse error: {bad}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("{", "Expecting property name"),
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+])
+def test_malformed_json_names_its_file(data_dir, tmp_path, capsys, text, reason):
+    bad = tmp_path / "sidecar.json"
+    bad.write_text(text)
+    code, _ = _verify_golden(data_dir, tmp_path, sidecar=bad)
+    assert code == 2
+    assert f"parse error: {bad}: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing input", "directory input", "output dir missing"])
+def test_unusable_path_is_a_usage_error(data_dir, tmp_path, capsys, case):
+    lib, out = data_dir / "minilib.sdis", tmp_path / "m.json"
+    if case == "missing input":
+        lib = tmp_path / "nope.sdis"
+    elif case == "directory input":
+        lib = tmp_path
+    else:
+        out = tmp_path / "no" / "m.json"
+    code = main(["analyze", str(lib), str(data_dir / "minilib.facts.json"), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"syscage: error: {out if case == 'output dir missing' else lib}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("profile", [
+    ["read"],
+    {"syscalls": [{"action": "SCMP_ACT_ALLOW", "names": "read"}]},
+    {"syscalls": {"action": "SCMP_ACT_ALLOW"}},
+])
+def test_malformed_docker_profile_is_a_parse_error(tmp_path, capsys, profile):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    assert main(["cve", str(path), "-o", str(tmp_path / "r.json")]) == 2
+    assert f"parse error: {path}: profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_allow_all_fallback_is_reported(data_dir, tmp_path, capsys, strict):
+    doc = _golden_mapping(data_dir)
+    doc["apis"]["read"]["unresolved_sites"] = 2
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps(doc))
+    code, profile, _ = _profile(data_dir, tmp_path, mapping, *(["--strict"] if strict else []))
+    err = capsys.readouterr().err
+    if strict:
+        assert code == 3
+        assert err == ("syscage: analysis error: "
+                       "unresolved syscall sites in API(s): read\n")
+    else:
+        assert code == 0
+        assert err == ("warning: allowing every syscall: "
+                       "unresolved syscall sites in API(s): read\n")
+        assert len(json.loads(profile.read_text())["syscalls"][0]["names"]) == 335

@@ -4,7 +4,7 @@ import pytest
 
 from syscage import packaged_data
 from syscage.cve import load_cve_dataset, mitigation_report, report_document
-from syscage.errors import MalformedCveId, UnknownSyscall
+from syscage.errors import AnalysisError, ParseError
 
 SEED_COUNTS = {
     "ioctl": 29, "execveat": 10, "keyctl": 8, "ptrace": 5, "add_key": 4,
@@ -41,14 +41,14 @@ def test_duplicate_ids_unioned():
 
 
 def test_malformed_id():
-    with pytest.raises(MalformedCveId):
+    with pytest.raises(ParseError, match="line 1: bad CVE id 'CVE-XX-1'"):
         load_cve_dataset("CVE-XX-1\tioctl\n")
-    with pytest.raises(MalformedCveId):
+    with pytest.raises(ParseError, match="line 1: missing syscall list"):
         load_cve_dataset("CVE-2016-0728\n")
 
 
 def test_unknown_syscall_strict(seed_table):
-    with pytest.raises(UnknownSyscall):
+    with pytest.raises(AnalysisError, match="line 1: unknown syscall\\(s\\): not_a_syscall"):
         load_cve_dataset(
             "CVE-2016-0728\tnot_a_syscall\n",
             table_names=seed_table.names,

@@ -8,12 +8,7 @@ from syscage.disasm import (
     extract_plt_imports,
     parse_disassembly,
 )
-from syscage.errors import (
-    AddressOrder,
-    MalformedHeader,
-    MalformedInstruction,
-    OverlappingFunctions,
-)
+from syscage.errors import ParseError
 
 
 def test_api_export_header():
@@ -81,29 +76,29 @@ def test_plt_imports_dedup():
 
 
 def test_malformed_header():
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(ParseError, match="line 1: bad function header: 'zzzz <f>:'"):
         parse_disassembly("zzzz <f>:\n")
 
 
 def test_instruction_outside_function():
-    with pytest.raises(MalformedInstruction):
+    with pytest.raises(ParseError, match="line 1: instruction outside any function"):
         parse_disassembly("    1000:\tnop\n")
 
 
 def test_junk_line_in_body():
     text = "0000000000001000 <f>:\n    1000:\tnop\n    not an instruction\n"
-    with pytest.raises(MalformedInstruction):
+    with pytest.raises(ParseError, match="line 3: bad instruction line"):
         parse_disassembly(text)
 
 
 def test_address_order_error():
     text = "0000000000001000 <f>:\n    1005:\tnop\n    1003:\tnop\n"
-    with pytest.raises(AddressOrder):
+    with pytest.raises(ParseError, match="line 3: address 0x1003 does not increase"):
         parse_disassembly(text)
 
 
 def test_instruction_below_start():
-    with pytest.raises(AddressOrder):
+    with pytest.raises(ParseError, match="line 2: address 0xf00 does not increase"):
         parse_disassembly("0000000000001000 <f>:\n    0f00:\tnop\n")
 
 
@@ -112,7 +107,7 @@ def test_overlapping_functions():
         "0000000000001000 <f>:\n    1000:\tnop\n    1020:\tnop\n"
         "0000000000001010 <g>:\n    1010:\tnop\n"
     )
-    with pytest.raises(OverlappingFunctions):
+    with pytest.raises(ParseError, match=r"function f \[0x1000,0x1021\) overlaps g"):
         parse_disassembly(text)
 
 

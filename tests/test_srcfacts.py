@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from syscage.errors import AliasCycle, DuplicateSignature, MalformedRecord
+from syscage.errors import ParseError
 from syscage.srcfacts import (
     IndirectSite,
     SourceFacts,
@@ -39,7 +39,7 @@ def test_empty_document():
 
 
 def test_alias_cycle():
-    with pytest.raises(AliasCycle):
+    with pytest.raises(ParseError, match="alias cycle: a -> b -> a"):
         load_source_facts(json.dumps({
             "aliases": [
                 {"alias": "a", "canonical": "b"},
@@ -49,7 +49,7 @@ def test_alias_cycle():
 
 
 def test_conflicting_signature():
-    with pytest.raises(DuplicateSignature):
+    with pytest.raises(ParseError, match=r"signatures\[1\]: conflicting signatures for f$"):
         load_source_facts(json.dumps({
             "signatures": [
                 {"function": "f", "param_types": ["int"]},
@@ -69,10 +69,15 @@ def test_identical_duplicate_signature_ok():
 
 
 def test_malformed_record():
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(ParseError, match="facts document is not valid JSON"):
         load_source_facts("not json")
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(ParseError, match=r"facts signatures\[0\] param_types is not an array"):
         load_source_facts(json.dumps({"signatures": [{"function": "f"}]}))
+    with pytest.raises(ParseError, match=r"facts signatures\[0\] param_types is not an array"):
+        load_source_facts(json.dumps({"signatures": [{"function": "f", "param_types": "int"}]}))
+    with pytest.raises(ParseError, match=r"facts indirect_sites\[0\] caller is not a string"):
+        load_source_facts(json.dumps({"indirect_sites": [
+            {"site_id": "g#0", "caller": ["g"], "param_types": []}]}))
 
 
 def test_type_tokens_whitespace_canonicalized():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from syscage.disasm import FunctionRecord, Instruction, SyscallSite
-from syscage.errors import DuplicateNumber, MalformedRow
+from syscage.errors import ParseError
 from syscage.sysnum import (
     load_syscall_table,
     resolve_number,
@@ -191,16 +191,16 @@ def test_load_table_empty_and_comments():
 
 
 def test_load_table_duplicate_number():
-    with pytest.raises(DuplicateNumber):
+    with pytest.raises(ParseError, match="line 2: duplicate syscall number 0"):
         load_syscall_table("0 common read\n0 common write\n")
 
 
 def test_load_table_malformed():
-    with pytest.raises(MalformedRow):
+    with pytest.raises(ParseError, match="line 1: bad number 'zero'"):
         load_syscall_table("zero common read\n")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(ParseError, match="line 1: expected <num> <abi> <name>"):
         load_syscall_table("0 common\n")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(ParseError, match="line 2: duplicate syscall name 'read'"):
         load_syscall_table("0 common read\n1 common read\n")
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from syscage.callgraph import enumerate_secure_paths, predecessors
 from syscage.disasm import parse_disassembly
-from syscage.errors import MalformedEvent, MalformedMapLine, RegionOverflow
+from syscage.errors import AnalysisError, ParseError
 from syscage.verifier import (
     ALLOW,
     CACHE_HIT,
@@ -104,7 +104,8 @@ def test_locate_functions_empty():
 
 
 def test_locate_functions_overflow():
-    with pytest.raises(RegionOverflow):
+    with pytest.raises(AnalysisError, match=r"function f \[0x0,0x20000\) exceeds the size "
+                       "0x10000 that the memory map gives library lib"):
         locate_functions(_memmap(), {"lib": [("f", 0x0, 0x20000)]})
 
 
@@ -286,13 +287,13 @@ def test_parse_memory_map_roundtrip():
 
 
 def test_parse_memory_map_errors():
-    with pytest.raises(MalformedMapLine):
+    with pytest.raises(ParseError, match="needs both a stack and a code region"):
         parse_memory_map("stack 1 2\n")  # no code region
-    with pytest.raises(MalformedMapLine):
+    with pytest.raises(ParseError, match="line 1: bad memory map line 'bogus line'"):
         parse_memory_map("bogus line\nstack 1 2\ncode 3 4\n")
-    with pytest.raises(MalformedMapLine):
+    with pytest.raises(ParseError, match=r"\[0x1000,0x2000\) and \[0x1800,0x2800\) overlap"):
         parse_memory_map("stack 1000 2000\ncode 1800 2800\n")  # overlap
-    with pytest.raises(MalformedMapLine):
+    with pytest.raises(ParseError, match=r"empty region \[0x2000,0x1000\)"):
         parse_memory_map("stack 2000 1000\ncode 3000 4000\n")  # empty region
 
 
@@ -316,10 +317,12 @@ def test_parse_event_scan_limit():
 
 
 def test_parse_event_malformed():
-    with pytest.raises(MalformedEvent):
+    with pytest.raises(ParseError, match="bad event line 'nonsense'"):
         parse_event_line("nonsense")
-    with pytest.raises(MalformedEvent):
+    with pytest.raises(ParseError, match="bad event line 't read rip=zz"):
         parse_event_line("t read rip=zz rsp=2 stack=")
+    with pytest.raises(ParseError, match="bad address in event line 't read rip=x"):
+        parse_event_line("t read rip=x rsp=2 stack=")
 
 
 def test_run_event_trace_empty():
@@ -345,7 +348,7 @@ def test_run_event_trace_composition():
 def test_run_event_trace_malformed_line_number():
     table, memmap = _table()
     text = "t open rip=1 rsp=2 stack=\nbad hex line\n"
-    with pytest.raises(MalformedEvent, match="line 2"):
+    with pytest.raises(ParseError, match="line 2: bad event line 'bad hex line'"):
         run_event_trace(text, _ctx(table, memmap))
 
 
