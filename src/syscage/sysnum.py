@@ -1,23 +1,30 @@
 """Syscall-number recovery at syscall sites, plus the number<->name table.
 
-The resolver walks backward from a `syscall` instruction collecting the
-def-use chain of the accumulator, then replays the extracted slice forward.
-It understands exactly three ways a number reaches the accumulator: a
-constant move, constant moves relayed through other registers, and add/sub
-arithmetic on tracked registers.  Anything else yields Unresolved rather
-than a guess.
+The resolver runs once forward through each function that hosts a
+`syscall`, holding the known 32-bit value of each register; every register
+starts unknown.  It models `mov`, `add` and `sub` of constants and known
+registers.  A call makes every register unknown, and so does any other
+instruction for the register that is its last operand.  Each `syscall` takes
+the accumulator's value at that point, so a number is reported only where it
+is certain; anything else is unresolved, never guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .disasm import CALL_MNEMONICS, FunctionRecord, Instruction, SyscallSite
+from .disasm import CALL_MNEMONICS, FunctionRecord, SyscallSite
 from .errors import ParseError
 
 MASK32 = 0xFFFFFFFF
 
-_SUPPORTED = {"mov", "add", "sub"}
+# the modelled instructions: new destination value from its old value and
+# the source's, both known 32-bit values or None
+_APPLY = {
+    "mov": lambda old, value: value,
+    "add": lambda old, value: None if old is None else (old + value) & MASK32,
+    "sub": lambda old, value: None if old is None else (old - value) & MASK32,
+}
 
 # 32-bit register names alias their 64-bit cells
 _E_TO_R = {
@@ -89,82 +96,47 @@ def load_syscall_table(text: str) -> SyscallTable:
     return SyscallTable(number_to_name=number_to_name, name_to_number=name_to_number)
 
 
-def _writes_tracked(ins: Instruction, tracked: set[str]) -> bool:
-    # Conservative: an unsupported mnemonic whose last operand is a tracked
-    # register is assumed to clobber it.
-    if not ins.operands:
-        return False
-    reg = _as_register(ins.operands[-1])
-    return reg is not None and reg in tracked
-
-
-def resolve_number(function: FunctionRecord, site: SyscallSite) -> int | None:
-    """Syscall number at `site`, or None when the def chain leaves the
-    supported instruction set, crosses a callsite, or exits the function."""
-    idx = next(
-        (i for i, ins in enumerate(function.instructions)
-         if ins.address == site.site_address),
-        None,
-    )
-    if idx is None:
-        return None
-
-    tracked = {ACCUMULATOR}
-    slice_rev: list[Instruction] = []
-    for ins in reversed(function.instructions[:idx]):
-        if not tracked:
-            break
+def resolve_numbers(function: FunctionRecord) -> dict[int, int | None]:
+    """Syscall number at each `syscall` of `function`, by address; None where
+    the accumulator's value is unknown there."""
+    regs: dict[str, int] = {}
+    numbers: dict[int, int | None] = {}
+    for ins in function.instructions:
+        ops = ins.operands
+        if ins.mnemonic == "syscall":
+            numbers[ins.address] = regs.get(ACCUMULATOR)
         if ins.mnemonic in CALL_MNEMONICS:
-            return None
-        if ins.mnemonic in _SUPPORTED and len(ins.operands) == 2:
-            src, dst = ins.operands
+            regs.clear()
+        elif ins.mnemonic in _APPLY and len(ops) == 2:
+            src, dst = ops
             dreg = _as_register(dst)
-            if dreg is None or dreg not in tracked:
+            if dreg is None:
                 continue
-            const = _as_constant(src)
-            sreg = _as_register(src)
-            if const is None and sreg is None:
-                return None  # memory operand feeding a tracked register
-            slice_rev.append(ins)
-            if ins.mnemonic == "mov":
-                tracked.discard(dreg)
-                if sreg is not None:
-                    tracked.add(sreg)
-            else:  # add/sub keep the destination live
-                if sreg is not None:
-                    tracked.add(sreg)
-        elif _writes_tracked(ins, tracked):
-            return None
-    if tracked:
-        return None  # chain exits the function body
-
-    env: dict[str, int] = {}
-    for ins in reversed(slice_rev):
-        src, dst = ins.operands
-        dreg = _as_register(dst)
-        const = _as_constant(src)
-        value = const if const is not None else env.get(_as_register(src))
-        if value is None or dreg is None:
-            return None
-        if ins.mnemonic == "mov":
-            env[dreg] = value & MASK32
-        elif dreg not in env:
-            return None
-        elif ins.mnemonic == "add":
-            env[dreg] = (env[dreg] + value) & MASK32
-        else:
-            env[dreg] = (env[dreg] - value) & MASK32
-    number = env.get(ACCUMULATOR)
-    return number & MASK32 if number is not None else None
+            value = _as_constant(src)
+            if value is None:
+                value = regs.get(_as_register(src))
+            if value is not None:
+                value = _APPLY[ins.mnemonic](regs.get(dreg), value)
+            if value is None:
+                regs.pop(dreg, None)
+            else:
+                regs[dreg] = value
+        elif ops and (reg := _as_register(ops[-1])) is not None:
+            regs.pop(reg, None)  # conservative: any other write clobbers
+    return numbers
 
 
 def resolve_sites(unit_functions, sites, table: SyscallTable) -> list[ResolvedSyscallSite]:
     """Resolve every syscall site of a unit against the table."""
-    by_name = {fn.canonical_name: fn for fn in unit_functions}
+    hosts = {site.function for site in sites}
+    numbers: dict[int, int | None] = {}
+    for fn in unit_functions:
+        if fn.canonical_name in hosts:
+            numbers.update(resolve_numbers(fn))
     resolved = []
     for site in sites:
-        number = resolve_number(by_name[site.function], site)
-        name = table.number_to_name.get(number) if number is not None else None
+        number = numbers.get(site.site_address)
+        name = table.number_to_name.get(number)
         if name is None:
             number = None
         resolved.append(ResolvedSyscallSite(site=site, number=number, name=name))

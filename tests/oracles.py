@@ -69,7 +69,11 @@ def _const(op):
 
 def interpret_accumulator(instructions):
     """Run every instruction in order; return the accumulator value at the
-    end, or None when it is undefined."""
+    end, or None when it is undefined.
+
+    Though `sysnum.resolve_numbers` is also a forward pass, this stays an
+    independent reference: it is separately written, runs straight-line
+    mov/add/sub code only, and stops at the first `syscall`."""
     env = {}
     for mnemonic, operands in instructions:
         if mnemonic == "syscall":

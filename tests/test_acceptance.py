@@ -11,7 +11,7 @@ from syscage.cve import load_cve_dataset, mitigation_report
 from syscage.disasm import DIRECT, INDIRECT, SyscallSite, parse_disassembly
 from syscage.profilegen import ApiSyscallMapping, generate_profile
 from syscage.srcfacts import resolve_indirect_targets
-from syscage.sysnum import ResolvedSyscallSite, load_syscall_table, resolve_number
+from syscage.sysnum import ResolvedSyscallSite, load_syscall_table, resolve_numbers
 from syscage.verifier import (
     CACHE_HIT,
     NO_PATH_MATCH,
@@ -23,10 +23,10 @@ from syscage.verifier import (
     parse_memory_map,
 )
 
-from oracles import closure_floyd_warshall, interpret_accumulator
+from oracles import closure_floyd_warshall
 from test_callgraph import _reachable
 from test_cve import SEED_COUNTS
-from test_sysnum import _function, _random_body
+from test_sysnum import _check_every_site, _function, _random_body
 from test_verifier import walk_sets
 
 
@@ -77,9 +77,7 @@ def test_reachability_oracle():
 def test_syscall_number_oracle():
     rng = random.Random(20240816)
     for _ in range(1000):
-        body = _random_body(rng, rng.randint(1, 8))
-        fn, site = _function(body)
-        assert resolve_number(fn, site) == interpret_accumulator(body)
+        _check_every_site(_random_body(rng, rng.randint(1, 8), rng.randint(0, 3)))
     # unsupported writes to a live tracked register never produce a number
     for _ in range(200):
         body = _random_body(rng, rng.randint(0, 4))[:-1]
@@ -88,7 +86,7 @@ def test_syscall_number_oracle():
         body.append(("add", ["$1", "%eax"]))
         body.append(("syscall", []))
         fn, site = _function(body)
-        assert resolve_number(fn, site) is None
+        assert resolve_numbers(fn)[site.site_address] is None
     _passed("syscall-number-oracle")
 
 

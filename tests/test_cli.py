@@ -396,6 +396,21 @@ def test_long_call_chain_matches(tmp_path):
     assert log.read_text().startswith("0 Allow PathMatched path=f99,f98,")
 
 
+def test_functions_sharing_a_name_resolve_their_own_sites(tmp_path):
+    # `objdump -d` can head two functions with one name; the syscall site of
+    # the first copy must not be looked up in the second
+    (tmp_path / "dup.sdis").write_text(
+        "0000000000001000 <f@@V_1>:\n    1000:\tmov\t$0x27,%eax\n    1005:\tsyscall\n"
+        "0000000000002000 <f@@V_1>:\n    2000:\tretq\n")
+    (tmp_path / "dup.facts.json").write_text("{}")
+    mapping = tmp_path / "mapping.json"
+    assert main(["analyze", str(tmp_path / "dup.sdis"),
+                 str(tmp_path / "dup.facts.json"), "-o", str(mapping)]) == 0
+    record = json.loads(mapping.read_text())["apis"]["f"]
+    assert [e["syscall"] for e in record["syscalls"]] == ["getpid"]
+    assert record["unresolved_sites"] == 0
+
+
 def test_non_utf8_disassembly_is_a_parse_error(data_dir, tmp_path, capsys):
     bad = tmp_path / "lib.sdis"
     bad.write_bytes(b"0000000000001000 <f\xff>:\n")

@@ -1,6 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syscage.disasm import (
     DIRECT,
@@ -9,6 +12,9 @@ from syscage.disasm import (
     parse_disassembly,
 )
 from syscage.errors import ParseError
+from syscage.sysnum import resolve_sites
+
+FIXTURE_LINES = (Path(__file__).parent / "data" / "minilib.sdis").read_text().splitlines()
 
 
 def test_api_export_header():
@@ -159,3 +165,35 @@ def test_every_instruction_inside_its_function(minilib_unit):
     for fn in minilib_unit.functions:
         for ins in fn.instructions:
             assert fn.start <= ins.address < fn.end
+
+
+# pieces of SDIS lines, so mutated lines often still parse
+_PIECE = st.sampled_from([
+    "\t", " ", ",", ":", "<", ">", "0000000000002000 ", "    ", "1000", "1005", "2000",
+    "f@@V_1", "mov", "add", "sub", "xor", "callq", "syscall", "retq",
+    "$0x27", "$-1", "$sym", "%eax", "%ebx", "%rax", "(%rdi)", "*%rax",
+]) | st.text(max_size=3)
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """The fixture SDIS with up to four runs of lines deleted, repeated or
+    replaced by lines of fixture text or SDIS pieces."""
+    lines = list(FIXTURE_LINES)
+    new_line = st.sampled_from(FIXTURE_LINES) | st.lists(_PIECE, max_size=8).map("".join)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        j = draw(st.integers(i, min(len(lines), i + 2)))
+        lines[i:j] = draw(st.lists(new_line, max_size=2))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text() | _mutated_fixture())
+def test_parse_either_rejects_or_resolves_every_site(text, seed_table):
+    try:
+        unit = parse_disassembly(text)
+    except ParseError:
+        return
+    resolved = resolve_sites(unit.functions, unit.syscall_sites, seed_table)
+    assert [r.site for r in resolved] == unit.syscall_sites

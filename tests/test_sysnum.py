@@ -6,7 +6,7 @@ from syscage.disasm import FunctionRecord, Instruction, SyscallSite
 from syscage.errors import ParseError
 from syscage.sysnum import (
     load_syscall_table,
-    resolve_number,
+    resolve_numbers,
     resolve_sites,
 )
 
@@ -27,7 +27,7 @@ def _function(body):
 
 def _resolve(body):
     fn, site = _function(body)
-    return resolve_number(fn, site)
+    return resolve_numbers(fn)[site.site_address]
 
 
 def test_constant_to_accumulator():
@@ -119,7 +119,7 @@ def test_wraparound_mod_2_32():
 REGS = ["%eax", "%ebx", "%ecx", "%edx", "%esi", "%edi", "%rax", "%rbx"]
 
 
-def _random_body(rng: random.Random, length: int):
+def _random_body(rng: random.Random, length: int, mid_syscalls: int = 0):
     body = []
     for _ in range(length):
         op = rng.random()
@@ -133,15 +133,38 @@ def _random_body(rng: random.Random, length: int):
                 f"${rng.randint(0, 50)}" if rng.random() < 0.5 else rng.choice(REGS)
             )
             body.append((mnem, [src, rng.choice(REGS)]))
+    for _ in range(mid_syscalls):
+        body.insert(rng.randint(0, len(body)), ("syscall", []))
     body.append(("syscall", []))
     return body
 
 
+def _numbers(body):
+    """Resolved number of each `syscall` of `body`, in order."""
+    fn, _ = _function(body)
+    found = resolve_numbers(fn)
+    numbers = [found[ins.address] for ins in fn.instructions if ins.mnemonic == "syscall"]
+    assert len(found) == len(numbers)
+    return numbers
+
+
+def _check_every_site(body):
+    # each site against the interpreter on the instructions before it, with
+    # earlier syscalls left out (the interpreter stops at the first)
+    expected = [
+        interpret_accumulator([step for step in body[:i] if step[0] != "syscall"])
+        for i, (mnemonic, _) in enumerate(body) if mnemonic == "syscall"
+    ]
+    assert _numbers(body) == expected, body
+
+
 def test_resolver_matches_interpreter_on_random_sequences():
+    mov1, syscall = ("mov", ["$0x1", "%eax"]), ("syscall", [])
+    assert _numbers([mov1, syscall, ("mov", ["$0x3", "%eax"]), syscall]) == [1, 3]
+    assert _numbers([mov1, syscall, ("callq", ["2000"]), syscall]) == [1, None]
     rng = random.Random(42)
     for _ in range(1000):
-        body = _random_body(rng, rng.randint(1, 8))
-        assert _resolve(body) == interpret_accumulator(body)
+        _check_every_site(_random_body(rng, rng.randint(1, 8), rng.randint(0, 3)))
 
 
 def test_resolver_matches_interpreter_exhaustive_small():
