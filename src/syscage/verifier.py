@@ -5,6 +5,11 @@ RIP/RSP, and the raw stack words read upward from RSP.  The verifier
 reconstructs the invocation path by scanning those words against the
 in-memory function layout and looks in it for a walk of the library's call
 graph from an API that can issue the syscall to a function that issues it.
+
+An event line is `<tag> <syscall> rip=<hex> rsp=<hex> stack=<hex>,...`, each
+address lowercase hex with an optional `0x`.  Empty stack words are skipped
+and only the first `scan_limit` words are scanned, but any malformed word
+rejects the whole trace (`parse_event_line`).
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 from .errors import AnalysisError, ParseError
 
@@ -69,8 +76,7 @@ class FunctionAddressTable:
         return None
 
 
-@dataclass(frozen=True)
-class SyscallEvent:
+class SyscallEvent(NamedTuple):
     process_tag: str
     syscall_name: str
     rip: int
@@ -78,11 +84,20 @@ class SyscallEvent:
     stack_words: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     decision: str
     reason: str
     reconstructed_path: tuple[str, ...] = ()
+
+
+# the verdicts that carry no path: immutable, so every event that gets one
+# shares it
+_UNKNOWN_SYSCALL = Verdict(DENY, UNKNOWN_SYSCALL)
+_NOT_TARGET = Verdict(ALLOW, NOT_TARGET)
+_NOT_SUSPICIOUS = Verdict(ALLOW, NOT_SUSPICIOUS)
+_CACHE_HIT = Verdict(ALLOW, CACHE_HIT)
+_RSP_OUT_OF_RANGE = Verdict(DENY, RSP_OUT_OF_RANGE)
+_RIP_OUT_OF_RANGE = Verdict(DENY, RIP_OUT_OF_RANGE)
 
 
 def parse_memory_map(text: str) -> MemoryMap:
@@ -153,16 +168,22 @@ def reconstruct_path(
     """Scan stack words for return addresses inside known functions; stop at
     the first word pointing into the code segment.  The function holding RIP
     is prepended as the innermost frame.  A return address points just past
-    its call, so each word is looked up as `word - 1`, as unwinders do."""
+    its call, so each word is looked up as `word - 1`, as unwinders do.
+
+    The loop is `table.find(word - 1)` and `word in memmap.code_segment`
+    written out: the function starting last at or before `word - 1` holds
+    it when `word - 1 < end`, that is `word <= end`."""
+    starts, entries = table._starts, table.entries
+    code_lo, code_hi = memmap.code_segment.lo, memmap.code_segment.hi
     path: list[str] = []
     rip_fn = table.find(event.rip)
     if rip_fn is not None:
         path.append(rip_fn)
     for word in event.stack_words:
-        fn = table.find(word - 1)
-        if fn is not None:
-            path.append(fn)
-        elif word in memmap.code_segment:
+        i = bisect_right(starts, word - 1) - 1
+        if i >= 0 and word <= entries[i][2]:
+            path.append(entries[i][0])
+        elif code_lo <= word < code_hi:
             break
     return tuple(path)
 
@@ -211,17 +232,17 @@ class VerifierContext:
 
 def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
     if event.syscall_name not in ctx.known_syscalls:
-        return Verdict(DENY, UNKNOWN_SYSCALL)
+        return _UNKNOWN_SYSCALL
     if event.process_tag != ctx.target_tag:
-        return Verdict(ALLOW, NOT_TARGET)
+        return _NOT_TARGET
     if event.syscall_name not in ctx.suspicious:
-        return Verdict(ALLOW, NOT_SUSPICIOUS)
+        return _NOT_SUSPICIOUS
     if (event.process_tag, event.syscall_name) in ctx.cache:
-        return Verdict(ALLOW, CACHE_HIT)
+        return _CACHE_HIT
     if event.rsp not in ctx.memmap.stack:
-        return Verdict(DENY, RSP_OUT_OF_RANGE)
+        return _RSP_OUT_OF_RANGE
     if ctx.table.find(event.rip) is None and event.rip not in ctx.memmap.code_segment:
-        return Verdict(DENY, RIP_OUT_OF_RANGE)
+        return _RIP_OUT_OF_RANGE
     path = reconstruct_path(event, ctx.table, ctx.memmap)
     name = event.syscall_name
     if walk_embeds(reversed(path), ctx.call_graph,
@@ -232,24 +253,20 @@ def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
 
 
 def parse_event_line(line: str, scan_limit: int = DEFAULT_SCAN_LIMIT) -> SyscallEvent:
-    m = EVENT_RE.match(line.strip())
+    """Every stack word is converted here, also past `scan_limit` and in
+    events that never reach path reconstruction: a malformed word always
+    rejects the line, and a checked event pays no conversion in
+    `verify_event`."""
+    line = line.strip()
+    m = EVENT_RE.match(line)
     if not m:
-        raise ParseError(f"bad event line {line.strip()!r}")
+        raise ParseError(f"bad event line {line!r}")
+    tag, name, rip, rsp, stack = m.groups()
     try:
-        rip = int(m.group(3), 16)
-        rsp = int(m.group(4), 16)
-        words = tuple(
-            int(w, 16) for w in m.group(5).split(",") if w
-        )
+        return SyscallEvent(tag, name, int(rip, 16), int(rsp, 16), tuple(
+            map(int, filter(None, stack.split(",")), repeat(16)))[:scan_limit])
     except ValueError as exc:
-        raise ParseError(f"bad address in event line {line.strip()!r}") from exc
-    return SyscallEvent(
-        process_tag=m.group(1),
-        syscall_name=m.group(2),
-        rip=rip,
-        rsp=rsp,
-        stack_words=words[:scan_limit],
-    )
+        raise ParseError(f"bad address in event line {line!r}") from exc
 
 
 def run_event_trace(

@@ -8,6 +8,7 @@ index-mapping subsequence search) so a shared bug cannot hide.
 from __future__ import annotations
 
 import itertools
+import re
 
 
 def closure_floyd_warshall(nodes, edges):
@@ -102,3 +103,23 @@ def subsequence_bruteforce(needle, haystack):
         if all(haystack[p] == item for p, item in zip(positions, needle)):
             return True
     return len(needle) == 0
+
+
+# the events format of the README: five whitespace-separated fields, each
+# address lowercase hex with an optional 0x, empty stack words skipped
+_EVENT_LINE = re.compile(
+    r"(\S+)\s+([a-z0-9_]+)\s+rip=([0-9a-fx]+)\s+rsp=([0-9a-fx]+)\s+stack=([0-9a-fx,]*)")
+_HEX_WORD = re.compile(r"(?:0x)?[0-9a-f]+")
+
+
+def parse_event_reference(line, scan_limit):
+    """(tag, syscall, rip, rsp, stack words) of an event line, the words cut
+    to `scan_limit`, or None when the line or any of its words is malformed."""
+    m = _EVENT_LINE.fullmatch(line.strip())
+    if m is None:
+        return None
+    tag, name, rip, rsp, stack = m.groups()
+    words = [w for w in stack.split(",") if w]
+    if not all(_HEX_WORD.fullmatch(w) for w in [rip, rsp, *words]):
+        return None
+    return tag, name, int(rip, 16), int(rsp, 16), tuple(int(w, 16) for w in words)[:scan_limit]

@@ -29,3 +29,36 @@ def test_benchmark_hooks_resolve_and_undo(tmp_path, monkeypatch):
     after = (pipeline.cli.run_event_trace, vf.verify_event, vf.is_subsequence,
              pg.enumerate_secure_paths, pg.ApiSyscallMapping.__dict__["from_document"])
     assert after == before
+
+
+def test_benchmark_hooks_see_every_replayed_event(tmp_path, monkeypatch):
+    """`verify` on the fixtures under the untraced probe records a timed
+    checked event and a replay block, and under the tracer one event parse
+    per event line: `run_event_trace` must reach `parse_event_line` and
+    `verify_event` through the verifier module, where the hooks swap them."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # Pipeline prepends src
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.chdir(tmp_path)
+    import tracing
+    import worker
+
+    data = ROOT / "tests" / "data"
+    argv = ["verify", "--sidecar", str(data / "golden" / "sidecar.json"),
+            "--mapping", str(data / "golden" / "mapping.json"),
+            "--memmap", str(data / "memmap.txt"), "--events", str(data / "events.txt"),
+            "--lib-disasm", str(data / "minilib.sdis"), "--target", "target",
+            "-o", str(tmp_path / "verdicts.log")]
+    lines = [line for line in (data / "events.txt").read_text().splitlines() if line.strip()]
+    pipeline = worker.Pipeline({"src": str(ROOT / "src")})
+    probe = {"checked_ms": [], "blocks": [], "probed": [], "cal_inside_s": 0.0}
+    for apply in (lambda patches: pipeline._probes(patches, probe, 1), pipeline._trace):
+        patches = tracing.Patches()
+        try:
+            apply(patches)
+            assert pipeline.cli.main(argv) == 0
+        finally:
+            patches.undo()
+    assert probe["blocks"]
+    assert sum(map(len, probe["checked_ms"])) >= 1
+    assert pipeline.tracer.calls("verifier.parse_event") == len(lines)
+    assert pipeline.tracer.calls("verifier.verify_event") == len(lines)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,9 +35,14 @@ from syscage.verifier import (
     walk_embeds,
 )
 
-from oracles import all_simple_paths_bruteforce, subsequence_bruteforce
+from oracles import (
+    all_simple_paths_bruteforce,
+    parse_event_reference,
+    subsequence_bruteforce,
+)
 
 BASE = 0x7F0000000000
+DATA = Path(__file__).parent / "data"
 
 
 def _memmap():
@@ -132,6 +138,56 @@ def test_reconstruct_stops_at_first_code_word():
     table, memmap = _table()
     event = _event(stack=[0x400abc, BASE + 0x1015])
     assert reconstruct_path(event, table, memmap) == ("wrapper",)
+
+
+def _reconstruct_reference(event, table, memmap):
+    """reconstruct_path written with FunctionAddressTable.find and Region."""
+    rip_fn = table.find(event.rip)
+    path = [] if rip_fn is None else [rip_fn]
+    for word in event.stack_words:
+        fn = table.find(word - 1)
+        if fn is not None:
+            path.append(fn)
+        elif word in memmap.code_segment:
+            break
+    return tuple(path)
+
+
+@st.composite
+def _scan_cases(draw):
+    """Two adjacent libraries of random functions, a code segment that
+    starts right at the second library's end or lies below the first, and
+    stack words drawn mostly from the boundaries: function starts and ends,
+    the code segment's ends and 0."""
+    base = first = draw(st.integers(1, 16)) * 0x100
+    libraries, offsets = [], {}
+    for name in ("liba", "libb"):
+        size = draw(st.integers(1, 0x40))
+        starts = sorted(draw(st.sets(st.integers(0, size - 1), max_size=4)))
+        offsets[name] = [(f"{name}.f{i}", start, draw(st.integers(start + 1, size)))
+                         for i, start in enumerate(starts)]
+        libraries.append((name, base, size))
+        base += size
+    if draw(st.booleans()):
+        code = Region(base, base + draw(st.integers(1, 0x20)))
+    else:
+        code_lo = draw(st.integers(0, first - 1))
+        code = Region(code_lo, draw(st.integers(code_lo + 1, first)))
+    memmap = MemoryMap(libraries, Region(0x10000, 0x20000), code)
+    table = locate_functions(memmap, offsets)
+    bounds = [0, 1, code.lo - 1, code.lo, code.lo + 1, code.hi - 1, code.hi]
+    for _, start, end in table.entries:
+        bounds += [start, start + 1, end - 1, end, end + 1]
+    word = st.sampled_from(bounds) | st.integers(0, base + 0x40)
+    event = _event(rip=draw(word), stack=draw(st.lists(word, max_size=10)))
+    return event, table, memmap
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_cases())
+def test_reconstruct_equals_find_and_region_reference(case):
+    event, table, memmap = case
+    assert reconstruct_path(event, table, memmap) == _reconstruct_reference(*case)
 
 
 def test_verify_not_target():
@@ -323,6 +379,94 @@ def test_parse_event_malformed():
         parse_event_line("t read rip=zz rsp=2 stack=")
     with pytest.raises(ParseError, match="bad address in event line 't read rip=x"):
         parse_event_line("t read rip=x rsp=2 stack=")
+    # a malformed stack word rejects the line, wherever it stands
+    for stack in ("1,0x0x1", "1,x", "00x1"):
+        with pytest.raises(ParseError, match=f"bad address in event line 't read rip=1 "
+                           f"rsp=2 stack={stack}'"):
+            parse_event_line(f"t read rip=1 rsp=2 stack={stack}")
+
+
+EVENT_LINES = (DATA / "events.txt").read_text().splitlines()
+# pieces of event lines, so mutated lines often still parse
+_EVENT_PIECE = st.sampled_from([
+    " ", "\t", ",", "=", "0", "1", "f", "x", "0x", "X", "_", "-", "+",
+    "rip=", "rsp=", "stack=", "target", "open",
+]) | st.text(max_size=2)
+_WORD_PIECE = st.text("0123456789abcdefx,", max_size=4) | st.sampled_from(["x", "0x", "00x"])
+
+
+def _replace_run(draw, text, pieces, lo=0):
+    """`text` with a run of up to three characters, at `lo` or later,
+    replaced by one of `pieces`."""
+    i = draw(st.integers(max(0, lo), len(text)))
+    j = draw(st.integers(i, min(len(text), i + 3)))
+    return text[:i] + draw(pieces) + text[j:]
+
+
+@st.composite
+def _mutated_event_line(draw):
+    """A line of the fixture events with up to three short runs of
+    characters replaced by event-line pieces, or, for half of the lines, runs
+    of the stack words replaced by address characters, so that many lines
+    break only in one word."""
+    line = draw(st.sampled_from(EVENT_LINES))
+    in_stack = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 3))):
+        if in_stack:
+            line = _replace_run(draw, line, _WORD_PIECE, line.find("stack=") + 6)
+        else:
+            line = _replace_run(draw, line, _EVENT_PIECE)
+    return line
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=st.text() | _mutated_event_line(), scan_limit=st.integers(1, 5))
+def test_parse_event_line_equals_reference(line, scan_limit):
+    expected = parse_event_reference(line, scan_limit)
+    try:
+        event = parse_event_line(line, scan_limit)
+    except ParseError:
+        assert expected is None
+        return
+    assert (event.process_tag, event.syscall_name, event.rip, event.rsp,
+            event.stack_words) == expected
+
+
+MEMMAP_LINES = (DATA / "memmap.txt").read_text().splitlines()
+_MEMMAP_PIECE = st.sampled_from([
+    " ", "\t", "#", "0", "1", "f", "x", "0x", "_", "-", "lib", "stack", "code",
+    "400000", "7ffc00000000",
+]) | st.text(max_size=2)
+
+
+@st.composite
+def _mutated_memmap(draw):
+    """The fixture memory map with up to three lines dropped, repeated or
+    changed by a short run of characters replaced by memory-map pieces."""
+    lines = list(MEMMAP_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "repeat", "edit"]))
+        if op == "drop":
+            del lines[k]
+        elif op == "repeat":
+            lines.insert(k, lines[k])
+        else:
+            lines[k] = _replace_run(draw, lines[k], _MEMMAP_PIECE)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | _mutated_memmap())
+def test_parse_memory_map_parses_or_raises_parse_error(text):
+    try:
+        memmap = parse_memory_map(text)
+    except ParseError:
+        return
+    assert memmap.stack.lo < memmap.stack.hi
+    assert memmap.code_segment.lo < memmap.code_segment.hi
 
 
 def test_run_event_trace_empty():
@@ -349,6 +493,10 @@ def test_run_event_trace_malformed_line_number():
     table, memmap = _table()
     text = "t open rip=1 rsp=2 stack=\nbad hex line\n"
     with pytest.raises(ParseError, match="line 2: bad event line 'bad hex line'"):
+        run_event_trace(text, _ctx(table, memmap))
+    # a NotTarget event, whose words path matching would never read
+    text = "t open rip=1 rsp=2 stack=\n\nother open rip=1 rsp=2 stack=1,0x0x1\n"
+    with pytest.raises(ParseError, match="line 3: bad address in event line 'other open"):
         run_event_trace(text, _ctx(table, memmap))
 
 
