@@ -105,7 +105,7 @@ def cmd_analyze(args) -> int:
     graph = merge(build_direct_fcg(unit), build_indirect_edges(facts))
     resolved = resolve_sites(unit.functions, unit.syscall_sites, table)
     apis = {
-        fn.api_name: fn.canonical_name for fn in unit.functions if fn.is_api_export
+        fn.api_name: fn.canonical_name for fn in unit.functions if fn.api_name is not None
     }
     mapping = build_mapping(graph, resolved, apis)
     _write(args.output, dump_json(mapping.to_document()))
@@ -152,12 +152,11 @@ def cmd_verify(args) -> int:
     memmap = _load(args.memmap, parse_memory_map)
     table = _read_table(args.table)
 
-    offsets: dict[str, list[tuple[str, int, int]]] = {}
-    for path in args.lib_disasm:
-        unit = _parse_unit(path)
-        offsets[unit.unit_name] = [
-            (fn.canonical_name, fn.start, fn.end) for fn in unit.functions
-        ]
+    # no parsed unit stays bound: a collection during the replay would scan it
+    offsets = {
+        unit.unit_name: [(fn.canonical_name, fn.start, fn.end) for fn in unit.functions]
+        for unit in map(_parse_unit, args.lib_disasm)
+    }
     fat = locate_functions(memmap, offsets)
 
     entries, hosts = mapping.walk_ends()

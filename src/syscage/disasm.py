@@ -38,8 +38,7 @@ class FunctionRecord:
     canonical_name: str
     start: int
     end: int
-    is_api_export: bool
-    api_name: str | None
+    api_name: str | None  # set exactly for an API export
     instructions: tuple[Instruction, ...]
 
 
@@ -74,16 +73,11 @@ def _split_operands(text: str | None) -> tuple[str, ...]:
 
 def _finish_function(symbol: str, start: int, insns: list[Instruction]) -> FunctionRecord:
     end = insns[-1].address + 1 if insns else start + 1
-    api_name = None
-    is_api = "@@" in symbol
-    if is_api:
-        api_name = symbol.split("@@", 1)[0]
     return FunctionRecord(
         canonical_name=symbol,
         start=start,
         end=end,
-        is_api_export=is_api,
-        api_name=api_name,
+        api_name=symbol.split("@@", 1)[0] if "@@" in symbol else None,
         instructions=tuple(insns),
     )
 

@@ -1,13 +1,13 @@
 """API->syscall mapping and Seccomp profile generation.
 
-The mapping holds the library's call graph once and, per exported API, the
-reachable syscalls with their taint flags and the functions that invoke
-them (their hosts).  A syscall is tainted for an API when no all-direct path
-reaches a host: those are the syscalls the runtime verifier has to guard, by
-finding a call-graph walk from an API to a host in the intercepted stack.
-The profile partitions the full syscall table into allowed and blocked sets
-and carries the two suspicious sets the runtime verifier can guard
-(indirect-call-related and rarely-invoked).
+The mapping holds the library's call graph and the functions that invoke
+each syscall (its hosts) once, and per exported API the reachable syscalls
+with their taint flags.  A syscall is tainted for an API when no all-direct
+path reaches a host: those are the syscalls the runtime verifier has to
+guard, by finding a call-graph walk from an API to a host in the
+intercepted stack.  The profile partitions the full syscall table into
+allowed and blocked sets and carries the two suspicious sets the runtime
+verifier can guard (indirect-call-related and rarely-invoked).
 """
 
 from __future__ import annotations
@@ -28,22 +28,14 @@ from .errors import AnalysisError, ParseError, expect_json, expect_names
 from .sysnum import ResolvedSyscallSite, SyscallTable
 
 TRACE_TOKEN_RE = re.compile(r"^[a-z0-9_]+")
-MAPPING_FORMAT = 2
+MAPPING_FORMAT = 3
 SYSCALL_ENTRY = "mapping API {!r} syscalls[{}]"
 
 
 @dataclass
-class SyscallEntry:
-    name: str
-    tainted: bool
-    hosts: list[str]  # sorted functions that invoke the syscall
-
-
-@dataclass
 class ApiRecord:
-    api: str
     entry_function: str
-    syscalls: list[SyscallEntry] = field(default_factory=list)
+    syscalls: dict[str, bool] = field(default_factory=dict)  # name -> tainted
     unresolved_sites: int = 0
 
 
@@ -52,18 +44,21 @@ class ApiSyscallMapping:
     records: dict[str, ApiRecord] = field(default_factory=dict)
     # caller -> sorted callees; functions that call nothing are left out
     call_graph: dict[str, list[str]] = field(default_factory=dict)
+    # syscall -> sorted functions that invoke it
+    hosts: dict[str, list[str]] = field(default_factory=dict)
 
     def to_document(self) -> dict:
         return {
             "format": MAPPING_FORMAT,
             "call_graph": self.call_graph,
+            "hosts": self.hosts,
             "apis": {
                 api: {
                     "entry_function": rec.entry_function,
                     "unresolved_sites": rec.unresolved_sites,
                     "syscalls": [
-                        {"syscall": e.name, "tainted": e.tainted, "hosts": e.hosts}
-                        for e in sorted(rec.syscalls, key=lambda e: e.name)
+                        {"syscall": name, "tainted": tainted}
+                        for name, tainted in sorted(rec.syscalls.items())
                     ],
                 }
                 for api, rec in sorted(self.records.items())
@@ -77,27 +72,26 @@ class ApiSyscallMapping:
                 f"mapping is not format {MAPPING_FORMAT}; "
                 "re-run `syscage analyze` to regenerate it"
             )
-        graph = expect_json(doc.get("call_graph", {}), dict, "mapping call_graph")
-        for caller, callees in graph.items():
-            expect_names(callees, "mapping call_graph[{!r}]", caller)
-        mapping = cls(call_graph=graph)
+        mapping = cls(call_graph=_name_lists(doc, "call_graph"),
+                      hosts=_name_lists(doc, "hosts"))
         for api, rec in expect_json(doc.get("apis", {}), dict, "mapping apis").items():
             expect_json(rec, dict, "mapping API {!r}", api)
-            entries = []
-            syscalls = expect_json(rec.get("syscalls", []), list, "mapping API {!r} syscalls", api)
-            for i, e in enumerate(syscalls):
+            syscalls: dict[str, bool] = {}
+            entries = expect_json(rec.get("syscalls", []), list, "mapping API {!r} syscalls", api)
+            for i, e in enumerate(entries):
                 if not (isinstance(e, dict) and isinstance(e.get("syscall"), str)
                         and isinstance(e.get("tainted"), bool)):  # say which is wrong
                     expect_json(e, dict, SYSCALL_ENTRY, api, i)
                     expect_json(e.get("syscall"), str, SYSCALL_ENTRY + " syscall", api, i)
                     expect_json(e.get("tainted"), bool, SYSCALL_ENTRY + " tainted", api, i)
-                hosts = expect_names(e.get("hosts", []), SYSCALL_ENTRY + " hosts", api, i)
-                entries.append(SyscallEntry(e["syscall"], e["tainted"], hosts))
+                if e["syscall"] in syscalls:
+                    raise ParseError(f"{SYSCALL_ENTRY.format(api, i)}: "
+                                     f"duplicate syscall {e['syscall']!r}")
+                syscalls[e["syscall"]] = e["tainted"]
             mapping.records[api] = ApiRecord(
-                api=api,
                 entry_function=expect_json(rec.get("entry_function", api), str,
                                            "mapping API {!r} entry_function", api),
-                syscalls=entries,
+                syscalls=syscalls,
                 unresolved_sites=expect_json(rec.get("unresolved_sites", 0), int,
                                              "mapping API {!r} unresolved_sites", api),
             )
@@ -108,20 +102,27 @@ class ApiSyscallMapping:
             if api in self.records:
                 raise AnalysisError(f"API {api!r} defined by more than one mapping")
             self.records[api] = rec
-        for caller, callees in other.call_graph.items():
-            mine = self.call_graph.get(caller)
-            self.call_graph[caller] = sorted(set(mine).union(callees)) if mine else callees
+        for mine, theirs in ((self.call_graph, other.call_graph), (self.hosts, other.hosts)):
+            for key, names in theirs.items():
+                have = mine.get(key)
+                mine[key] = sorted(set(have).union(names)) if have else names
 
     def walk_ends(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
         """Per syscall: the entry functions of the APIs whose records list
         it, and the functions that invoke it."""
         entries: dict[str, set[str]] = {}
-        hosts: dict[str, set[str]] = {}
         for rec in self.records.values():
-            for e in rec.syscalls:
-                entries.setdefault(e.name, set()).add(rec.entry_function)
-                hosts.setdefault(e.name, set()).update(e.hosts)
-        return entries, hosts
+            for name in rec.syscalls:
+                entries.setdefault(name, set()).add(rec.entry_function)
+        return entries, {name: set(fns) for name, fns in self.hosts.items()}
+
+
+def _name_lists(doc: dict, key: str) -> dict[str, list[str]]:
+    """`doc[key]`, by default empty, when it is an object of string arrays."""
+    table = expect_json(doc.get(key, {}), dict, "mapping {}", key)
+    for name, names in table.items():
+        expect_names(names, "mapping {}[{!r}]", key, name)
+    return table
 
 
 @dataclass
@@ -189,10 +190,10 @@ def reachable_syscalls(
     direct_adj: dict[str, list[str]],
     sites: dict[str, list[str | None]],
     api: str,
-) -> tuple[dict[str, tuple[bool, list[str]]], int]:
+) -> tuple[dict[str, bool], int]:
     """The syscalls invoked in the functions that graph node `api` reaches,
-    as name -> (tainted, sorted hosts), and the number of sites in those
-    functions whose number was not recovered.
+    as name -> tainted, and the number of sites in those functions whose
+    number was not recovered.
 
     tainted is False exactly when some all-direct path reaches a host that
     invokes the syscall; direct evidence from any host wins.
@@ -201,17 +202,14 @@ def reachable_syscalls(
         raise AnalysisError(f"API {api} is not a call-graph node")
     full = bfs_reachable(adj, api)
     direct = bfs_reachable(direct_adj, api)
-    hosts_by_name: dict[str, list[str]] = {}
+    found: dict[str, bool] = {}
     unresolved = 0
-    for host in sorted(full.intersection(sites)):
-        names = sites[host]
-        unresolved += names.count(None)
-        for name in set(names) - {None}:
-            hosts_by_name.setdefault(name, []).append(host)
-    found = {
-        name: (direct.isdisjoint(hosts), hosts)
-        for name, hosts in hosts_by_name.items()
-    }
+    for host in full.intersection(sites):
+        for name in sites[host]:
+            if name is None:
+                unresolved += 1
+            else:
+                found[name] = found.get(name, True) and host not in direct
     return found, unresolved
 
 
@@ -224,20 +222,19 @@ def build_mapping(
     adj = graph.successors()
     direct_adj = graph.successors(direct_only=True)
     sites = sites_by_host(resolved_sites)
+    hosts: dict[str, set[str]] = {}
+    for host, names in sites.items():
+        for name in names:
+            if name is not None:
+                hosts.setdefault(name, set()).add(host)
     mapping = ApiSyscallMapping(
-        call_graph={node: succ for node, succ in adj.items() if succ}
+        call_graph={node: succ for node, succ in adj.items() if succ},
+        hosts={name: sorted(fns) for name, fns in hosts.items()},
     )
     for api_name, node in sorted(apis.items()):
         found, unresolved = reachable_syscalls(adj, direct_adj, sites, node)
         mapping.records[api_name] = ApiRecord(
-            api=api_name,
-            entry_function=node,
-            syscalls=[
-                SyscallEntry(name, tainted, hosts)
-                for name, (tainted, hosts) in sorted(found.items())
-            ],
-            unresolved_sites=unresolved,
-        )
+            entry_function=node, syscalls=found, unresolved_sites=unresolved)
     return mapping
 
 
@@ -281,9 +278,9 @@ def generate_profile(
         record = mapping.records[api]
         if record.unresolved_sites > 0:
             unresolved_apis.append(api)
-        for entry in record.syscalls:
-            allowed.add(entry.name)
-            taint_votes.setdefault(entry.name, []).append(entry.tainted)
+        for name, tainted in record.syscalls.items():
+            allowed.add(name)
+            taint_votes.setdefault(name, []).append(tainted)
 
     if unresolved_apis:
         if strict:

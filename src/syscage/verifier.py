@@ -40,6 +40,7 @@ UNKNOWN_SYSCALL = "UnknownSyscall"
 EVENT_RE = re.compile(
     r"^(\S+)\s+([a-z0-9_]+)\s+rip=([0-9a-fx]+)\s+rsp=([0-9a-fx]+)\s+stack=([0-9a-fx,]*)$"
 )
+ADDRESS_RE = re.compile(r"(0x)?[0-9a-f]+")
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,14 @@ _RSP_OUT_OF_RANGE = Verdict(DENY, RSP_OUT_OF_RANGE)
 _RIP_OUT_OF_RANGE = Verdict(DENY, RIP_OUT_OF_RANGE)
 
 
+def _address(text: str) -> int:
+    """Lowercase hex with an optional `0x`, as in events: `int(text, 16)`
+    alone would take a sign, underscores and `0X`."""
+    if not ADDRESS_RE.fullmatch(text):
+        raise ValueError(text)
+    return int(text, 16)
+
+
 def parse_memory_map(text: str) -> MemoryMap:
     """Lines: `lib <name> <base> <size>`, `stack <lo> <hi>`, `code <lo> <hi>`."""
     libraries: list[tuple[str, int, int]] = []
@@ -111,11 +120,11 @@ def parse_memory_map(text: str) -> MemoryMap:
         fields = stripped.split()
         try:
             if fields[0] == "lib" and len(fields) == 4:
-                libraries.append((fields[1], int(fields[2], 16), int(fields[3], 16)))
+                libraries.append((fields[1], _address(fields[2]), _address(fields[3])))
             elif fields[0] == "stack" and len(fields) == 3:
-                stack = Region(int(fields[1], 16), int(fields[2], 16))
+                stack = Region(_address(fields[1]), _address(fields[2]))
             elif fields[0] == "code" and len(fields) == 3:
-                code = Region(int(fields[1], 16), int(fields[2], 16))
+                code = Region(_address(fields[1]), _address(fields[2]))
             else:
                 raise ValueError(stripped)
         except ValueError as exc:

@@ -112,12 +112,12 @@ def test_profile_partition_on_fixture_targets():
             for _ in range(rng.randint(0, 6))
         ]
         apis[f"api{i}"] = syscalls
-    doc = {"format": 2, "apis": {
+    doc = {"format": 3, "apis": {
         api: {
             "entry_function": api,
             "unresolved_sites": 0,
             "syscalls": [
-                {"syscall": n, "tainted": t, "hosts": [api]}
+                {"syscall": n, "tainted": t}
                 for n, t in dict(syscalls).items()
             ],
         }
@@ -218,7 +218,7 @@ def test_end_to_end_pipeline(data_dir, tmp_path):
 
     unit = parse_disassembly((data_dir / "minilib.sdis").read_text())
     assert len(unit.functions) >= 10
-    assert sum(f.is_api_export for f in unit.functions) >= 2
+    assert sum(f.api_name is not None for f in unit.functions) >= 2
     assert sum(c.kind == INDIRECT for c in unit.callsites) >= 1
     assert len(unit.syscall_sites) >= 3
     doc = json.loads(outputs[0][1].decode())

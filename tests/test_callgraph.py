@@ -42,7 +42,7 @@ def _reachable(graph, api, resolved_sites):
         graph.successors(), graph.successors(direct_only=True),
         sites_by_host(resolved_sites), api,
     )
-    return {(name, tainted) for name, (tainted, _) in found.items()}
+    return set(found.items())
 
 
 def _paths(graph, api, host, **limits):

@@ -280,12 +280,21 @@ def _format_1(doc):
     doc["format"] = 1
 
 
+def _format_2(doc):
+    # the previous format: the hosts listed on each entry, none at the top
+    for rec in doc["apis"].values():
+        for entry in rec["syscalls"]:
+            entry["hosts"] = doc["hosts"][entry["syscall"]]
+    del doc["hosts"]
+    doc["format"] = 2
+
+
 def _entry_without_syscall(doc):
     del doc["apis"]["open"]["syscalls"][0]["syscall"]
 
 
 def _hosts_not_a_list(doc):
-    doc["apis"]["open"]["syscalls"][0]["hosts"] = "open_handler"
+    doc["hosts"]["open"] = "open_handler"
 
 
 def _call_graph_not_an_object(doc):
@@ -309,7 +318,12 @@ def _tainted_a_string(doc):
 
 
 def _host_an_array(doc):
-    doc["apis"]["open"]["syscalls"][0]["hosts"] = [["open_handler"]]
+    doc["hosts"]["open"] = [["open_handler"]]
+
+
+def _duplicate_syscall(doc):
+    syscalls = doc["apis"]["open"]["syscalls"]
+    syscalls.append(dict(syscalls[1], tainted=False))
 
 
 def _entry_function_a_number(doc):
@@ -327,10 +341,11 @@ SIDECARS = {
 
 
 @pytest.mark.parametrize("spoil", [
-    _without_format, _format_1, _entry_without_syscall, _hosts_not_a_list,
+    _without_format, _format_1, _format_2, _entry_without_syscall, _hosts_not_a_list,
     _call_graph_not_an_object, _unresolved_sites_a_string, _unresolved_sites_true,
     _syscall_an_array,
-    _tainted_a_string, _host_an_array, _entry_function_a_number, _callee_an_array,
+    _tainted_a_string, _host_an_array, _duplicate_syscall, _entry_function_a_number,
+    _callee_an_array,
     *SIDECARS,
 ])
 def test_malformed_mapping_or_sidecar_is_a_parse_error(data_dir, tmp_path, capsys, spoil):
@@ -347,8 +362,10 @@ def test_malformed_mapping_or_sidecar_is_a_parse_error(data_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and f"parse error: {bad}: " in err
-    if spoil in (_without_format, _format_1):
+    if spoil in (_without_format, _format_1, _format_2):
         assert "re-run `syscage analyze`" in err
+    if spoil is _duplicate_syscall:
+        assert "mapping API 'open' syscalls[2]: duplicate syscall 'open'" in err
 
 
 def _chain_library(n):

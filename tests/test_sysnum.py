@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from syscage import packaged_data
 from syscage.disasm import FunctionRecord, Instruction, SyscallSite
 from syscage.errors import ParseError
 from syscage.sysnum import (
@@ -11,6 +14,7 @@ from syscage.sysnum import (
 )
 
 from oracles import interpret_accumulator
+from test_verifier import _replace_run
 
 
 def _function(body):
@@ -20,7 +24,7 @@ def _function(body):
     for mnemonic, operands in body:
         insns.append(Instruction(addr, mnemonic, tuple(operands)))
         addr += 5
-    fn = FunctionRecord("f", 0x1000, addr, False, None, tuple(insns))
+    fn = FunctionRecord("f", 0x1000, addr, None, tuple(insns))
     site = SyscallSite("f", insns[-1].address)
     return fn, site
 
@@ -225,6 +229,33 @@ def test_load_table_malformed():
         load_syscall_table("0 common\n")
     with pytest.raises(ParseError, match="line 2: duplicate syscall name 'read'"):
         load_syscall_table("0 common read\n1 common read\n")
+
+
+TABLE_LINES = packaged_data("syscall_64.tbl").splitlines()
+_TABLE_PIECE = st.sampled_from([
+    " ", "\t", "\n", "#", "0", "1", "-", "+", "_", "x", "common", "read",
+]) | st.text(max_size=2)
+
+
+@st.composite
+def _edited_table(draw):
+    """Up to eight consecutive rows of the bundled table with up to three
+    short runs of characters replaced by table pieces."""
+    i = draw(st.integers(0, len(TABLE_LINES)))
+    text = "\n".join(TABLE_LINES[i:i + draw(st.integers(0, 8))])
+    for _ in range(draw(st.integers(0, 3))):
+        text = _replace_run(draw, text, _TABLE_PIECE)
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | _edited_table())
+def test_load_syscall_table_parses_or_raises_parse_error(text):
+    try:
+        table = load_syscall_table(text)
+    except ParseError:
+        return
+    assert {n: name for name, n in table.name_to_number.items()} == table.number_to_name
 
 
 def test_seed_table_has_335_names(seed_table):

@@ -1,13 +1,16 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syscage.callgraph import enumerate_secure_paths, predecessors
-from syscage.disasm import parse_disassembly
+from syscage.callgraph import CallGraph, Edge, enumerate_secure_paths, predecessors
+from syscage.disasm import DIRECT, INDIRECT, SyscallSite, parse_disassembly
 from syscage.errors import AnalysisError, ParseError
+from syscage.profilegen import build_mapping
+from syscage.sysnum import ResolvedSyscallSite
 from syscage.verifier import (
     ALLOW,
     CACHE_HIT,
@@ -37,6 +40,7 @@ from syscage.verifier import (
 
 from oracles import (
     all_simple_paths_bruteforce,
+    closure_floyd_warshall,
     parse_event_reference,
     subsequence_bruteforce,
 )
@@ -332,6 +336,53 @@ def test_walk_embeds_equals_bruteforce_and_path_enumeration(case):
     assert got == _reference_match(graph, entries, hosts, frames)
 
 
+@st.composite
+def _mapping_cases(draw):
+    """A small call graph with direct and indirect edges, syscall sites
+    whose names are recovered or not, some exported APIs, and frame lists."""
+    nodes = [f"f{i}" for i in range(draw(st.integers(1, 7)))]
+    pairs = [(a, b) for a in nodes for b in nodes]
+    kinds = st.sampled_from([DIRECT, INDIRECT])
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), kinds),
+                          unique_by=lambda e: e[0], max_size=15))
+    sites = draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                    st.sampled_from(["read", "open", None])), max_size=8))
+    apis = draw(st.sets(st.sampled_from(nodes), min_size=1, max_size=3))
+    frames = draw(st.lists(st.lists(st.sampled_from(nodes), max_size=8), min_size=1, max_size=4))
+    return nodes, edges, sites, apis, frames
+
+
+def _format_2_ends(nodes, edges, sites, apis):
+    """The walk ends of format 2, where each API's record listed the hosts it
+    reaches: per syscall, the entry functions of the APIs that reach a host
+    of it, and the union of the hosts each of them reaches."""
+    closure = closure_floyd_warshall(nodes, [pair for pair, _ in edges])
+    entries, hosts = {}, {}
+    for api in apis:
+        for host, name in sites:
+            if name is not None and host in closure[api]:
+                entries.setdefault(name, set()).add(api)
+                hosts.setdefault(name, set()).add(host)
+    return entries, hosts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mapping_cases())
+def test_walk_ends_match_like_format_2_ends(case):
+    nodes, edges, sites, apis, frame_lists = case
+    graph = CallGraph(nodes=set(nodes), edges={
+        Edge(a, b, kind, f"{a}->{b}") for (a, b), kind in edges})
+    mapping = build_mapping(graph, [ResolvedSyscallSite(SyscallSite(host, 0), 0, name)
+                                    for host, name in sites], {api: api for api in apis})
+    entries, hosts = mapping.walk_ends()
+    old_entries, old_hosts = _format_2_ends(nodes, edges, sites, apis)
+    assert entries == old_entries
+    for frames in frame_lists:
+        for name in entries:
+            assert walk_embeds(frames, mapping.call_graph, entries[name], hosts[name]) == \
+                walk_embeds(frames, mapping.call_graph, entries[name], old_hosts[name])
+
+
 def test_parse_memory_map_roundtrip():
     memmap = parse_memory_map(
         "lib libc 7f0000000000 10000\n"
@@ -351,6 +402,10 @@ def test_parse_memory_map_errors():
         parse_memory_map("stack 1000 2000\ncode 1800 2800\n")  # overlap
     with pytest.raises(ParseError, match=r"empty region \[0x2000,0x1000\)"):
         parse_memory_map("stack 2000 1000\ncode 3000 4000\n")  # empty region
+    # addresses are lowercase hex with an optional 0x, as in events
+    for line in ("lib a -1000 800", "stack 1_0 2_0", "code +0X30 40"):
+        with pytest.raises(ParseError, match=re.escape(f"line 2: bad memory map line '{line}'")):
+            parse_memory_map(f"# layout\n{line}\nstack 0x1000 2000\ncode 3000 4000\n")
 
 
 def test_parse_event_line():
