@@ -1,7 +1,8 @@
 """Function call graph construction, adjacency, and secure-path search.
 
 The direct graph comes from disassembly callsites; indirect edges come from
-resolved source facts.
+resolved source facts.  An edge is a `CallSite` with a target, so two calls
+from one function to another are one edge.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .disasm import DIRECT, INDIRECT, DisasmUnit
+from .disasm import DIRECT, INDIRECT, CallSite, DisasmUnit
 from .errors import AnalysisError
 from .srcfacts import SourceFacts, resolve_indirect_targets
 
@@ -17,18 +18,10 @@ DEFAULT_MAX_PATH_LEN = 64
 DEFAULT_MAX_PATHS = 4096
 
 
-@dataclass(frozen=True)
-class Edge:
-    caller: str
-    callee: str
-    kind: str
-    site_id: str
-
-
 @dataclass
 class CallGraph:
     nodes: set[str] = field(default_factory=set)
-    edges: set[Edge] = field(default_factory=set)
+    edges: set[CallSite] = field(default_factory=set)
 
     def successors(self, direct_only: bool = False) -> dict[str, list[str]]:
         """Each node's callees in sorted order.  Build it once per graph and
@@ -37,7 +30,7 @@ class CallGraph:
         for e in self.edges:
             if direct_only and e.kind != DIRECT:
                 continue
-            adj[e.caller].add(e.callee)
+            adj[e.caller].add(e.target)
         return {n: sorted(succ) for n, succ in adj.items()}
 
 
@@ -51,27 +44,26 @@ def build_direct_fcg(unit: DisasmUnit) -> CallGraph:
     graph = CallGraph()
     graph.nodes.update(fn.canonical_name for fn in unit.functions)
     for site in unit.callsites:
-        if site.kind != DIRECT:
-            continue
-        graph.nodes.add(site.target)
-        graph.edges.add(Edge(site.caller, site.target, DIRECT, site.site_id))
+        if site.kind == DIRECT:
+            graph.nodes.add(site.target)
+            graph.edges.add(site)
     return graph
 
 
-def build_indirect_edges(facts: SourceFacts) -> set[Edge]:
-    edges: set[Edge] = set()
-    for site in facts.indirect_sites:
-        for target in resolve_indirect_targets(site, facts):
-            edges.add(Edge(site.caller, target, INDIRECT, site.site_id))
-    return edges
+def build_indirect_edges(facts: SourceFacts) -> set[CallSite]:
+    return {
+        CallSite(site.caller, target, INDIRECT)
+        for site in facts.indirect_sites
+        for target in resolve_indirect_targets(site, facts)
+    }
 
 
-def merge(direct: CallGraph, indirect_edges: set[Edge]) -> CallGraph:
+def merge(direct: CallGraph, indirect_edges: set[CallSite]) -> CallGraph:
     unknown = sorted({e.caller for e in indirect_edges} - direct.nodes)
     if unknown:
         raise AnalysisError(f"indirect calls from unknown caller(s): {', '.join(unknown)}")
     merged = CallGraph(nodes=set(direct.nodes), edges=direct.edges | indirect_edges)
-    merged.nodes.update(e.callee for e in indirect_edges)
+    merged.nodes.update(e.target for e in indirect_edges)
     return merged
 
 

@@ -190,13 +190,6 @@ def cmd_cve(args) -> int:
     return EXIT_OK
 
 
-def cmd_trace_merge(args) -> int:
-    summary = load_trace([_read(p) for p in args.traces])
-    doc = {"runs": summary.runs, "counts": dict(sorted(summary.counts.items()))}
-    _write(args.output, dump_json(doc))
-    return EXIT_OK
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="syscage")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,11 +235,6 @@ def build_parser() -> _Parser:
     p.add_argument("--strict", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_cve)
-
-    p = sub.add_parser("trace-merge", help="merge strace outputs into counts")
-    p.add_argument("traces", nargs="+")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_trace_merge)
 
     return parser
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AnalysisError, ParseError
 
-CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,}$")
+CVE_ID_RE = re.compile(r"^CVE-[0-9]{4}-[0-9]{4,}$")  # \d would take any Unicode digit
 
 
 @dataclass

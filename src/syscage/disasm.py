@@ -45,10 +45,8 @@ class FunctionRecord:
 @dataclass(frozen=True)
 class CallSite:
     caller: str
-    site_address: int
+    target: str | None  # None for an indirect call
     kind: str
-    target: str | None
-    site_id: str
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,6 @@ def parse_disassembly(text: str, unit_name: str = "unit") -> DisasmUnit:
 
     unit = DisasmUnit(unit_name=unit_name, functions=functions)
     for fn in functions:
-        ordinal = 0
         for ins in fn.instructions:
             if ins.mnemonic == "syscall":
                 unit.syscall_sites.append(SyscallSite(fn.canonical_name, ins.address))
@@ -144,16 +141,7 @@ def parse_disassembly(text: str, unit_name: str = "unit") -> DisasmUnit:
                 kind, target = DIRECT, ins.symbol_comment
             else:
                 continue  # call through an unmodeled operand form; not a callsite
-            unit.callsites.append(
-                CallSite(
-                    caller=fn.canonical_name,
-                    site_address=ins.address,
-                    kind=kind,
-                    target=target,
-                    site_id=f"{fn.canonical_name}#{ordinal}",
-                )
-            )
-            ordinal += 1
+            unit.callsites.append(CallSite(fn.canonical_name, target, kind))
     return unit
 
 

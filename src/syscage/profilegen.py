@@ -5,8 +5,8 @@ each syscall (its hosts) once, and per exported API the reachable syscalls
 with their taint flags.  A syscall is tainted for an API when no all-direct
 path reaches a host: those are the syscalls the runtime verifier has to
 guard, by finding a call-graph walk from an API to a host in the
-intercepted stack.  The profile partitions the full syscall table into
-allowed and blocked sets and carries the two suspicious sets the runtime
+intercepted stack.  The profile lists the allowed syscalls, every other
+table entry being blocked, and carries the two suspicious sets the runtime
 verifier can guard (indirect-call-related and rarely-invoked).
 """
 
@@ -126,15 +126,8 @@ def _name_lists(doc: dict, key: str) -> dict[str, list[str]]:
 
 
 @dataclass
-class TraceSummary:
-    counts: Counter = field(default_factory=Counter)
-    runs: int = 0
-
-
-@dataclass
 class SeccompProfile:
     allowed: list[str]
-    blocked: list[str]
     suspicious_indirect: set[str]
     suspicious_rare: set[str]
     unmapped: list[str] = field(default_factory=list)  # imports left out
@@ -238,16 +231,16 @@ def build_mapping(
     return mapping
 
 
-def load_trace(texts: list[str]) -> TraceSummary:
-    """Aggregate strace-style output; the leading [a-z0-9_]+ token of a line
-    is the syscall name, other lines are skipped."""
-    summary = TraceSummary(runs=len(texts))
+def load_trace(texts: list[str]) -> Counter:
+    """Per-syscall counts over strace-style outputs; the leading [a-z0-9_]+
+    token of a line is the syscall name, other lines are skipped."""
+    counts: Counter = Counter()
     for text in texts:
         for line in text.splitlines():
             m = TRACE_TOKEN_RE.match(line)
             if m:
-                summary.counts[m.group(0)] += 1
-    return summary
+                counts[m.group(0)] += 1
+    return counts
 
 
 def generate_profile(
@@ -255,7 +248,7 @@ def generate_profile(
     imported_apis: set[str],
     embedded_syscall_names: set[str],
     table: SyscallTable,
-    trace: TraceSummary | None = None,
+    trace: Counter | None = None,
     strict: bool = True,
     min_count: int = 1,
 ) -> SeccompProfile:
@@ -290,22 +283,18 @@ def generate_profile(
         # reach anything, so allow the whole table rather than break it.
         allowed = set(table.names)
 
-    blocked = table.names - allowed
     suspicious_indirect = {
         name
         for name, votes in taint_votes.items()
         if name in allowed and name not in embedded_syscall_names and all(votes)
     }
     if trace is not None:
-        suspicious_rare = {
-            name for name in allowed if trace.counts.get(name, 0) < min_count
-        }
+        suspicious_rare = {name for name in allowed if trace[name] < min_count}
     else:
         suspicious_rare = set()
 
     return SeccompProfile(
         allowed=sorted(allowed),
-        blocked=sorted(blocked),
         suspicious_indirect=suspicious_indirect,
         suspicious_rare=suspicious_rare,
         unmapped=unknown,

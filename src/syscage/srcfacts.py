@@ -19,7 +19,6 @@ VARIADIC = "..."
 
 @dataclass(frozen=True)
 class IndirectSite:
-    site_id: str
     caller: str
     param_types: tuple[str, ...]
 
@@ -35,10 +34,13 @@ class SourceFacts:
         return self.aliases.get(name, name)
 
 
-def _close_aliases(pairs: list[dict]) -> dict[str, str]:
+def _close_aliases(records) -> dict[str, str]:
     raw: dict[str, str] = {}
-    for rec in pairs:
-        raw[rec["alias"]] = rec["canonical"]
+    for where, rec in records:
+        alias = rec["alias"]
+        if raw.setdefault(alias, rec["canonical"]) != rec["canonical"]:
+            raise ParseError(
+                "facts {}[{}]: conflicting canonical names for {!r}".format(*where, alias))
     closed: dict[str, str] = {}
     for alias in raw:
         seen = [alias]
@@ -77,9 +79,7 @@ def load_source_facts(text: str) -> SourceFacts:
         raise ParseError(f"facts document is not valid JSON: {exc}") from exc
     expect_json(doc, dict, "facts document")
 
-    aliases = _close_aliases(
-        [rec for _, rec in _records(doc, "aliases", "alias", "canonical")]
-    )
+    aliases = _close_aliases(_records(doc, "aliases", "alias", "canonical"))
     facts = SourceFacts(aliases=aliases)
     canon = facts.canonical
     for name in expect_names(doc.get("address_taken", []), "facts address_taken"):
@@ -90,13 +90,10 @@ def load_source_facts(text: str) -> SourceFacts:
         if fn in facts.signatures and facts.signatures[fn] != params:
             raise ParseError("facts {}[{}]: conflicting signatures for {}".format(*where, fn))
         facts.signatures[fn] = params
+    # site_id is checked for its type only: nothing matches it to a callsite
     for where, rec in _records(doc, "indirect_sites", "site_id", "caller"):
         facts.indirect_sites.append(
-            IndirectSite(
-                site_id=rec["site_id"],
-                caller=canon(rec["caller"]),
-                param_types=_param_types(rec, where),
-            )
+            IndirectSite(caller=canon(rec["caller"]), param_types=_param_types(rec, where))
         )
     return facts
 

@@ -67,8 +67,7 @@ class SyscallTable:
 @dataclass(frozen=True)
 class ResolvedSyscallSite:
     site: SyscallSite
-    number: int | None
-    name: str | None
+    name: str | None  # None where the number was not recovered or is not in the table
 
 
 def load_syscall_table(text: str) -> SyscallTable:
@@ -82,10 +81,9 @@ def load_syscall_table(text: str) -> SyscallTable:
         fields = stripped.split()
         if len(fields) < 3:
             raise ParseError(f"line {lineno}: expected <num> <abi> <name>")
-        try:
-            number = int(fields[0])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad number {fields[0]!r}") from exc
+        if not (fields[0].isascii() and fields[0].isdigit()):  # no sign, "_" or non-ASCII digit
+            raise ParseError(f"line {lineno}: bad number {fields[0]!r}")
+        number = int(fields[0])
         name = fields[2]
         if number in number_to_name:
             raise ParseError(f"line {lineno}: duplicate syscall number {number}")
@@ -133,11 +131,5 @@ def resolve_sites(unit_functions, sites, table: SyscallTable) -> list[ResolvedSy
     for fn in unit_functions:
         if fn.canonical_name in hosts:
             numbers.update(resolve_numbers(fn))
-    resolved = []
-    for site in sites:
-        number = numbers.get(site.site_address)
-        name = table.number_to_name.get(number)
-        if name is None:
-            number = None
-        resolved.append(ResolvedSyscallSite(site=site, number=number, name=name))
-    return resolved
+    return [ResolvedSyscallSite(site, table.number_to_name.get(numbers.get(site.site_address)))
+            for site in sites]

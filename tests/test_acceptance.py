@@ -5,10 +5,10 @@ import random
 import time
 
 from syscage import packaged_data
-from syscage.callgraph import CallGraph, Edge
+from syscage.callgraph import CallGraph
 from syscage.cli import main
 from syscage.cve import load_cve_dataset, mitigation_report
-from syscage.disasm import DIRECT, INDIRECT, SyscallSite, parse_disassembly
+from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, parse_disassembly
 from syscage.profilegen import ApiSyscallMapping, generate_profile
 from syscage.srcfacts import resolve_indirect_targets
 from syscage.sysnum import ResolvedSyscallSite, load_syscall_table, resolve_numbers
@@ -49,14 +49,14 @@ def test_reachability_oracle():
                     continue
                 r = rng.random()
                 if r < 0.05:
-                    graph.edges.add(Edge(a, b, DIRECT, f"{a}>{b}"))
+                    graph.edges.add(CallSite(a, b, DIRECT))
                     pairs.append((a, b))
                     direct_pairs.append((a, b))
                 elif r < 0.09:
-                    graph.edges.add(Edge(a, b, INDIRECT, f"{a}*{b}"))
+                    graph.edges.add(CallSite(a, b, INDIRECT))
                     pairs.append((a, b))
         sites = [
-            ResolvedSyscallSite(SyscallSite(h, 0), i, f"sys{i}")
+            ResolvedSyscallSite(SyscallSite(h, 0), f"sys{i}")
             for i, h in enumerate(nodes)
             if rng.random() < 0.4
         ]
@@ -128,9 +128,8 @@ def test_profile_partition_on_fixture_targets():
         imported = set(rng.sample(sorted(apis), rng.randint(0, 8)))
         embedded = set(rng.sample(pool, rng.randint(0, 3)))
         profile = generate_profile(mapping, imported, embedded, table)
-        allowed, blocked = set(profile.allowed), set(profile.blocked)
-        assert allowed | blocked == table.names
-        assert allowed & blocked == set()
+        allowed = set(profile.allowed)  # every other table entry is blocked
+        assert allowed <= table.names
         assert profile.suspicious_indirect <= allowed
         assert profile.suspicious_rare <= allowed
     _passed("profile-partition")

@@ -5,14 +5,13 @@ import pytest
 
 from syscage.callgraph import (
     CallGraph,
-    Edge,
     build_direct_fcg,
     build_indirect_edges,
     enumerate_secure_paths,
     merge,
     predecessors,
 )
-from syscage.disasm import DIRECT, INDIRECT, SyscallSite, parse_disassembly
+from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, parse_disassembly
 from syscage.errors import AnalysisError
 from syscage.profilegen import reachable_syscalls, sites_by_host
 from syscage.srcfacts import IndirectSite, SourceFacts
@@ -21,18 +20,16 @@ from syscage.sysnum import ResolvedSyscallSite
 from oracles import all_simple_paths_bruteforce, closure_floyd_warshall
 
 
-def _rsite(function, name, number=0):
-    return ResolvedSyscallSite(SyscallSite(function, 0), number, name)
+def _rsite(function, name):
+    return ResolvedSyscallSite(SyscallSite(function, 0), name)
 
 
 def _graph(direct=(), indirect=()):
     g = CallGraph()
-    for i, (a, b) in enumerate(direct):
-        g.nodes.update((a, b))
-        g.edges.add(Edge(a, b, DIRECT, f"{a}#d{i}"))
-    for i, (a, b) in enumerate(indirect):
-        g.nodes.update((a, b))
-        g.edges.add(Edge(a, b, INDIRECT, f"{a}#i{i}"))
+    for kind, pairs in ((DIRECT, direct), (INDIRECT, indirect)):
+        for a, b in pairs:
+            g.nodes.update((a, b))
+            g.edges.add(CallSite(a, b, kind))
     return g
 
 
@@ -57,7 +54,7 @@ def test_direct_fcg_chain():
         "0000000000001020 <C>:\n    1020:\tretq\n"
     )
     g = build_direct_fcg(parse_disassembly(text))
-    assert {(e.caller, e.callee) for e in g.edges} == {("A", "B"), ("B", "C")}
+    assert {(e.caller, e.target) for e in g.edges} == {("A", "B"), ("B", "C")}
     assert all(e.kind == DIRECT for e in g.edges)
 
 
@@ -68,38 +65,40 @@ def test_direct_fcg_ignores_indirect_sites():
     assert g.nodes == {"A"}
 
 
-def test_two_callsites_two_edges():
+def test_two_callsites_one_edge():
     text = (
         "0000000000001000 <A>:\n"
         "    1000:\tcallq\t1010 <B>\n"
         "    1005:\tcallq\t1010 <B>\n"
         "0000000000001010 <B>:\n    1010:\tretq\n"
     )
-    g = build_direct_fcg(parse_disassembly(text))
-    assert len(g.edges) == 2
-    assert {e.site_id for e in g.edges} == {"A#0", "A#1"}
+    unit = parse_disassembly(text)
+    assert len(unit.callsites) == 2
+    g = build_direct_fcg(unit)
+    assert g.edges == {CallSite("A", "B", DIRECT)}
+    assert g.successors() == {"A": ["B"], "B": []}
 
 
 def test_indirect_edges_per_candidate():
     facts = SourceFacts(
         address_taken={"X", "Y"},
         signatures={"X": ("int",), "Y": ("int",)},
-        indirect_sites=[IndirectSite("f#0", "f", ("int",))],
+        indirect_sites=[IndirectSite("f", ("int",))],
     )
     edges = build_indirect_edges(facts)
-    assert {(e.caller, e.callee) for e in edges} == {("f", "X"), ("f", "Y")}
+    assert {(e.caller, e.target) for e in edges} == {("f", "X"), ("f", "Y")}
     assert all(e.kind == INDIRECT for e in edges)
 
 
 def test_indirect_edges_empty_candidates():
-    facts = SourceFacts(indirect_sites=[IndirectSite("f#0", "f", ("int",))])
+    facts = SourceFacts(indirect_sites=[IndirectSite("f", ("int",))])
     assert build_indirect_edges(facts) == set()
 
 
 def test_merge_identity_and_union():
     direct = _graph(direct=[("A", "B")])
     assert merge(direct, set()) == direct
-    extra = {Edge("A", "C", INDIRECT, "A#i0")}
+    extra = {CallSite("A", "C", INDIRECT)}
     merged = merge(direct, extra)
     assert len(merged.edges) == 2
     assert merged.nodes == {"A", "B", "C"}
@@ -107,14 +106,14 @@ def test_merge_identity_and_union():
 
 def test_merge_keeps_both_kinds_for_same_pair():
     direct = _graph(direct=[("A", "B")])
-    merged = merge(direct, {Edge("A", "B", INDIRECT, "A#i0")})
+    merged = merge(direct, {CallSite("A", "B", INDIRECT)})
     kinds = {e.kind for e in merged.edges}
     assert kinds == {DIRECT, INDIRECT}
 
 
 def test_merge_unknown_caller():
     with pytest.raises(AnalysisError, match="indirect calls from unknown caller\\(s\\): Z$"):
-        merge(_graph(direct=[("A", "B")]), {Edge("Z", "B", INDIRECT, "Z#i0")})
+        merge(_graph(direct=[("A", "B")]), {CallSite("Z", "B", INDIRECT)})
 
 
 def test_reachable_direct_untainted():

@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from syscage.cli import main
+from syscage.cli import build_parser, main
 
 DATA_ARGS = {}
 
@@ -161,18 +164,6 @@ def test_cve_report(data_dir, outdir):
     assert "ioctl" not in doc["per_syscall"]
     assert doc["per_syscall"]["execveat"] == 10
     assert doc["count"] > 0
-
-
-def test_trace_merge(data_dir, outdir):
-    out = outdir / "counts.json"
-    code = main([
-        "trace-merge", str(data_dir / "target.trace"),
-        str(data_dir / "target.trace"), "-o", str(out),
-    ])
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["runs"] == 2
-    assert doc["counts"]["read"] == 4
 
 
 def test_usage_error_exit_code(capsys):
@@ -494,3 +485,22 @@ def test_allow_all_fallback_is_reported(data_dir, tmp_path, capsys, strict):
         assert err == ("warning: allowing every syscall: "
                        "unresolved syscall sites in API(s): read\n")
         assert len(json.loads(profile.read_text())["syscalls"][0]["names"]) == 335
+
+
+def test_conflicting_alias_is_a_parse_error(data_dir, tmp_path, capsys):
+    facts = tmp_path / "alias.facts.json"
+    facts.write_text(json.dumps({"aliases": [{"alias": "a", "canonical": "b"},
+                                             {"alias": "a", "canonical": "c"}]}))
+    code = main(["analyze", str(data_dir / "minilib.sdis"), str(facts),
+                 "-o", str(tmp_path / "m.json")])
+    assert code == 2
+    assert (f"parse error: {facts}: facts aliases[1]: conflicting canonical names for 'a'"
+            in capsys.readouterr().err)
+
+
+def test_readme_usage_names_every_subcommand():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## CLI usage", 1)[1].split("```", 2)[1]
+    documented = set(re.findall(r"^syscage ([a-z-]+)", usage, re.MULTILINE))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)

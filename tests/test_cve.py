@@ -47,6 +47,8 @@ def test_duplicate_ids_unioned():
 def test_malformed_id():
     with pytest.raises(ParseError, match="line 1: bad CVE id 'CVE-XX-1'"):
         load_cve_dataset("CVE-XX-1\tioctl\n")
+    with pytest.raises(ParseError, match="line 1: bad CVE id 'CVE-\uff12\uff10\uff12\uff10-1234'"):
+        load_cve_dataset("CVE-\uff12\uff10\uff12\uff10-1234\tread\n")
     with pytest.raises(ParseError, match="line 1: missing syscall list"):
         load_cve_dataset("CVE-2016-0728\n")
 

@@ -1,7 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syscage.errors import ParseError
 from syscage.srcfacts import (
@@ -11,6 +14,8 @@ from syscage.srcfacts import (
     resolve_indirect_targets,
     signature_matches,
 )
+
+from test_cli_exit_codes import JSON, _spliced
 
 
 def test_alias_closure_on_address_taken():
@@ -46,6 +51,13 @@ def test_alias_cycle():
                 {"alias": "b", "canonical": "a"},
             ],
         }))
+
+
+def test_alias_listed_again():
+    same = {"alias": "a", "canonical": "b"}
+    assert load_source_facts(json.dumps({"aliases": [same, same]})).aliases == {"a": "b"}
+    with pytest.raises(ParseError, match=r"^facts aliases\[1\]: conflicting canonical names for 'a'$"):
+        load_source_facts(json.dumps({"aliases": [same, {"alias": "a", "canonical": "c"}]}))
 
 
 def test_conflicting_signature():
@@ -98,23 +110,23 @@ def test_resolution_filters_by_signature_and_address_taken():
             "C": ("int", "char *"),
         },
     )
-    site = IndirectSite("f#0", "f", ("int", "char *"))
+    site = IndirectSite("f", ("int", "char *"))
     assert resolve_indirect_targets(site, facts) == {"A"}
 
 
 def test_zero_arg_candidate():
     facts = SourceFacts(address_taken={"Z"}, signatures={"Z": ()})
-    assert resolve_indirect_targets(IndirectSite("f#0", "f", ()), facts) == {"Z"}
+    assert resolve_indirect_targets(IndirectSite("f", ()), facts) == {"Z"}
 
 
 def test_no_address_taken_functions():
     facts = SourceFacts(signatures={"A": ("int",)})
-    assert resolve_indirect_targets(IndirectSite("f#0", "f", ("int",)), facts) == set()
+    assert resolve_indirect_targets(IndirectSite("f", ("int",)), facts) == set()
 
 
 def test_function_without_signature_never_candidate():
     facts = SourceFacts(address_taken={"A"})
-    assert resolve_indirect_targets(IndirectSite("f#0", "f", ()), facts) == set()
+    assert resolve_indirect_targets(IndirectSite("f", ()), facts) == set()
 
 
 def test_variadic_signature():
@@ -122,9 +134,9 @@ def test_variadic_signature():
         address_taken={"P"},
         signatures={"P": ("const char *", "...")},
     )
-    yes = IndirectSite("f#0", "f", ("const char *", "int", "int"))
-    exact = IndirectSite("f#1", "f", ("const char *",))
-    no = IndirectSite("f#2", "f", ("int", "int"))
+    yes = IndirectSite("f", ("const char *", "int", "int"))
+    exact = IndirectSite("f", ("const char *",))
+    no = IndirectSite("f", ("int", "int"))
     assert resolve_indirect_targets(yes, facts) == {"P"}
     assert resolve_indirect_targets(exact, facts) == {"P"}
     assert resolve_indirect_targets(no, facts) == set()
@@ -146,7 +158,7 @@ def _random_facts(rng: random.Random):
                 sig = sig + ("...",)
             facts.signatures[name] = sig
     site = IndirectSite(
-        "caller#0", "caller",
+        "caller",
         tuple(rng.choice(TYPE_POOL) for _ in range(rng.randint(0, 3))),
     )
     return facts, site
@@ -192,3 +204,17 @@ def test_candidates_subset_of_address_taken_and_monotone():
             signatures=facts.signatures,
         )
         assert small <= resolve_indirect_targets(site, grown)
+
+
+FIXTURE_FACTS = json.loads((Path(__file__).parent / "data" / "minilib.facts.json").read_text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | (JSON | _spliced(FIXTURE_FACTS)
+                         | _spliced(FIXTURE_FACTS).flatmap(_spliced)).map(json.dumps))
+def test_load_source_facts_parses_or_raises_parse_error(text):
+    try:
+        facts = load_source_facts(text)
+    except ParseError:
+        return
+    assert not set(facts.aliases.values()) & set(facts.aliases)  # closed

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syscage.callgraph import CallGraph, Edge, enumerate_secure_paths, predecessors
-from syscage.disasm import DIRECT, INDIRECT, SyscallSite, parse_disassembly
+from syscage.callgraph import CallGraph, enumerate_secure_paths, predecessors
+from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, parse_disassembly
 from syscage.errors import AnalysisError, ParseError
 from syscage.profilegen import build_mapping
 from syscage.sysnum import ResolvedSyscallSite
@@ -371,8 +371,8 @@ def _format_2_ends(nodes, edges, sites, apis):
 def test_walk_ends_match_like_format_2_ends(case):
     nodes, edges, sites, apis, frame_lists = case
     graph = CallGraph(nodes=set(nodes), edges={
-        Edge(a, b, kind, f"{a}->{b}") for (a, b), kind in edges})
-    mapping = build_mapping(graph, [ResolvedSyscallSite(SyscallSite(host, 0), 0, name)
+        CallSite(a, b, kind) for (a, b), kind in edges})
+    mapping = build_mapping(graph, [ResolvedSyscallSite(SyscallSite(host, 0), name)
                                     for host, name in sites], {api: api for api in apis})
     entries, hosts = mapping.walk_ends()
     old_entries, old_hosts = _format_2_ends(nodes, edges, sites, apis)
