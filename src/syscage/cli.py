@@ -79,7 +79,7 @@ def _read_table(path: str | None):
 
 
 def _parse_unit(path: str):
-    return _load(path, lambda text: parse_disassembly(text, unit_name=Path(path).stem))
+    return _load(path, parse_disassembly)
 
 
 def _load_mappings(paths: list[str]) -> ApiSyscallMapping:
@@ -103,7 +103,7 @@ def cmd_analyze(args) -> int:
     facts = _load(args.facts, load_source_facts)
     table = _read_table(args.table)
     graph = merge(build_direct_fcg(unit), build_indirect_edges(facts))
-    resolved = resolve_sites(unit.functions, unit.syscall_sites, table)
+    resolved = resolve_sites(unit, table)
     apis = {
         fn.api_name: fn.canonical_name for fn in unit.functions if fn.api_name is not None
     }
@@ -117,10 +117,7 @@ def cmd_profile(args) -> int:
     table = _read_table(args.table)
     mapping = _load_mappings(args.mapping)
     imports = extract_plt_imports(unit)
-    embedded = {
-        r.name for r in resolve_sites(unit.functions, unit.syscall_sites, table)
-        if r.name is not None
-    }
+    embedded = [r.name for r in resolve_sites(unit, table)]
     trace = None
     if args.trace:
         trace = load_trace([_read(p) for p in args.trace])
@@ -137,11 +134,9 @@ def cmd_profile(args) -> int:
         print(f"warning: ignoring unmapped APIs: {', '.join(profile.unmapped)}",
               file=sys.stderr)
     if profile.fallback:
-        print("warning: allowing every syscall: unresolved syscall sites in API(s): "
-              + ", ".join(profile.fallback), file=sys.stderr)
+        print(f"warning: allowing every syscall: {profile.fallback}", file=sys.stderr)
     _write(args.output, dump_json(profile.to_docker_document()))
-    mapping_ref = Path(args.mapping[0]).name
-    _write(args.sidecar, dump_json(profile.sidecar_document(mapping_ref=mapping_ref)))
+    _write(args.sidecar, dump_json(profile.sidecar_document()))
     return EXIT_OK
 
 
@@ -153,10 +148,9 @@ def cmd_verify(args) -> int:
     table = _read_table(args.table)
 
     # no parsed unit stays bound: a collection during the replay would scan it
-    offsets = {
-        unit.unit_name: [(fn.canonical_name, fn.start, fn.end) for fn in unit.functions]
-        for unit in map(_parse_unit, args.lib_disasm)
-    }
+    offsets = {Path(path).stem: [(fn.canonical_name, fn.start, fn.end)
+                                 for fn in _parse_unit(path).functions]
+               for path in args.lib_disasm}
     fat = locate_functions(memmap, offsets)
 
     entries, hosts = mapping.walk_ends()

@@ -9,6 +9,7 @@ counts stay faithful without inventing provenance.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import AnalysisError, ParseError
@@ -60,12 +61,8 @@ def mitigation_report(
     """Mitigated CVE ids (any dependent syscall blocked) and, per blocked
     syscall, the number of CVEs depending on it."""
     mitigated = {r.id for r in records if r.syscalls & blocked}
-    per_syscall = {
-        s: sum(1 for r in records if s in r.syscalls)
-        for s in sorted(blocked)
-        if any(s in r.syscalls for r in records)
-    }
-    return mitigated, per_syscall
+    counts = Counter(s for r in records for s in r.syscalls & blocked)
+    return mitigated, dict(sorted(counts.items()))
 
 
 def report_document(records: list[CveRecord], blocked: set[str]) -> dict:

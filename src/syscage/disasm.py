@@ -57,7 +57,6 @@ class SyscallSite:
 
 @dataclass
 class DisasmUnit:
-    unit_name: str
     functions: list[FunctionRecord] = field(default_factory=list)
     callsites: list[CallSite] = field(default_factory=list)
     syscall_sites: list[SyscallSite] = field(default_factory=list)
@@ -80,7 +79,7 @@ def _finish_function(symbol: str, start: int, insns: list[Instruction]) -> Funct
     )
 
 
-def parse_disassembly(text: str, unit_name: str = "unit") -> DisasmUnit:
+def parse_disassembly(text: str) -> DisasmUnit:
     """Parse SDIS text into a DisasmUnit.
 
     Function boundaries come from header lines; a header symbol containing
@@ -127,7 +126,7 @@ def parse_disassembly(text: str, unit_name: str = "unit") -> DisasmUnit:
 
     _check_disjoint(functions)
 
-    unit = DisasmUnit(unit_name=unit_name, functions=functions)
+    unit = DisasmUnit(functions=functions)
     for fn in functions:
         for ins in fn.instructions:
             if ins.mnemonic == "syscall":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .callgraph import (
@@ -131,7 +132,7 @@ class SeccompProfile:
     suspicious_indirect: set[str]
     suspicious_rare: set[str]
     unmapped: list[str] = field(default_factory=list)  # imports left out
-    fallback: list[str] = field(default_factory=list)  # imports that allow all
+    fallback: str = ""  # why the whole table is allowed, when it is
 
     def to_docker_document(self) -> dict:
         return {
@@ -151,14 +152,11 @@ class SeccompProfile:
                 allowed.update(expect_names(rule.get("names", []), "profile syscalls[{}] names", i))
         return allowed
 
-    def sidecar_document(self, mapping_ref: str | None = None) -> dict:
-        doc = {
+    def sidecar_document(self) -> dict:
+        return {
             "suspicious_indirect": sorted(self.suspicious_indirect),
             "suspicious_rare": sorted(self.suspicious_rare),
         }
-        if mapping_ref is not None:
-            doc["secure_paths"] = mapping_ref
-        return doc
 
 
 def suspicious_names(sidecar, key: str) -> set[str]:
@@ -246,47 +244,51 @@ def load_trace(texts: list[str]) -> Counter:
 def generate_profile(
     mapping: ApiSyscallMapping,
     imported_apis: set[str],
-    embedded_syscall_names: set[str],
+    embedded_syscall_names: Iterable[str | None],
     table: SyscallTable,
     trace: Counter | None = None,
     strict: bool = True,
     min_count: int = 1,
 ) -> SeccompProfile:
     """The profile of a target that imports `imported_apis` and issues
-    `embedded_syscall_names` itself.  An import that no mapping defines is
-    left out, and one that reaches an unresolved syscall site allows the
-    whole table; the profile lists both.  Strict, either is an AnalysisError."""
+    `embedded_syscall_names` itself, None for a site whose number was not
+    recovered.  An import that no mapping defines is left out, and an
+    unresolved site of the target or of an import allows the whole table;
+    the profile says so.  Strict, either is an AnalysisError."""
     unknown = sorted(imported_apis - set(mapping.records))
     if unknown and strict:
         raise AnalysisError(f"unknown API(s): {', '.join(unknown)}")
     imported_apis = imported_apis - set(unknown)
-    bad_embedded = sorted(embedded_syscall_names - table.names)
+    embedded = set(embedded_syscall_names)
+    unresolved = ["the target itself"] if None in embedded else []
+    embedded.discard(None)
+    bad_embedded = sorted(embedded - table.names)
     if bad_embedded:
         raise AnalysisError(f"embedded syscall(s) not in the table: {', '.join(bad_embedded)}")
 
-    allowed: set[str] = set(embedded_syscall_names)
-    taint_votes: dict[str, list[bool]] = {}
+    tainted: dict[str, bool] = {}  # False once any import reaches a host directly
     unresolved_apis = []
     for api in sorted(imported_apis):
         record = mapping.records[api]
         if record.unresolved_sites > 0:
             unresolved_apis.append(api)
-        for name, tainted in record.syscalls.items():
-            allowed.add(name)
-            taint_votes.setdefault(name, []).append(tainted)
+        for name, flag in record.syscalls.items():
+            tainted[name] = tainted.get(name, True) and flag
+    allowed = embedded.union(tainted)
 
     if unresolved_apis:
+        unresolved.append(f"API(s): {', '.join(unresolved_apis)}")
+    fallback = f"unresolved syscall sites in {' and '.join(unresolved)}" if unresolved else ""
+    if fallback:
         if strict:
-            raise AnalysisError(
-                f"unresolved syscall sites in API(s): {', '.join(unresolved_apis)}")
-        # Conservative fallback: an API with unresolved syscall sites may
-        # reach anything, so allow the whole table rather than break it.
+            raise AnalysisError(fallback)
+        # Conservative fallback: unresolved syscall sites may issue
+        # anything, so allow the whole table rather than break the target.
         allowed = set(table.names)
 
     suspicious_indirect = {
-        name
-        for name, votes in taint_votes.items()
-        if name in allowed and name not in embedded_syscall_names and all(votes)
+        name for name, flag in tainted.items()
+        if flag and name in allowed and name not in embedded
     }
     if trace is not None:
         suspicious_rare = {name for name in allowed if trace[name] < min_count}
@@ -298,7 +300,7 @@ def generate_profile(
         suspicious_indirect=suspicious_indirect,
         suspicious_rare=suspicious_rare,
         unmapped=unknown,
-        fallback=unresolved_apis,
+        fallback=fallback,
     )
 
 

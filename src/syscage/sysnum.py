@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .disasm import CALL_MNEMONICS, FunctionRecord, SyscallSite
+from .disasm import CALL_MNEMONICS, DisasmUnit, FunctionRecord, SyscallSite
 from .errors import ParseError
 
 MASK32 = 0xFFFFFFFF
@@ -51,14 +51,10 @@ def _as_constant(operand: str) -> int | None:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyscallTable:
     number_to_name: dict[int, str]
-    name_to_number: dict[str, int]
-
-    @property
-    def names(self) -> set[str]:
-        return set(self.name_to_number)
+    names: frozenset[str]
 
     def __len__(self) -> int:
         return len(self.number_to_name)
@@ -73,7 +69,7 @@ class ResolvedSyscallSite:
 def load_syscall_table(text: str) -> SyscallTable:
     """Parse syscall_64.tbl-shaped rows: `<num> <abi> <name> [<entry>]`."""
     number_to_name: dict[int, str] = {}
-    name_to_number: dict[str, int] = {}
+    names: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -87,11 +83,11 @@ def load_syscall_table(text: str) -> SyscallTable:
         name = fields[2]
         if number in number_to_name:
             raise ParseError(f"line {lineno}: duplicate syscall number {number}")
-        if name in name_to_number:
+        if name in names:
             raise ParseError(f"line {lineno}: duplicate syscall name {name!r}")
         number_to_name[number] = name
-        name_to_number[name] = number
-    return SyscallTable(number_to_name=number_to_name, name_to_number=name_to_number)
+        names.add(name)
+    return SyscallTable(number_to_name=number_to_name, names=frozenset(names))
 
 
 def resolve_numbers(function: FunctionRecord) -> dict[int, int | None]:
@@ -124,12 +120,12 @@ def resolve_numbers(function: FunctionRecord) -> dict[int, int | None]:
     return numbers
 
 
-def resolve_sites(unit_functions, sites, table: SyscallTable) -> list[ResolvedSyscallSite]:
+def resolve_sites(unit: DisasmUnit, table: SyscallTable) -> list[ResolvedSyscallSite]:
     """Resolve every syscall site of a unit against the table."""
-    hosts = {site.function for site in sites}
+    hosts = {site.function for site in unit.syscall_sites}
     numbers: dict[int, int | None] = {}
-    for fn in unit_functions:
+    for fn in unit.functions:
         if fn.canonical_name in hosts:
             numbers.update(resolve_numbers(fn))
     return [ResolvedSyscallSite(site, table.number_to_name.get(numbers.get(site.site_address)))
-            for site in sites]
+            for site in unit.syscall_sites]

@@ -43,33 +43,24 @@ EVENT_RE = re.compile(
 ADDRESS_RE = re.compile(r"(0x)?[0-9a-f]+")
 
 
-@dataclass(frozen=True)
-class Region:
-    lo: int
-    hi: int
-
-    def __contains__(self, addr: int) -> bool:
-        return self.lo <= addr < self.hi
-
-
+# Address regions are ranges.  Never take len() of one: it raises
+# OverflowError once the size passes sys.maxsize; use stop - start.
 @dataclass
 class MemoryMap:
-    libraries: list[tuple[str, int, int]]  # (name, base, size)
-    stack: Region
-    code_segment: Region
+    libraries: list[tuple[str, range]]
+    stack: range
+    code_segment: range
 
 
-@dataclass
 class FunctionAddressTable:
-    entries: list[tuple[str, int, int]] = field(default_factory=list)
-    _starts: list[int] = field(default_factory=list)
+    """Function extents `(name, start, end)`, sorted by start."""
 
-    def freeze(self) -> None:
-        self.entries.sort(key=lambda e: e[1])
-        self._starts = [e[1] for e in self.entries]
+    def __init__(self, entries: list[tuple[str, int, int]]):
+        self.entries = sorted(entries, key=lambda e: e[1])
+        self.starts = [e[1] for e in self.entries]
 
     def find(self, addr: int) -> str | None:
-        i = bisect_right(self._starts, addr) - 1
+        i = bisect_right(self.starts, addr) - 1
         if i >= 0:
             name, start, end = self.entries[i]
             if start <= addr < end:
@@ -111,7 +102,7 @@ def _address(text: str) -> int:
 
 def parse_memory_map(text: str) -> MemoryMap:
     """Lines: `lib <name> <base> <size>`, `stack <lo> <hi>`, `code <lo> <hi>`."""
-    libraries: list[tuple[str, int, int]] = []
+    libraries: list[tuple[str, range]] = []
     stack = code = None
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -120,32 +111,31 @@ def parse_memory_map(text: str) -> MemoryMap:
         fields = stripped.split()
         try:
             if fields[0] == "lib" and len(fields) == 4:
-                libraries.append((fields[1], _address(fields[2]), _address(fields[3])))
+                base = _address(fields[2])
+                libraries.append((fields[1], range(base, base + _address(fields[3]))))
             elif fields[0] == "stack" and len(fields) == 3:
-                stack = Region(_address(fields[1]), _address(fields[2]))
+                stack = range(_address(fields[1]), _address(fields[2]))
             elif fields[0] == "code" and len(fields) == 3:
-                code = Region(_address(fields[1]), _address(fields[2]))
+                code = range(_address(fields[1]), _address(fields[2]))
             else:
                 raise ValueError(stripped)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad memory map line {stripped!r}") from exc
     if stack is None or code is None:
         raise ParseError("memory map needs both a stack and a code region")
-    _check_regions(libraries, stack, code)
+    _check_regions([stack, code] + [region for _, region in libraries])
     return MemoryMap(libraries=libraries, stack=stack, code_segment=code)
 
 
-def _check_regions(libraries, stack: Region, code: Region) -> None:
-    regions = [(stack.lo, stack.hi), (code.lo, code.hi)]
-    regions += [(base, base + size) for _, base, size in libraries]
-    for lo, hi in regions:
-        if lo >= hi:
-            raise ParseError(f"memory map: empty region [{lo:#x},{hi:#x})")
-    regions.sort()
-    for (alo, ahi), (blo, bhi) in zip(regions, regions[1:]):
-        if blo < ahi:
-            raise ParseError(
-                f"memory map: regions [{alo:#x},{ahi:#x}) and [{blo:#x},{bhi:#x}) overlap")
+def _check_regions(regions: list[range]) -> None:
+    for r in regions:
+        if r.start >= r.stop:
+            raise ParseError(f"memory map: empty region [{r.start:#x},{r.stop:#x})")
+    regions = sorted(regions, key=lambda r: (r.start, r.stop))
+    for a, b in zip(regions, regions[1:]):
+        if b.start < a.stop:
+            raise ParseError(f"memory map: regions [{a.start:#x},{a.stop:#x}) and "
+                             f"[{b.start:#x},{b.stop:#x}) overlap")
 
 
 def locate_functions(
@@ -154,9 +144,15 @@ def locate_functions(
     """Rebase per-library static offsets onto the load addresses.  Each
     function extends to the start of the next function of its library, so
     that the return address of a trailing call (to a function that does not
-    return) still lies in the caller; the last function keeps its end."""
-    table = FunctionAddressTable()
-    for name, base, size in memmap.libraries:
+    return) still lies in the caller; the last function keeps its end.
+    Every library of `offsets` needs a `lib` line; a `lib` line needs no
+    offsets."""
+    unmatched = sorted(set(offsets).difference(name for name, _ in memmap.libraries))
+    if unmatched:
+        raise AnalysisError(f"no `lib` line in the memory map for: {', '.join(unmatched)}")
+    entries = []
+    for name, region in memmap.libraries:
+        base, size = region.start, region.stop - region.start
         funcs = sorted(offsets.get(name, []), key=lambda f: f[1])
         for i, (fname, start, end) in enumerate(funcs):
             if end > size:
@@ -166,9 +162,8 @@ def locate_functions(
                 )
             if i + 1 < len(funcs):
                 end = funcs[i + 1][1]
-            table.entries.append((fname, base + start, base + end))
-    table.freeze()
-    return table
+            entries.append((fname, base + start, base + end))
+    return FunctionAddressTable(entries)
 
 
 def reconstruct_path(
@@ -181,9 +176,10 @@ def reconstruct_path(
 
     The loop is `table.find(word - 1)` and `word in memmap.code_segment`
     written out: the function starting last at or before `word - 1` holds
-    it when `word - 1 < end`, that is `word <= end`."""
-    starts, entries = table._starts, table.entries
-    code_lo, code_hi = memmap.code_segment.lo, memmap.code_segment.hi
+    it when `word - 1 < end`, that is `word <= end`.  The bounds are locals
+    because `lo <= w < hi` is faster than `w in range`."""
+    starts, entries = table.starts, table.entries
+    code_lo, code_hi = memmap.code_segment.start, memmap.code_segment.stop
     path: list[str] = []
     rip_fn = table.find(event.rip)
     if rip_fn is not None:
@@ -236,7 +232,7 @@ class VerifierContext:
     hosts: dict[str, set[str]]  # syscall -> functions that invoke it
     table: FunctionAddressTable
     memmap: MemoryMap
-    cache: set[tuple[str, str]] = field(default_factory=set)
+    cache: set[str] = field(default_factory=set)  # syscalls matched already
 
 
 def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
@@ -246,7 +242,7 @@ def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
         return _NOT_TARGET
     if event.syscall_name not in ctx.suspicious:
         return _NOT_SUSPICIOUS
-    if (event.process_tag, event.syscall_name) in ctx.cache:
+    if event.syscall_name in ctx.cache:
         return _CACHE_HIT
     if event.rsp not in ctx.memmap.stack:
         return _RSP_OUT_OF_RANGE
@@ -256,7 +252,7 @@ def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
     name = event.syscall_name
     if walk_embeds(reversed(path), ctx.call_graph,
                    ctx.entries.get(name, ()), ctx.hosts.get(name, ())):
-        ctx.cache.add((event.process_tag, name))
+        ctx.cache.add(name)
         return Verdict(ALLOW, PATH_MATCHED, path)
     return Verdict(DENY, NO_PATH_MATCH, path)
 

@@ -20,9 +20,7 @@ def data_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def minilib_unit():
-    return parse_disassembly(
-        (DATA / "minilib.sdis").read_text(), unit_name="minilib"
-    )
+    return parse_disassembly((DATA / "minilib.sdis").read_text())
 
 
 @pytest.fixture(scope="session")
@@ -32,7 +30,7 @@ def minilib_facts():
 
 @pytest.fixture(scope="session")
 def target_unit():
-    return parse_disassembly((DATA / "target.sdis").read_text(), unit_name="target")
+    return parse_disassembly((DATA / "target.sdis").read_text())
 
 
 @pytest.fixture(scope="session")

@@ -147,7 +147,7 @@ def test_cve_seed_counts():
 
 
 def test_verifier_conformance(data_dir):
-    unit = parse_disassembly((data_dir / "minilib.sdis").read_text(), "minilib")
+    unit = parse_disassembly((data_dir / "minilib.sdis").read_text())
     memmap = parse_memory_map((data_dir / "memmap.txt").read_text())
     table = locate_functions(
         memmap,

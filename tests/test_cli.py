@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from syscage.cli import build_parser, main
+from syscage.profilegen import SeccompProfile
 
 DATA_ARGS = {}
 
@@ -485,6 +486,55 @@ def test_allow_all_fallback_is_reported(data_dir, tmp_path, capsys, strict):
         assert err == ("warning: allowing every syscall: "
                        "unresolved syscall sites in API(s): read\n")
         assert len(json.loads(profile.read_text())["syscalls"][0]["names"]) == 335
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_target_unresolved_site_allows_all(data_dir, tmp_path, capsys, strict):
+    # the target's own syscall with a number that is not recovered
+    target = tmp_path / "target.sdis"
+    target.write_text((data_dir / "target.sdis").read_text().replace(
+        "mov\t$0x3,%eax", "mov\t(%rdi),%eax"))
+    profile, sidecar = tmp_path / "profile.json", tmp_path / "sidecar.json"
+    code = main(["profile", str(target), "--mapping", str(data_dir / "golden" / "mapping.json"),
+                 "-o", str(profile), "--sidecar", str(sidecar),
+                 *(["--strict"] if strict else [])])
+    err = capsys.readouterr().err
+    if strict:
+        assert code == 3
+        assert err == ("syscage: analysis error: "
+                       "unresolved syscall sites in the target itself\n")
+    else:
+        assert code == 0
+        assert err == ("warning: allowing every syscall: "
+                       "unresolved syscall sites in the target itself\n")
+        assert len(json.loads(profile.read_text())["syscalls"][0]["names"]) == 335
+
+
+def test_lib_disasm_without_lib_line_is_an_analysis_error(data_dir, tmp_path, capsys):
+    others = [tmp_path / "otherlib.sdis", tmp_path / "alib.sdis"]
+    for other in others:
+        other.write_text((data_dir / "minilib.sdis").read_text())
+    golden = data_dir / "golden"
+    argv = ["verify", "--sidecar", str(golden / "sidecar.json"),
+            "--mapping", str(golden / "mapping.json"), "--memmap", str(data_dir / "memmap.txt"),
+            "--events", str(data_dir / "events.txt"), "-o", str(tmp_path / "v.log")]
+    assert main(argv + ["--lib-disasm", str(data_dir / "minilib.sdis"),
+                        "--lib-disasm", str(others[0]), "--lib-disasm", str(others[1])]) == 3
+    assert capsys.readouterr().err == ("syscage: analysis error: "
+                                       "no `lib` line in the memory map for: alib, otherlib\n")
+    # a `lib` line without SDIS is a library that was not analysed
+    memmap = tmp_path / "memmap.txt"
+    memmap.write_text((data_dir / "memmap.txt").read_text() + "lib extra 7f0000100000 1000\n")
+    argv[argv.index("--memmap") + 1] = str(memmap)
+    assert main(argv + ["--lib-disasm", str(data_dir / "minilib.sdis")]) == 0
+    assert (tmp_path / "v.log").read_bytes() == (golden / "verdicts.log").read_bytes()
+
+
+def test_policy_choices_name_the_sidecar_keys():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    policy = next(a for a in sub.choices["verify"]._actions if a.dest == "policy")
+    profile = SeccompProfile(allowed=[], suspicious_indirect=set(), suspicious_rare=set())
+    assert {f"suspicious_{c}" for c in policy.choices} == set(profile.sidecar_document())
 
 
 def test_conflicting_alias_is_a_parse_error(data_dir, tmp_path, capsys):

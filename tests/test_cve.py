@@ -81,6 +81,7 @@ def test_seed_blocking_unshare_waitid_mitigates_4(seed_records):
 def test_seed_per_syscall_counts_exact(seed_records):
     _, per = mitigation_report(seed_records, set(SEED_COUNTS))
     assert per == SEED_COUNTS
+    assert list(per) == sorted(SEED_COUNTS)  # the report lists them in this order
 
 
 def test_shared_cve_deduplicated(seed_records):

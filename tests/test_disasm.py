@@ -193,5 +193,5 @@ def test_parse_either_rejects_or_resolves_every_site(text, seed_table):
         unit = parse_disassembly(text)
     except ParseError:
         return
-    resolved = resolve_sites(unit.functions, unit.syscall_sites, seed_table)
+    resolved = resolve_sites(unit, seed_table)
     assert [r.site for r in resolved] == unit.syscall_sites

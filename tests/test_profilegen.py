@@ -38,9 +38,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 @pytest.fixture(scope="module")
 def minilib_mapping(minilib_unit, minilib_facts, seed_table):
     graph = merge(build_direct_fcg(minilib_unit), build_indirect_edges(minilib_facts))
-    resolved = resolve_sites(
-        minilib_unit.functions, minilib_unit.syscall_sites, seed_table
-    )
+    resolved = resolve_sites(minilib_unit, seed_table)
     apis = {
         fn.api_name: fn.canonical_name
         for fn in minilib_unit.functions
@@ -259,6 +257,19 @@ def test_unresolved_sites_strict_vs_fallback(seed_table):
     assert set(profile.allowed) == seed_table.names
 
 
+def test_unresolved_target_site_strict_vs_fallback(seed_table):
+    mapping = _simple_mapping({"a": [("read", True)]}, unresolved=1)
+    embedded = ["close", None]  # None: a number that was not recovered
+    with pytest.raises(AnalysisError, match=r"unresolved syscall sites in the target itself$"):
+        generate_profile(mapping, set(), embedded, seed_table, strict=True)
+    with pytest.raises(AnalysisError, match=r"in the target itself and API\(s\): a$"):
+        generate_profile(mapping, {"a"}, embedded, seed_table, strict=True)
+    profile = generate_profile(mapping, set(), embedded, seed_table, strict=False)
+    assert set(profile.allowed) == seed_table.names
+    assert profile.fallback == "unresolved syscall sites in the target itself"
+    assert generate_profile(mapping, set(), ["close"], seed_table).fallback == ""
+
+
 def test_monotone_in_imports(seed_table):
     mapping = _simple_mapping(
         {"a": [("read", False)], "b": [("write", False), ("mmap", True)]}
@@ -285,7 +296,7 @@ def test_unresolved_site_counted(seed_table):
     )
     unit = parse_disassembly(text)
     graph = build_direct_fcg(unit)
-    resolved = resolve_sites(unit.functions, unit.syscall_sites, seed_table)
+    resolved = resolve_sites(unit, seed_table)
     assert resolved[0].name is None
     mapping = build_mapping(graph, resolved, {"api": "api@@V_1"})
     assert mapping.records["api"].unresolved_sites == 1

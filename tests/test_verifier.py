@@ -24,7 +24,6 @@ from syscage.verifier import (
     UNKNOWN_SYSCALL,
     FunctionAddressTable,
     MemoryMap,
-    Region,
     SyscallEvent,
     VerifierContext,
     format_verdict_log,
@@ -51,9 +50,9 @@ DATA = Path(__file__).parent / "data"
 
 def _memmap():
     return MemoryMap(
-        libraries=[("lib", BASE, 0x10000)],
-        stack=Region(0x7FFC00000000, 0x7FFC00100000),
-        code_segment=Region(0x400000, 0x500000),
+        libraries=[("lib", range(BASE, BASE + 0x10000))],
+        stack=range(0x7FFC00000000, 0x7FFC00100000),
+        code_segment=range(0x400000, 0x500000),
     )
 
 
@@ -145,7 +144,7 @@ def test_reconstruct_stops_at_first_code_word():
 
 
 def _reconstruct_reference(event, table, memmap):
-    """reconstruct_path written with FunctionAddressTable.find and Region."""
+    """reconstruct_path written with FunctionAddressTable.find and `in`."""
     rip_fn = table.find(event.rip)
     path = [] if rip_fn is None else [rip_fn]
     for word in event.stack_words:
@@ -170,16 +169,16 @@ def _scan_cases(draw):
         starts = sorted(draw(st.sets(st.integers(0, size - 1), max_size=4)))
         offsets[name] = [(f"{name}.f{i}", start, draw(st.integers(start + 1, size)))
                          for i, start in enumerate(starts)]
-        libraries.append((name, base, size))
+        libraries.append((name, range(base, base + size)))
         base += size
     if draw(st.booleans()):
-        code = Region(base, base + draw(st.integers(1, 0x20)))
+        code = range(base, base + draw(st.integers(1, 0x20)))
     else:
         code_lo = draw(st.integers(0, first - 1))
-        code = Region(code_lo, draw(st.integers(code_lo + 1, first)))
-    memmap = MemoryMap(libraries, Region(0x10000, 0x20000), code)
+        code = range(code_lo, draw(st.integers(code_lo + 1, first)))
+    memmap = MemoryMap(libraries, range(0x10000, 0x20000), code)
     table = locate_functions(memmap, offsets)
-    bounds = [0, 1, code.lo - 1, code.lo, code.lo + 1, code.hi - 1, code.hi]
+    bounds = [0, 1, code.start - 1, code.start, code.start + 1, code.stop - 1, code.stop]
     for _, start, end in table.entries:
         bounds += [start, start + 1, end - 1, end, end + 1]
     word = st.sampled_from(bounds) | st.integers(0, base + 0x40)
@@ -389,8 +388,21 @@ def test_parse_memory_map_roundtrip():
         "stack 7ffc00000000 7ffc00100000\n"
         "code 400000 500000\n"
     )
-    assert memmap.libraries == [("libc", BASE, 0x10000)]
+    assert memmap.libraries == [("libc", range(BASE, BASE + 0x10000))]
+    assert memmap.stack == range(0x7FFC00000000, 0x7FFC00100000)
     assert 0x400abc in memmap.code_segment
+
+
+def test_memory_map_library_past_sys_maxsize():
+    # a size of 20 hex digits: len() of its range would raise OverflowError
+    memmap = parse_memory_map("lib minilib 7f0000000000 ffffffffffffffffffff\n"
+                              "stack 1000 2000\ncode 3000 4000\n")
+    [(name, region)] = memmap.libraries
+    assert (name, region.start, region.stop - region.start) == \
+        ("minilib", BASE, 0xFFFFFFFFFFFFFFFFFFFF)
+    table = locate_functions(memmap, {"minilib": [("f", 0x10, 0x20)]})
+    assert table.find(BASE + 0x10) == "f"
+    assert table.find(BASE + 0x20) is None
 
 
 def test_parse_memory_map_errors():
@@ -520,8 +532,8 @@ def test_parse_memory_map_parses_or_raises_parse_error(text):
         memmap = parse_memory_map(text)
     except ParseError:
         return
-    assert memmap.stack.lo < memmap.stack.hi
-    assert memmap.code_segment.lo < memmap.code_segment.hi
+    assert memmap.stack.start < memmap.stack.stop
+    assert memmap.code_segment.start < memmap.code_segment.stop
 
 
 def test_run_event_trace_empty():
