@@ -147,10 +147,17 @@ def cmd_verify(args) -> int:
     memmap = _load(args.memmap, parse_memory_map)
     table = _read_table(args.table)
 
+    # a library is named by its file stem, so two files may not share one
+    paths: dict[str, str] = {}
+    for path in args.lib_disasm:
+        stem = Path(path).stem
+        if paths.setdefault(stem, path) != path:
+            raise AnalysisError(
+                f"--lib-disasm {paths[stem]} and {path} share the library name {stem!r}")
     # no parsed unit stays bound: a collection during the replay would scan it
-    offsets = {Path(path).stem: [(fn.canonical_name, fn.start, fn.end)
-                                 for fn in _parse_unit(path).functions]
-               for path in args.lib_disasm}
+    offsets = {stem: [(fn.canonical_name, fn.start, fn.end)
+                      for fn in _parse_unit(path).functions]
+               for stem, path in paths.items()}
     fat = locate_functions(memmap, offsets)
 
     entries, hosts = mapping.walk_ends()

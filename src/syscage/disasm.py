@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -18,6 +19,7 @@ INSN_RE = re.compile(
     r"^\s+([0-9a-f]+):\t([a-z0-9.]+)(\s+(\S+(\s*,\s*\S+)*))?(\s+<([^>]+)>)?$"
 )
 HEX_OPERAND_RE = re.compile(r"^[0-9a-f]+$")
+_OPERAND_SPLIT = re.compile(r"\s*,\s*").split
 
 CALL_MNEMONICS = {"call", "callq"}
 
@@ -25,8 +27,7 @@ DIRECT = "Direct"
 INDIRECT = "Indirect"
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     address: int
     mnemonic: str
     operands: tuple[str, ...] = ()
@@ -39,6 +40,8 @@ class FunctionRecord:
     start: int
     end: int
     api_name: str | None  # set exactly for an API export
+    # every instruction, in order, of a function that holds a `syscall` (the
+    # only ones `sysnum.resolve_numbers` reads); () for every other function
     instructions: tuple[Instruction, ...]
 
 
@@ -62,20 +65,19 @@ class DisasmUnit:
     syscall_sites: list[SyscallSite] = field(default_factory=list)
 
 
-def _split_operands(text: str | None) -> tuple[str, ...]:
-    if not text:
-        return ()
-    return tuple(re.split(r"\s*,\s*", text))
-
-
-def _finish_function(symbol: str, start: int, insns: list[Instruction]) -> FunctionRecord:
-    end = insns[-1].address + 1 if insns else start + 1
+def _finish_function(symbol: str, start: int, last: int,
+                     body: list[tuple[str, str, str | None, str | None]],
+                     host: bool) -> FunctionRecord:
+    """The record of a function whose last instruction is at `last` (below
+    `start` when it has none); `body` holds its instruction fields."""
+    insns = tuple(Instruction(int(a, 16), mn, tuple(_OPERAND_SPLIT(ops)) if ops else (), cm)
+                  for a, mn, ops, cm in body) if host else ()
     return FunctionRecord(
         canonical_name=symbol,
         start=start,
-        end=end,
+        end=max(last, start) + 1,
         api_name=symbol.split("@@", 1)[0] if "@@" in symbol else None,
-        instructions=tuple(insns),
+        instructions=insns,
     )
 
 
@@ -83,64 +85,60 @@ def parse_disassembly(text: str) -> DisasmUnit:
     """Parse SDIS text into a DisasmUnit.
 
     Function boundaries come from header lines; a header symbol containing
-    "@@" marks an API export whose api_name is the text before "@@".
+    "@@" marks an API export whose api_name is the text before "@@".  Every
+    line is validated; instructions are kept only for syscall hosts.
     """
-    functions: list[FunctionRecord] = []
-    cur_symbol: str | None = None
-    cur_start = 0
-    cur_insns: list[Instruction] = []
+    insn_match, header_match = INSN_RE.match, HEADER_RE.match
+    unit = DisasmUnit()
+    functions, callsites, syscall_sites = unit.functions, unit.callsites, unit.syscall_sites
+    symbol: str | None = None
+    start = last = 0
+    body = []  # (address, mnemonic, operands, comment) of each instruction line
+    host = False
 
     for lineno, line in enumerate(text.splitlines(), 1):
+        m = insn_match(line)
+        if m:
+            if symbol is None:
+                raise ParseError(f"line {lineno}: instruction outside any function")
+            fields = m.group(1, 2, 4, 7)
+            addr = int(fields[0], 16)
+            if addr <= last:
+                raise ParseError(f"line {lineno}: address {addr:#x} does not increase")
+            last = addr
+            body.append(fields)
+            mnemonic = fields[1]
+            if mnemonic == "syscall":
+                host = True
+                syscall_sites.append(SyscallSite(symbol, addr))
+            elif mnemonic in CALL_MNEMONICS and fields[2]:
+                op = _OPERAND_SPLIT(fields[2], 1)[0]
+                if op.startswith("*"):
+                    callsites.append(CallSite(symbol, None, INDIRECT))
+                elif HEX_OPERAND_RE.match(op) and fields[3]:
+                    callsites.append(CallSite(symbol, fields[3], DIRECT))
+                # any other operand form is an unmodeled call; not a callsite
+            continue
         if not line.strip():
             continue
-        m = HEADER_RE.match(line)
+        m = header_match(line)
         if m:
-            if cur_symbol is not None:
-                functions.append(_finish_function(cur_symbol, cur_start, cur_insns))
-            cur_start = int(m.group(1), 16)
-            cur_symbol = m.group(2)
-            cur_insns = []
+            if symbol is not None:
+                functions.append(_finish_function(symbol, start, last, body, host))
+            start = int(m.group(1), 16)
+            symbol = m.group(2)
+            last = start - 1  # the address check then also rejects one below `start`
+            body = []
+            host = False
             continue
-        m = INSN_RE.match(line)
-        if m:
-            if cur_symbol is None:
-                raise ParseError(f"line {lineno}: instruction outside any function")
-            addr = int(m.group(1), 16)
-            if addr < cur_start or (cur_insns and addr <= cur_insns[-1].address):
-                raise ParseError(f"line {lineno}: address {addr:#x} does not increase")
-            cur_insns.append(
-                Instruction(
-                    address=addr,
-                    mnemonic=m.group(2),
-                    operands=_split_operands(m.group(4)),
-                    symbol_comment=m.group(7),
-                )
-            )
-            continue
-        if cur_symbol is None or not line[0].isspace():
+        if symbol is None or not line[0].isspace():
             raise ParseError(f"line {lineno}: bad function header: {line!r}")
         raise ParseError(f"line {lineno}: bad instruction line: {line!r}")
 
-    if cur_symbol is not None:
-        functions.append(_finish_function(cur_symbol, cur_start, cur_insns))
+    if symbol is not None:
+        functions.append(_finish_function(symbol, start, last, body, host))
 
     _check_disjoint(functions)
-
-    unit = DisasmUnit(functions=functions)
-    for fn in functions:
-        for ins in fn.instructions:
-            if ins.mnemonic == "syscall":
-                unit.syscall_sites.append(SyscallSite(fn.canonical_name, ins.address))
-            if ins.mnemonic not in CALL_MNEMONICS or not ins.operands:
-                continue
-            op = ins.operands[0]
-            if op.startswith("*"):
-                kind, target = INDIRECT, None
-            elif HEX_OPERAND_RE.match(op) and ins.symbol_comment:
-                kind, target = DIRECT, ins.symbol_comment
-            else:
-                continue  # call through an unmodeled operand form; not a callsite
-            unit.callsites.append(CallSite(fn.canonical_name, target, kind))
     return unit
 
 

@@ -530,6 +530,33 @@ def test_lib_disasm_without_lib_line_is_an_analysis_error(data_dir, tmp_path, ca
     assert (tmp_path / "v.log").read_bytes() == (golden / "verdicts.log").read_bytes()
 
 
+def test_lib_disasm_sharing_a_stem_is_an_analysis_error(data_dir, tmp_path, capsys):
+    # the second file would replace the first's offsets and deny every event
+    first, second = tmp_path / "a" / "minilib.sdis", tmp_path / "b" / "minilib.sdis"
+    for path, text in ((first, (data_dir / "minilib.sdis").read_text()),
+                       (second, "0000000000003000 <unrelated>:\n    3000:\tretq\n")):
+        path.parent.mkdir()
+        path.write_text(text)
+    golden = data_dir / "golden"
+    log = tmp_path / "v.log"
+    argv = ["verify", "--sidecar", str(golden / "sidecar.json"),
+            "--mapping", str(golden / "mapping.json"), "--memmap", str(data_dir / "memmap.txt"),
+            "--events", str(data_dir / "events.txt"), "-o", str(log),
+            "--lib-disasm", str(first), "--lib-disasm", str(second)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"syscage: analysis error: --lib-disasm {first} and {second} "
+        "share the library name 'minilib'\n")
+    assert not log.exists()
+    # checked before any SDIS is parsed: a malformed second file changes nothing
+    second.write_text("not sdis\n")
+    assert main(argv) == 3
+    assert "share the library name 'minilib'" in capsys.readouterr().err
+    # the same path given twice is one library
+    assert main(argv[:-1] + [str(first)]) == 0
+    assert log.read_bytes() == (golden / "verdicts.log").read_bytes()
+
+
 def test_policy_choices_name_the_sidecar_keys():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     policy = next(a for a in sub.choices["verify"]._actions if a.dest == "policy")

@@ -2,12 +2,14 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_disassembly_reference
 from syscage.disasm import (
     DIRECT,
     INDIRECT,
+    Instruction,
     extract_plt_imports,
     parse_disassembly,
 )
@@ -160,9 +162,49 @@ def test_parse_is_deterministic(data_dir):
 
 
 def test_every_instruction_inside_its_function(minilib_unit):
+    hosts = {s.function for s in minilib_unit.syscall_sites}
+    checked = 0
     for fn in minilib_unit.functions:
-        for ins in fn.instructions:
-            assert fn.start <= ins.address < fn.end
+        if fn.canonical_name in hosts:
+            assert fn.instructions
+            for ins in fn.instructions:
+                assert fn.start <= ins.address < fn.end
+            checked += 1
+    assert checked >= 1
+
+
+def test_only_syscall_hosts_keep_their_instructions(minilib_unit):
+    text = (
+        "0000000000001000 <host>:\n"
+        "    1000:\tmov\t$0x27 , %eax\n"
+        "    1005:\tcallq\t2000 <helper>\n"
+        "    100a:\tsyscall\n"
+        "    100c:\tretq\n"
+        "0000000000002000 <helper>:\n"
+        "    2000:\tcallq\t*(%rax)\n"
+        "    2002:\tretq\n"
+    )
+    host, helper = parse_disassembly(text).functions
+    assert host.instructions == (
+        Instruction(0x1000, "mov", ("$0x27", "%eax")),
+        Instruction(0x1005, "callq", ("2000",), "helper"),
+        Instruction(0x100a, "syscall"),
+        Instruction(0x100c, "retq"),
+    )
+    assert helper.instructions == ()
+    # on the fixture: every instruction line of a host, in order; () elsewhere
+    hosts = {s.function for s in minilib_unit.syscall_sites}
+    body: dict[str, list[int]] = {}
+    for line in FIXTURE_LINES:
+        if line and not line[0].isspace():
+            name = line.split("<", 1)[1].rsplit(">", 1)[0]
+        elif line.strip():
+            body.setdefault(name, []).append(int(line.split(":", 1)[0], 16))
+    for fn in minilib_unit.functions:
+        if fn.canonical_name in hosts:
+            assert [i.address for i in fn.instructions] == body[fn.canonical_name]
+        else:
+            assert fn.instructions == ()
 
 
 # pieces of SDIS lines, so mutated lines often still parse
@@ -195,3 +237,32 @@ def test_parse_either_rejects_or_resolves_every_site(text, seed_table):
         return
     resolved = resolve_sites(unit, seed_table)
     assert [r.site for r in resolved] == unit.syscall_sites
+
+
+def _read_view(unit):
+    """What the readers of a unit see: each function's name and extent, the
+    instructions of each function that holds a `syscall`, and the sites."""
+    functions = [(f.canonical_name, f.start, f.end, f.api_name) for f in unit.functions]
+    hosts = [[(i.address, i.mnemonic, i.operands, i.symbol_comment) for i in f.instructions]
+             for f in unit.functions if any(i.mnemonic == "syscall" for i in f.instructions)]
+    return functions, hosts, unit.callsites, unit.syscall_sites
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | _mutated_fixture())
+# a call's first operand ends at the first comma, spaces before it dropped
+@example(text="0000000000001000 <f>:\n    1000:\tcallq\t2000 , %rax <g>\n")
+@example(text="0000000000001000 <f>:\n    1000:\tcall\t*%rax ,8 <g>\n    1002:\tsyscall\n")
+def test_parse_equals_the_line_by_line_reference(text):
+    try:
+        expected = parse_disassembly_reference(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_disassembly(text)
+        assert str(got.value) == str(exc)
+        return
+    unit = parse_disassembly(text)
+    assert _read_view(unit) == _read_view(expected)
+    kept = [bool(f.instructions) for f in unit.functions]
+    assert kept == [any(i.mnemonic == "syscall" for i in f.instructions)
+                    for f in expected.functions]
