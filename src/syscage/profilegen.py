@@ -89,13 +89,14 @@ class ApiSyscallMapping:
                     raise ParseError(f"{SYSCALL_ENTRY.format(api, i)}: "
                                      f"duplicate syscall {e['syscall']!r}")
                 syscalls[e["syscall"]] = e["tainted"]
+            unresolved = expect_json(rec.get("unresolved_sites", 0), int,
+                                     "mapping API {!r} unresolved_sites", api)
+            if unresolved < 0:  # would keep the allow-all fallback from firing
+                raise ParseError(f"mapping API {api!r} unresolved_sites is negative")
             mapping.records[api] = ApiRecord(
                 entry_function=expect_json(rec.get("entry_function", api), str,
                                            "mapping API {!r} entry_function", api),
-                syscalls=syscalls,
-                unresolved_sites=expect_json(rec.get("unresolved_sites", 0), int,
-                                             "mapping API {!r} unresolved_sites", api),
-            )
+                syscalls=syscalls, unresolved_sites=unresolved)
         return mapping
 
     def merge_from(self, other: "ApiSyscallMapping") -> None:

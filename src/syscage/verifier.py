@@ -9,7 +9,9 @@ graph from an API that can issue the syscall to a function that issues it.
 An event line is `<tag> <syscall> rip=<hex> rsp=<hex> stack=<hex>,...`, each
 address lowercase hex with an optional `0x`.  Empty stack words are skipped
 and only the first `scan_limit` words are scanned, but any malformed word
-rejects the whole trace (`parse_event_line`).
+rejects the whole trace (`parse_event_line`).  Every word is validated, but
+words are converted to integers only for events of the target that issue a
+suspicious syscall not yet matched: no other verdict reads them.
 """
 
 from __future__ import annotations
@@ -234,6 +236,11 @@ class VerifierContext:
     memmap: MemoryMap
     cache: set[str] = field(default_factory=set)  # syscalls matched already
 
+    def may_walk(self, tag: str, name: str) -> bool:
+        """True when `verify_event` gets past NotTarget, NotSuspicious and
+        CacheHit, the three steps that read no stack word."""
+        return tag == self.target_tag and name in self.suspicious and name not in self.cache
+
 
 def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
     if event.syscall_name not in ctx.known_syscalls:
@@ -257,19 +264,25 @@ def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
     return Verdict(DENY, NO_PATH_MATCH, path)
 
 
-def parse_event_line(line: str, scan_limit: int = DEFAULT_SCAN_LIMIT) -> SyscallEvent:
-    """Every stack word is converted here, also past `scan_limit` and in
-    events that never reach path reconstruction: a malformed word always
-    rejects the line, and a checked event pays no conversion in
-    `verify_event`."""
-    line = line.strip()
+def parse_event_line(line: str, ctx: VerifierContext,
+                     scan_limit: int = DEFAULT_SCAN_LIMIT) -> SyscallEvent:
+    """The event of a stripped line.  Every stack word is validated, also
+    past `scan_limit`, but words are converted only when `ctx.may_walk`
+    holds, for events of the target that issue a suspicious syscall not yet
+    matched; others get `stack_words == ()`.  Parse each line just before
+    verifying it, so that the cache is current; a checked event then pays
+    its conversion here, not in `verify_event`."""
     m = EVENT_RE.match(line)
     if not m:
         raise ParseError(f"bad event line {line!r}")
     tag, name, rip, rsp, stack = m.groups()
+    words = ()
     try:
-        return SyscallEvent(tag, name, int(rip, 16), int(rsp, 16), tuple(
-            map(int, filter(None, stack.split(",")), repeat(16)))[:scan_limit])
+        if ctx.may_walk(tag, name):
+            words = tuple(map(int, filter(None, stack.split(",")), repeat(16)))[:scan_limit]
+        elif "x" in stack and not all(map(ADDRESS_RE.fullmatch, filter(None, stack.split(",")))):
+            raise ValueError(stack)  # EVENT_RE leaves only words with an `x` to check
+        return SyscallEvent(tag, name, int(rip, 16), int(rsp, 16), words)
     except ValueError as exc:
         raise ParseError(f"bad address in event line {line!r}") from exc
 
@@ -281,10 +294,11 @@ def run_event_trace(
     verdicts: list[Verdict] = []
     summary: Counter = Counter()
     for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
+        line = line.strip()
+        if not line:
             continue
         try:
-            event = parse_event_line(line, scan_limit)
+            event = parse_event_line(line, ctx, scan_limit)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         verdict = verify_event(event, ctx)

@@ -35,7 +35,8 @@ def test_benchmark_hooks_see_every_replayed_event(tmp_path, monkeypatch):
     """`verify` on the fixtures under the untraced probe records a timed
     checked event and a replay block, and under the tracer one event parse
     per event line: `run_event_trace` must reach `parse_event_line` and
-    `verify_event` through the verifier module, where the hooks swap them."""
+    `verify_event` through the verifier module, where the hooks swap them.
+    Every PathMatched or NoPathMatch event arrives with integer words."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # Pipeline prepends src
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     monkeypatch.chdir(tmp_path)
@@ -50,6 +51,17 @@ def test_benchmark_hooks_see_every_replayed_event(tmp_path, monkeypatch):
             "-o", str(tmp_path / "verdicts.log")]
     lines = [line for line in (data / "events.txt").read_text().splitlines() if line.strip()]
     pipeline = worker.Pipeline({"src": str(ROOT / "src")})
+    vf = pipeline.verifier
+    verify_event, checked_words = vf.verify_event, []
+
+    def spy(event, ctx):
+        verdict = verify_event(event, ctx)
+        if verdict.reason in worker.CHECKED:
+            checked_words.append(event.stack_words)
+        return verdict
+
+    # under the hooks, so that they see it as the program's verify_event
+    monkeypatch.setattr(vf, "verify_event", spy)
     probe = {"checked_ms": [], "blocks": [], "probed": [], "cal_inside_s": 0.0}
     for apply in (lambda patches: pipeline._probes(patches, probe, 1), pipeline._trace):
         patches = tracing.Patches()
@@ -62,3 +74,7 @@ def test_benchmark_hooks_see_every_replayed_event(tmp_path, monkeypatch):
     assert sum(map(len, probe["checked_ms"])) >= 1
     assert pipeline.tracer.calls("verifier.parse_event") == len(lines)
     assert pipeline.tracer.calls("verifier.verify_event") == len(lines)
+    # a checked event reaches verify_event with its words converted, so
+    # checked_ms times path matching and no parsing
+    assert checked_words
+    assert all(words and all(type(w) is int for w in words) for words in checked_words)

@@ -301,6 +301,10 @@ def _unresolved_sites_true(doc):
     doc["apis"]["open"]["unresolved_sites"] = True
 
 
+def _unresolved_sites_negative(doc):
+    doc["apis"]["open"]["unresolved_sites"] = -3
+
+
 def _syscall_an_array(doc):
     doc["apis"]["open"]["syscalls"][0]["syscall"] = ["ioctl"]
 
@@ -335,7 +339,7 @@ SIDECARS = {
 @pytest.mark.parametrize("spoil", [
     _without_format, _format_1, _format_2, _entry_without_syscall, _hosts_not_a_list,
     _call_graph_not_an_object, _unresolved_sites_a_string, _unresolved_sites_true,
-    _syscall_an_array,
+    _unresolved_sites_negative, _syscall_an_array,
     _tainted_a_string, _host_an_array, _duplicate_syscall, _entry_function_a_number,
     _callee_an_array,
     *SIDECARS,
@@ -358,6 +362,8 @@ def test_malformed_mapping_or_sidecar_is_a_parse_error(data_dir, tmp_path, capsy
         assert "re-run `syscage analyze`" in err
     if spoil is _duplicate_syscall:
         assert "mapping API 'open' syscalls[2]: duplicate syscall 'open'" in err
+    if spoil is _unresolved_sites_negative:
+        assert "mapping API 'open' unresolved_sites is negative" in err
 
 
 def _chain_library(n):

@@ -96,7 +96,7 @@ _MAPPINGS = st.builds(
     records=st.dictionaries(_NAME, st.builds(
         ApiRecord, entry_function=_NAME,
         syscalls=st.dictionaries(_NAME, st.booleans(), max_size=4),
-        unresolved_sites=st.integers()), max_size=4),
+        unresolved_sites=st.integers(min_value=0)), max_size=4),
     call_graph=_NAME_LISTS,
     hosts=_NAME_LISTS,
 )

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from pathlib import Path
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from syscage.callgraph import CallGraph, enumerate_secure_paths, predecessors
 from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, parse_disassembly
 from syscage.errors import AnalysisError, ParseError
-from syscage.profilegen import build_mapping
+from syscage.profilegen import ApiSyscallMapping, build_mapping
 from syscage.sysnum import ResolvedSyscallSite
 from syscage.verifier import (
     ALLOW,
     CACHE_HIT,
+    DEFAULT_SCAN_LIMIT,
     DENY,
     NO_PATH_MATCH,
     NOT_SUSPICIOUS,
@@ -420,37 +422,65 @@ def test_parse_memory_map_errors():
             parse_memory_map(f"# layout\n{line}\nstack 0x1000 2000\ncode 3000 4000\n")
 
 
+# the steps of verify_event that an event can stop at before its words are
+# read, and the one where the stack walk may follow
+_STEPS = ("walks", "not target", "not suspicious", "cached")
+
+
+def _parse_ctx(line, step):
+    """A context in which the event of `line` gets past NotTarget,
+    NotSuspicious and CacheHit ("walks"), or stops at the named step."""
+    tag, name = (line.split() + ["", ""])[:2]
+    table, memmap = _table()
+    ctx = _ctx(table, memmap, suspicious=() if step == "not suspicious" else (name,))
+    ctx.target_tag = tag + "!" if step == "not target" else tag
+    if step == "cached":
+        ctx.cache.add(name)
+    assert ctx.may_walk(tag, name) == (step == "walks")
+    return ctx
+
+
+def _parsed(line, step, scan_limit=DEFAULT_SCAN_LIMIT):
+    """The event of `line` under a context of `step`, or the ParseError's
+    message."""
+    try:
+        return parse_event_line(line.strip(), _parse_ctx(line, step), scan_limit)
+    except ParseError as exc:
+        return str(exc)
+
+
 def test_parse_event_line():
-    event = parse_event_line(
-        "target open rip=7f0000001005 rsp=7ffc00001000 stack=1,2,3"
-    )
+    line = "target open rip=7f0000001005 rsp=7ffc00001000 stack=1,2,3"
+    event = _parsed(line, "walks")
     assert event.process_tag == "target"
     assert event.syscall_name == "open"
+    assert (event.rip, event.rsp) == (0x7F0000001005, 0x7FFC00001000)
     assert event.stack_words == (1, 2, 3)
+    for step in _STEPS[1:]:  # words no verdict of these steps reads
+        assert _parsed(line, step) == event._replace(stack_words=())
 
 
 def test_parse_event_line_empty_stack():
-    event = parse_event_line("t read rip=1 rsp=2 stack=")
-    assert event.stack_words == ()
+    assert _parsed("t read rip=1 rsp=2 stack=", "walks").stack_words == ()
 
 
 def test_parse_event_scan_limit():
     line = "t read rip=1 rsp=2 stack=" + ",".join(["1"] * 20)
-    assert len(parse_event_line(line, scan_limit=5).stack_words) == 5
+    assert len(_parsed(line, "walks", scan_limit=5).stack_words) == 5
 
 
 def test_parse_event_malformed():
-    with pytest.raises(ParseError, match="bad event line 'nonsense'"):
-        parse_event_line("nonsense")
-    with pytest.raises(ParseError, match="bad event line 't read rip=zz"):
-        parse_event_line("t read rip=zz rsp=2 stack=")
-    with pytest.raises(ParseError, match="bad address in event line 't read rip=x"):
-        parse_event_line("t read rip=x rsp=2 stack=")
-    # a malformed stack word rejects the line, wherever it stands
-    for stack in ("1,0x0x1", "1,x", "00x1"):
-        with pytest.raises(ParseError, match=f"bad address in event line 't read rip=1 "
-                           f"rsp=2 stack={stack}'"):
-            parse_event_line(f"t read rip=1 rsp=2 stack={stack}")
+    for step in _STEPS:
+        assert _parsed("nonsense", step) == "bad event line 'nonsense'"
+        assert _parsed("t read rip=zz rsp=2 stack=", step) == \
+            "bad event line 't read rip=zz rsp=2 stack='"
+        assert _parsed("t read rip=x rsp=2 stack=", step) == \
+            "bad address in event line 't read rip=x rsp=2 stack='"
+        # a malformed stack word rejects the line, wherever it stands, also
+        # when no verdict would read it
+        for stack in ("1,0x0x1", "1,x", "00x1", "0x1,2,0x"):
+            line = f"t read rip=1 rsp=2 stack={stack}"
+            assert _parsed(line, step) == f"bad address in event line {line!r}"
 
 
 EVENT_LINES = (DATA / "events.txt").read_text().splitlines()
@@ -489,14 +519,16 @@ def _mutated_event_line(draw):
 @settings(max_examples=400, deadline=None)
 @given(line=st.text() | _mutated_event_line(), scan_limit=st.integers(1, 5))
 def test_parse_event_line_equals_reference(line, scan_limit):
+    """Every context accepts or rejects the same lines, with the same
+    message; only a walking one converts the stack words."""
     expected = parse_event_reference(line, scan_limit)
-    try:
-        event = parse_event_line(line, scan_limit)
-    except ParseError:
-        assert expected is None
+    got = {step: _parsed(line, step, scan_limit) for step in _STEPS}
+    if expected is None:
+        assert all(isinstance(message, str) for message in got.values())
+        assert len(set(got.values())) == 1
         return
-    assert (event.process_tag, event.syscall_name, event.rip, event.rsp,
-            event.stack_words) == expected
+    for step, event in got.items():
+        assert tuple(event) == expected[:4] + (expected[4] if step == "walks" else (),)
 
 
 MEMMAP_LINES = (DATA / "memmap.txt").read_text().splitlines()
@@ -565,6 +597,48 @@ def test_run_event_trace_malformed_line_number():
     text = "t open rip=1 rsp=2 stack=\n\nother open rip=1 rsp=2 stack=1,0x0x1\n"
     with pytest.raises(ParseError, match="line 3: bad address in event line 'other open"):
         run_event_trace(text, _ctx(table, memmap))
+
+
+_READS_NO_WORD = {UNKNOWN_SYSCALL, NOT_TARGET, NOT_SUSPICIOUS, CACHE_HIT}
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.sampled_from(EVENT_LINES) | _mutated_event_line(), max_size=12),
+       target=st.sampled_from(["target", "other", "t"]),
+       suspicious=st.sets(st.sampled_from(["open", "read", "ioctl", "close"])),
+       cached=st.sets(st.sampled_from(["open", "read", "ioctl"])),
+       scan_limit=st.integers(1, 5))
+def test_may_walk_is_the_verdict_ladder(minilib_unit, seed_table, lines, target,
+                                         suspicious, cached, scan_limit):
+    """Replaying with the context-aware parse gives the verdicts and the
+    final cache of a replay of fully converted reference events, and every
+    event whose words the parse left out ends before the stack walk."""
+    lines = [line for line in lines  # valid, and one line of a trace
+             if parse_event_reference(line, scan_limit) and line.splitlines() == [line]]
+    memmap = parse_memory_map((DATA / "memmap.txt").read_text())
+    table = locate_functions(memmap, {"minilib": [
+        (fn.canonical_name, fn.start, fn.end) for fn in minilib_unit.functions]})
+    mapping = ApiSyscallMapping.from_document(
+        json.loads((DATA / "golden" / "mapping.json").read_text()))
+    entries, hosts = mapping.walk_ends()
+
+    def context():
+        return VerifierContext(target, set(suspicious), seed_table.names, mapping.call_graph,
+                               entries, hosts, table, memmap, cache=set(cached))
+
+    reference = context()
+    expected = [verify_event(SyscallEvent(*parse_event_reference(line, scan_limit)), reference)
+                for line in lines]
+    ctx = context()
+    verdicts, _ = run_event_trace("\n".join(lines), ctx, scan_limit)
+    assert verdicts == expected
+    assert ctx.cache == reference.cache
+    ctx = context()
+    for line, want in zip(lines, expected):
+        walks = ctx.may_walk(*line.split()[:2])
+        event = parse_event_line(line.strip(), ctx, scan_limit)
+        assert verify_event(event, ctx) == want
+        assert walks or want.reason in _READS_NO_WORD
 
 
 def test_format_verdict_log():
