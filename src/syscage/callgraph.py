@@ -1,4 +1,4 @@
-"""Function call graph construction, adjacency, and secure-path search.
+"""Function call graph construction and adjacency.
 
 The direct graph comes from disassembly callsites; indirect edges come from
 resolved source facts.  An edge is a `CallSite` with a target, so two calls
@@ -14,10 +14,6 @@ from .disasm import DIRECT, INDIRECT, CallSite, DisasmUnit
 from .errors import AnalysisError
 from .srcfacts import SourceFacts, resolve_indirect_targets
 
-DEFAULT_MAX_PATH_LEN = 64
-DEFAULT_MAX_PATHS = 4096
-
-
 @dataclass
 class CallGraph:
     nodes: set[str] = field(default_factory=set)
@@ -32,12 +28,6 @@ class CallGraph:
                 continue
             adj[e.caller].add(e.target)
         return {n: sorted(succ) for n, succ in adj.items()}
-
-
-@dataclass
-class PathEnumeration:
-    paths: list[tuple[str, ...]]
-    truncated: bool  # more simple paths exist than the budget allowed
 
 
 def build_direct_fcg(unit: DisasmUnit) -> CallGraph:
@@ -67,15 +57,6 @@ def merge(direct: CallGraph, indirect_edges: set[CallSite]) -> CallGraph:
     return merged
 
 
-def predecessors(adj: dict[str, list[str]]) -> dict[str, list[str]]:
-    """The reverse of an adjacency: each node's callers."""
-    pred: dict[str, list[str]] = {n: [] for n in adj}
-    for node, succ in adj.items():
-        for nxt in succ:
-            pred[nxt].append(node)
-    return pred
-
-
 def bfs_reachable(adj: dict[str, list[str]], start: str) -> set[str]:
     seen = {start}
     queue = deque([start])
@@ -86,51 +67,3 @@ def bfs_reachable(adj: dict[str, list[str]], start: str) -> set[str]:
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
-
-
-def enumerate_secure_paths(
-    adj: dict[str, list[str]],
-    pred: dict[str, list[str]],
-    api: str,
-    host: str,
-    max_len: int = DEFAULT_MAX_PATH_LEN,
-    max_paths: int = DEFAULT_MAX_PATHS,
-) -> PathEnumeration:
-    """All simple paths from `api` to `host`, lexicographic by node sequence,
-    bounded by max_len nodes and max_paths paths.  `adj` is the graph's
-    sorted successor adjacency and `pred` its reverse.
-
-    The search enters only functions that can reach `host`.  The others
-    emit no path, so skipping them changes neither the paths nor where the
-    budget cuts them off, and a cyclic component that cannot reach `host`
-    costs nothing."""
-    result = PathEnumeration(paths=[], truncated=False)
-    live = bfs_reachable(pred, host)
-    if api not in live:
-        return result
-    path = [api]
-    on_path = {api}
-
-    def walk(node: str) -> bool:
-        if node == host:
-            if len(result.paths) >= max_paths:
-                result.truncated = True
-                return False
-            result.paths.append(tuple(path))
-            return True
-        if len(path) >= max_len:
-            return True
-        for nxt in adj[node]:
-            if nxt in on_path or nxt not in live:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            keep_going = walk(nxt)
-            path.pop()
-            on_path.discard(nxt)
-            if not keep_going:
-                return False
-        return True
-
-    walk(api)
-    return result

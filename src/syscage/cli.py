@@ -104,9 +104,13 @@ def cmd_analyze(args) -> int:
     table = _read_table(args.table)
     graph = merge(build_direct_fcg(unit), build_indirect_edges(facts))
     resolved = resolve_sites(unit, table)
-    apis = {
-        fn.api_name: fn.canonical_name for fn in unit.functions if fn.api_name is not None
-    }
+    apis: dict[str, str] = {}
+    for fn in unit.functions:
+        if fn.api_name is not None:
+            first = apis.setdefault(fn.api_name, fn.canonical_name)
+            if first != fn.canonical_name:
+                raise AnalysisError(f"API {fn.api_name!r} defined by more than one "
+                                    f"function: {first}, {fn.canonical_name}")
     mapping = build_mapping(graph, resolved, apis)
     _write(args.output, dump_json(mapping.to_document()))
     return EXIT_OK

@@ -19,6 +19,9 @@ INSN_RE = re.compile(
     r"^\s+([0-9a-f]+):\t([a-z0-9.]+)(\s+(\S+(\s*,\s*\S+)*))?(\s+<([^>]+)>)?$"
 )
 HEX_OPERAND_RE = re.compile(r"^[0-9a-f]+$")
+# `name@@VERSION`, but not objdump's label for code that no symbol covers,
+# relative to the nearest symbol, such as `abort@@GLIBC_2.2.5-0x1f`
+EXPORT_RE = re.compile(r"(.*?)@@(?!.*[+-]0x[0-9a-f]+$)")
 _OPERAND_SPLIT = re.compile(r"\s*,\s*").split
 
 CALL_MNEMONICS = {"call", "callq"}
@@ -76,7 +79,7 @@ def _finish_function(symbol: str, start: int, last: int,
         canonical_name=symbol,
         start=start,
         end=max(last, start) + 1,
-        api_name=symbol.split("@@", 1)[0] if "@@" in symbol else None,
+        api_name=m.group(1) if (m := EXPORT_RE.match(symbol)) else None,
         instructions=insns,
     )
 
@@ -84,8 +87,8 @@ def _finish_function(symbol: str, start: int, last: int,
 def parse_disassembly(text: str) -> DisasmUnit:
     """Parse SDIS text into a DisasmUnit.
 
-    Function boundaries come from header lines; a header symbol containing
-    "@@" marks an API export whose api_name is the text before "@@".  Every
+    Function boundaries come from header lines; a header symbol matching
+    EXPORT_RE marks an API export named by the text before "@@".  Every
     line is validated; instructions are kept only for syscall hosts.
     """
     insn_match, header_match = INSN_RE.match, HEADER_RE.match

@@ -56,9 +56,6 @@ class SyscallTable:
     number_to_name: dict[int, str]
     names: frozenset[str]
 
-    def __len__(self) -> int:
-        return len(self.number_to_name)
-
 
 @dataclass(frozen=True)
 class ResolvedSyscallSite:

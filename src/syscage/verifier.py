@@ -40,7 +40,8 @@ NO_PATH_MATCH = "NoPathMatch"
 UNKNOWN_SYSCALL = "UnknownSyscall"
 
 EVENT_RE = re.compile(
-    r"^(\S+)\s+([a-z0-9_]+)\s+rip=([0-9a-fx]+)\s+rsp=([0-9a-fx]+)\s+stack=([0-9a-fx,]*)$"
+    r"^(\S+)[ \t]+([a-z0-9_]+)[ \t]+rip=([0-9a-fx]+)[ \t]+rsp=([0-9a-fx]+)"
+    r"[ \t]+stack=([0-9a-fx,]*)$"
 )
 ADDRESS_RE = re.compile(r"(0x)?[0-9a-f]+")
 
@@ -103,9 +104,9 @@ def _address(text: str) -> int:
 
 
 def parse_memory_map(text: str) -> MemoryMap:
-    """Lines: `lib <name> <base> <size>`, `stack <lo> <hi>`, `code <lo> <hi>`."""
-    libraries: list[tuple[str, range]] = []
-    stack = code = None
+    """Lines: `lib <name> <base> <size>`, `stack <lo> <hi>`, `code <lo> <hi>`,
+    at most one of each (one `lib` line per name)."""
+    regions: dict[tuple[str, ...], range] = {}  # ("stack",), ("code",), ("lib", name)
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -114,19 +115,22 @@ def parse_memory_map(text: str) -> MemoryMap:
         try:
             if fields[0] == "lib" and len(fields) == 4:
                 base = _address(fields[2])
-                libraries.append((fields[1], range(base, base + _address(fields[3]))))
-            elif fields[0] == "stack" and len(fields) == 3:
-                stack = range(_address(fields[1]), _address(fields[2]))
-            elif fields[0] == "code" and len(fields) == 3:
-                code = range(_address(fields[1]), _address(fields[2]))
+                key, region = ("lib", fields[1]), range(base, base + _address(fields[3]))
+            elif fields[0] in ("stack", "code") and len(fields) == 3:
+                key, region = (fields[0],), range(_address(fields[1]), _address(fields[2]))
             else:
                 raise ValueError(stripped)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad memory map line {stripped!r}") from exc
+        if key in regions:
+            raise ParseError(f"line {lineno}: a second {' '.join(key)} line {stripped!r}")
+        regions[key] = region
+    stack, code = regions.pop(("stack",), None), regions.pop(("code",), None)
     if stack is None or code is None:
         raise ParseError("memory map needs both a stack and a code region")
-    _check_regions([stack, code] + [region for _, region in libraries])
-    return MemoryMap(libraries=libraries, stack=stack, code_segment=code)
+    _check_regions([stack, code, *regions.values()])
+    return MemoryMap(libraries=[(key[1], region) for key, region in regions.items()],
+                     stack=stack, code_segment=code)
 
 
 def _check_regions(regions: list[range]) -> None:
@@ -195,12 +199,8 @@ def reconstruct_path(
     return tuple(path)
 
 
-# The matcher of enumerated secure paths, no longer called here: the tests
-# keep it as a reference for walk_embeds, and the benchmark's traced run
-# counts calls to this name.
-def is_subsequence(needle, haystack) -> bool:
-    it = iter(haystack)
-    return all(item in it for item in needle)
+# only bench/worker.py's traced run patches this name; ROADMAP item 1 deletes it
+is_subsequence = None
 
 
 def walk_embeds(frames, call_graph: dict[str, list[str]], entries, hosts) -> bool:

@@ -5,7 +5,9 @@ exhaustive permutation-based path enumeration, a forward interpreter,
 index-mapping subsequence search) so a shared bug cannot hide.  The SDIS
 reference is the line-by-line parser that keeps every instruction and finds
 callsites and syscall sites in a second loop; `syscage.disasm` must give the
-same functions, sites and errors from one pass.
+same functions, sites and errors from one pass.  The bounded secure-path
+enumerator and the iterator subsequence matcher are the matcher that
+`verifier.walk_embeds` replaced, kept as a second reference for it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
+from syscage.callgraph import bfs_reachable
 from syscage.disasm import (
     CALL_MNEMONICS,
     DIRECT,
@@ -120,10 +123,82 @@ def subsequence_bruteforce(needle, haystack):
     return len(needle) == 0
 
 
-# the events format of the README: five whitespace-separated fields, each
-# address lowercase hex with an optional 0x, empty stack words skipped
+DEFAULT_MAX_PATH_LEN = 64
+DEFAULT_MAX_PATHS = 4096
+
+
+@dataclass
+class PathEnumeration:
+    paths: list[tuple[str, ...]]
+    truncated: bool  # more simple paths exist than the budget allowed
+
+
+def predecessors(adj: dict[str, list[str]]) -> dict[str, list[str]]:
+    """The reverse of an adjacency: each node's callers."""
+    pred: dict[str, list[str]] = {n: [] for n in adj}
+    for node, succ in adj.items():
+        for nxt in succ:
+            pred[nxt].append(node)
+    return pred
+
+
+def enumerate_secure_paths(
+    adj: dict[str, list[str]],
+    pred: dict[str, list[str]],
+    api: str,
+    host: str,
+    max_len: int = DEFAULT_MAX_PATH_LEN,
+    max_paths: int = DEFAULT_MAX_PATHS,
+) -> PathEnumeration:
+    """All simple paths from `api` to `host`, lexicographic by node sequence,
+    bounded by max_len nodes and max_paths paths.  `adj` is the graph's
+    sorted successor adjacency and `pred` its reverse.
+
+    The search enters only functions that can reach `host`.  The others
+    emit no path, so skipping them changes neither the paths nor where the
+    budget cuts them off, and a cyclic component that cannot reach `host`
+    costs nothing."""
+    result = PathEnumeration(paths=[], truncated=False)
+    live = bfs_reachable(pred, host)
+    if api not in live:
+        return result
+    path = [api]
+    on_path = {api}
+
+    def walk(node: str) -> bool:
+        if node == host:
+            if len(result.paths) >= max_paths:
+                result.truncated = True
+                return False
+            result.paths.append(tuple(path))
+            return True
+        if len(path) >= max_len:
+            return True
+        for nxt in adj[node]:
+            if nxt in on_path or nxt not in live:
+                continue
+            path.append(nxt)
+            on_path.add(nxt)
+            keep_going = walk(nxt)
+            path.pop()
+            on_path.discard(nxt)
+            if not keep_going:
+                return False
+        return True
+
+    walk(api)
+    return result
+
+
+def is_subsequence(needle, haystack) -> bool:
+    it = iter(haystack)
+    return all(item in it for item in needle)
+
+
+# the events format of the README: five fields separated by spaces or tabs,
+# each address lowercase hex with an optional 0x, empty stack words skipped
 _EVENT_LINE = re.compile(
-    r"(\S+)\s+([a-z0-9_]+)\s+rip=([0-9a-fx]+)\s+rsp=([0-9a-fx]+)\s+stack=([0-9a-fx,]*)")
+    r"(\S+)[ \t]+([a-z0-9_]+)[ \t]+rip=([0-9a-fx]+)[ \t]+rsp=([0-9a-fx]+)[ \t]+stack=([0-9a-fx,]*)")
 _HEX_WORD = re.compile(r"(?:0x)?[0-9a-f]+")
 
 
@@ -167,16 +242,26 @@ def _finish_function(symbol: str, start: int, insns: list[Instruction]) -> Funct
         canonical_name=symbol,
         start=start,
         end=end,
-        api_name=symbol.split("@@", 1)[0] if "@@" in symbol else None,
+        api_name=_api_name(symbol),
         instructions=tuple(insns),
     )
+
+
+def _api_name(symbol: str) -> str | None:
+    """The text before "@@", unless the symbol is an objdump offset label
+    (`<symbol>+0x<hex>` or `-0x<hex>`)."""
+    name, at, version = symbol.partition("@@")
+    if not at or re.search(r"[+-]0x[0-9a-f]+$", version):
+        return None
+    return name
 
 
 def parse_disassembly_reference(text: str) -> DisasmUnit:
     """Parse SDIS text into a DisasmUnit, keeping every instruction.
 
     Function boundaries come from header lines; a header symbol containing
-    "@@" marks an API export whose api_name is the text before "@@".
+    "@@" marks an API export whose api_name is the text before "@@", unless
+    it is an offset label.
     """
     functions: list[FunctionRecord] = []
     cur_symbol: str | None = None

@@ -74,6 +74,9 @@ def test_benchmark_hooks_see_every_replayed_event(tmp_path, monkeypatch):
     assert sum(map(len, probe["checked_ms"])) >= 1
     assert pipeline.tracer.calls("verifier.parse_event") == len(lines)
     assert pipeline.tracer.calls("verifier.verify_event") == len(lines)
+    # the two names bound to None for the hooks are never called
+    assert pipeline.tracer.calls("callgraph.enumerate") == 0
+    assert pipeline.tracer.calls("verifier.subseq") == 0
     # a checked event reaches verify_event with its words converted, so
     # checked_ms times path matching and no parsing
     assert checked_words

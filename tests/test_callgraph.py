@@ -3,21 +3,19 @@ import time
 
 import pytest
 
-from syscage.callgraph import (
-    CallGraph,
-    build_direct_fcg,
-    build_indirect_edges,
-    enumerate_secure_paths,
-    merge,
-    predecessors,
-)
+from syscage.callgraph import CallGraph, build_direct_fcg, build_indirect_edges, merge
 from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, parse_disassembly
 from syscage.errors import AnalysisError
 from syscage.profilegen import reachable_syscalls, sites_by_host
 from syscage.srcfacts import IndirectSite, SourceFacts
 from syscage.sysnum import ResolvedSyscallSite
 
-from oracles import all_simple_paths_bruteforce, closure_floyd_warshall
+from oracles import (
+    all_simple_paths_bruteforce,
+    closure_floyd_warshall,
+    enumerate_secure_paths,
+    predecessors,
+)
 
 
 def _rsite(function, name):

@@ -426,6 +426,30 @@ def test_functions_sharing_a_name_resolve_their_own_sites(tmp_path):
     assert record["unresolved_sites"] == 0
 
 
+def test_api_exported_by_two_functions_is_an_analysis_error(tmp_path, capsys):
+    # the mapping would keep one of them, so an allowlist built from it
+    # could block what the other issues
+    (tmp_path / "two.sdis").write_text(
+        "0000000000001000 <open@@V_1>:\n    1000:\tmov\t$0x2,%eax\n    1005:\tsyscall\n"
+        "0000000000002000 <open@@V_2>:\n    2000:\tmov\t$0x0,%eax\n    2005:\tsyscall\n")
+    (tmp_path / "two.facts.json").write_text("{}")
+    assert main(["analyze", str(tmp_path / "two.sdis"), str(tmp_path / "two.facts.json"),
+                 "-o", str(tmp_path / "mapping.json")]) == 3
+    assert capsys.readouterr().err == ("syscage: analysis error: API 'open' defined by more "
+                                       "than one function: open@@V_1, open@@V_2\n")
+    assert not (tmp_path / "mapping.json").exists()
+    # objdump's labels for code before or after a symbol are no second export
+    (tmp_path / "two.sdis").write_text(
+        "0000000000000fe1 <open@@V_1-0x1f>:\n    fe1:\tmov\t$0x0,%eax\n    fe6:\tsyscall\n"
+        "0000000000001000 <open@@V_1>:\n    1000:\tmov\t$0x2,%eax\n    1005:\tsyscall\n"
+        "0000000000001010 <open@@V_1+0x10>:\n    1010:\tmov\t$0x0,%eax\n    1015:\tsyscall\n")
+    assert main(["analyze", str(tmp_path / "two.sdis"), str(tmp_path / "two.facts.json"),
+                 "-o", str(tmp_path / "mapping.json")]) == 0
+    record = json.loads((tmp_path / "mapping.json").read_text())["apis"]["open"]
+    assert record["entry_function"] == "open@@V_1"
+    assert [e["syscall"] for e in record["syscalls"]] == ["open"]
+
+
 def test_non_utf8_disassembly_is_a_parse_error(data_dir, tmp_path, capsys):
     bad = tmp_path / "lib.sdis"
     bad.write_bytes(b"0000000000001000 <f\xff>:\n")

@@ -31,6 +31,9 @@ def test_api_export_header():
     assert fn.canonical_name == "read@@GLIBC_2.2.5"
     assert fn.api_name == "read"
     assert parse_disassembly("0000000000001000 <noop>:\n").functions[0].api_name is None
+    # objdump's label for code before or after a symbol is not an export
+    for label in ("abort@@GLIBC_2.2.5-0x1f", "abort@@GLIBC_2.2.5+0x8"):
+        assert parse_disassembly(f"0000000000001000 <{label}>:\n").functions[0].api_name is None
     assert fn.start == 0x1130 and fn.end == 0x1136
     assert [i.mnemonic for i in fn.instructions] == ["mov", "syscall"]
 
@@ -253,6 +256,8 @@ def _read_view(unit):
 # a call's first operand ends at the first comma, spaces before it dropped
 @example(text="0000000000001000 <f>:\n    1000:\tcallq\t2000 , %rax <g>\n")
 @example(text="0000000000001000 <f>:\n    1000:\tcall\t*%rax ,8 <g>\n    1002:\tsyscall\n")
+@example(text="0000000000001000 <f@@V-0x1f>:\n0000000000001020 <f@@V>:\n"
+              "0000000000001030 <f@@V+0x10>:\n0000000000001040 <g@@0x1>:\n")
 def test_parse_equals_the_line_by_line_reference(text):
     try:
         expected = parse_disassembly_reference(text)

@@ -215,7 +215,7 @@ def test_load_table_row():
 
 def test_load_table_empty_and_comments():
     table = load_syscall_table("# comment\n\n")
-    assert len(table) == 0
+    assert len(table.number_to_name) == 0
 
 
 def test_load_table_duplicate_number():
@@ -262,7 +262,7 @@ def test_load_syscall_table_parses_or_raises_parse_error(text):
 
 
 def test_seed_table_has_335_names(seed_table):
-    assert len(seed_table) == 335
+    assert len(seed_table.number_to_name) == 335
     assert seed_table.number_to_name[16] == "ioctl"
     assert seed_table.number_to_name[3] == "close"
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syscage.callgraph import CallGraph, enumerate_secure_paths, predecessors
+from syscage.callgraph import CallGraph
 from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, parse_disassembly
 from syscage.errors import AnalysisError, ParseError
 from syscage.profilegen import ApiSyscallMapping, build_mapping
@@ -29,7 +29,6 @@ from syscage.verifier import (
     SyscallEvent,
     VerifierContext,
     format_verdict_log,
-    is_subsequence,
     locate_functions,
     parse_event_line,
     parse_memory_map,
@@ -42,7 +41,10 @@ from syscage.verifier import (
 from oracles import (
     all_simple_paths_bruteforce,
     closure_floyd_warshall,
+    enumerate_secure_paths,
+    is_subsequence,
     parse_event_reference,
+    predecessors,
     subsequence_bruteforce,
 )
 
@@ -420,6 +422,15 @@ def test_parse_memory_map_errors():
     for line in ("lib a -1000 800", "stack 1_0 2_0", "code +0X30 40"):
         with pytest.raises(ParseError, match=re.escape(f"line 2: bad memory map line '{line}'")):
             parse_memory_map(f"# layout\n{line}\nstack 0x1000 2000\ncode 3000 4000\n")
+    # a repeated region is an error, not "the last one wins"; two libraries
+    # of one name would place each of its functions at both bases
+    layout = "lib a 7000 1000\nstack 1000 2000\ncode 3000 4000\n"
+    for key in ("stack", "code", "lib a"):
+        line = f"{key} 5000 1000"
+        with pytest.raises(ParseError, match=re.escape(f"line 4: a second {key} line '{line}'")):
+            parse_memory_map(f"{layout}{line}\n")
+    memmap = parse_memory_map(f"lib b 5000 1000\n{layout}")
+    assert [name for name, _ in memmap.libraries] == ["b", "a"]
 
 
 # the steps of verify_event that an event can stop at before its words are
@@ -481,6 +492,18 @@ def test_parse_event_malformed():
         for stack in ("1,0x0x1", "1,x", "00x1", "0x1,2,0x"):
             line = f"t read rip=1 rsp=2 stack={stack}"
             assert _parsed(line, step) == f"bad address in event line {line!r}"
+
+
+def test_line_break_characters_do_not_separate_fields():
+    # run_event_trace splits lines at these, so a line holding one between
+    # fields is rejected alone as it is in a trace
+    table, memmap = _table()
+    for sep in ("\x0b", "\x85"):
+        line = f"target open{sep}rip=1 rsp=2 stack="
+        for step in _STEPS:
+            assert _parsed(line, step) == f"bad event line {line!r}"
+        with pytest.raises(ParseError, match="^line 2: bad event line 'target open'"):
+            run_event_trace(f"target read rip=1 rsp=2 stack=\n{line}\n", _ctx(table, memmap))
 
 
 EVENT_LINES = (DATA / "events.txt").read_text().splitlines()
