@@ -30,7 +30,7 @@ def load_cve_dataset(
     """Lines: `<CVE-id>\\t<syscall[,syscall...]>\\t[note]`; duplicate ids are
     merged with their syscall sets unioned."""
     by_id: dict[str, CveRecord] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -1,12 +1,16 @@
 """Syscall-number recovery at syscall sites, plus the number<->name table.
 
 The resolver runs once forward through each function that hosts a
-`syscall`, holding the known 32-bit value of each register; every register
-starts unknown.  It models `mov`, `add` and `sub` of constants and known
-registers.  A call makes every register unknown, and so does any other
+`syscall`, holding the known 32-bit value of each 64-bit register; every
+register starts unknown.  Each register name stands for its 64-bit cell
+(`eax`, `ax`, `al` and `ah` for `rax`): a write through a 32- or 64-bit name
+sets the cell, and a write through an 8- or 16-bit name makes it unknown, as
+does a read through one.  It models `mov`, `add` and `sub` of constants and
+known registers.  A call makes every register unknown, and so does any other
 instruction for the register that is its last operand.  Each `syscall` takes
 the accumulator's value at that point, so a number is reported only where it
-is certain; anything else is unresolved, never guessed.
+is certain; anything else is unresolved, never guessed.  The instructions of
+a host are decoded here, on first read of `FunctionRecord.instructions`.
 """
 
 from __future__ import annotations
@@ -26,20 +30,31 @@ _APPLY = {
     "sub": lambda old, value: None if old is None else (old - value) & MASK32,
 }
 
-# 32-bit register names alias their 64-bit cells
-_E_TO_R = {
-    "eax": "rax", "ebx": "rbx", "ecx": "rcx", "edx": "rdx",
-    "esi": "rsi", "edi": "rdi", "ebp": "rbp", "esp": "rsp",
-}
+
+def _register_cells() -> dict[str, tuple[str, bool]]:
+    """Each register name -> (its 64-bit cell, whether a write through the
+    name sets the whole cell, as a 32- or 64-bit name does)."""
+    families = [(f"r{x}x", f"e{x}x", [f"{x}x", f"{x}l", f"{x}h"]) for x in "abcd"]
+    families += [(f"r{x}", f"e{x}", [x, f"{x}l"]) for x in ("si", "di", "bp", "sp")]
+    families += [(f"r{n}", f"r{n}d", [f"r{n}w", f"r{n}b"]) for n in range(8, 16)]
+    cells = {}
+    for cell, low32, partial in families:
+        cells |= {cell: (cell, True), low32: (cell, True)}
+        cells |= dict.fromkeys(partial, (cell, False))
+    return cells
+
+
+_CELLS = _register_cells()  # any other name is a cell of its own
 
 ACCUMULATOR = "rax"
 
 
-def _as_register(operand: str) -> str | None:
+def _as_register(operand: str) -> tuple[str, bool] | None:
+    """(cell, full) of a register operand, or None for any other operand."""
     if not operand.startswith("%"):
         return None
     name = operand[1:]
-    return _E_TO_R.get(name, name)
+    return _CELLS.get(name, (name, True))
 
 
 def _as_constant(operand: str) -> int | None:
@@ -67,7 +82,7 @@ def load_syscall_table(text: str) -> SyscallTable:
     """Parse syscall_64.tbl-shaped rows: `<num> <abi> <name> [<entry>]`."""
     number_to_name: dict[int, str] = {}
     names: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -104,16 +119,17 @@ def resolve_numbers(function: FunctionRecord) -> dict[int, int | None]:
             if dreg is None:
                 continue
             value = _as_constant(src)
-            if value is None:
-                value = regs.get(_as_register(src))
-            if value is not None:
-                value = _APPLY[ins.mnemonic](regs.get(dreg), value)
-            if value is None:
-                regs.pop(dreg, None)
+            if value is None and (sreg := _as_register(src)) is not None and sreg[1]:
+                value = regs.get(sreg[0])
+            cell, full = dreg
+            if value is not None and full:
+                value = _APPLY[ins.mnemonic](regs.get(cell), value)
+            if value is None or not full:
+                regs.pop(cell, None)
             else:
-                regs[dreg] = value
+                regs[cell] = value
         elif ops and (reg := _as_register(ops[-1])) is not None:
-            regs.pop(reg, None)  # conservative: any other write clobbers
+            regs.pop(reg[0], None)  # conservative: any other write clobbers
     return numbers
 
 

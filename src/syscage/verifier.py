@@ -107,7 +107,7 @@ def parse_memory_map(text: str) -> MemoryMap:
     """Lines: `lib <name> <base> <size>`, `stack <lo> <hi>`, `code <lo> <hi>`,
     at most one of each (one `lib` line per name)."""
     regions: dict[tuple[str, ...], range] = {}  # ("stack",), ("code",), ("lib", name)
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -293,7 +293,7 @@ def run_event_trace(
     """One verdict per event line, in order, plus counts by reason."""
     verdicts: list[Verdict] = []
     summary: Counter = Counter()
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line:
             continue

@@ -3,9 +3,11 @@
 These deliberately use different algorithms (Floyd-Warshall closure,
 exhaustive permutation-based path enumeration, a forward interpreter,
 index-mapping subsequence search) so a shared bug cannot hide.  The SDIS
-reference is the line-by-line parser that keeps every instruction and finds
-callsites and syscall sites in a second loop; `syscage.disasm` must give the
-same functions, sites and errors from one pass.  The bounded secure-path
+reference is the line-by-line parser, over the lines between `\n`s, that
+keeps every instruction, matches each line with the backtracking `INSN_RE`
+and finds callsites and syscall sites in a second loop; `syscage.disasm`
+must give the same functions, sites, instructions and errors from its
+pattern passes.  The bounded secure-path
 enumerator and the iterator subsequence matcher are the matcher that
 `verifier.walk_embeds` replaced, kept as a second reference for it.
 """
@@ -23,7 +25,6 @@ from syscage.disasm import (
     INDIRECT,
     CallSite,
     DisasmUnit,
-    FunctionRecord,
     SyscallSite,
 )
 from syscage.errors import ParseError
@@ -68,15 +69,28 @@ def all_simple_paths_bruteforce(nodes, edges, start, end, max_len=None):
 
 
 # forward interpreter over the supported mov/add/sub subset; registers start
-# undefined and undefined inputs poison the result
-_E2R = {"eax": "rax", "ebx": "rbx", "ecx": "rcx", "edx": "rdx",
-        "esi": "rsi", "edi": "rdi", "ebp": "rbp", "esp": "rsp"}
+# undefined and undefined inputs poison the result.  A name is a view of a
+# 64-bit register: writing the register or its 32-bit view defines it,
+# writing an 8- or 16-bit view undefines it, and reading one gives undefined
+_VIEWS = {  # register: its 32-bit view, then its 16- and 8-bit views
+    "rax": ("eax", "ax", "al", "ah"),
+    "rbx": ("ebx", "bx", "bl", "bh"),
+    "rcx": ("ecx", "cx", "cl", "ch"),
+    "rdx": ("edx", "dx", "dl", "dh"),
+    "rsi": ("esi", "si", "sil"),
+    "rdi": ("edi", "di", "dil"),
+    "rbp": ("ebp", "bp", "bpl"),
+    "rsp": ("esp", "sp", "spl"),
+    **{f"r{n}": (f"r{n}d", f"r{n}w", f"r{n}b") for n in range(8, 16)},
+}
+_REGISTER_OF = {view: (reg, i < 2) for reg, views in _VIEWS.items()
+                for i, view in enumerate((reg, *views))}
 
 
 def _reg(op):
+    """(register, whether the view is 32 or 64 bits wide), or None."""
     if op.startswith("%"):
-        name = op[1:]
-        return _E2R.get(name, name)
+        return _REGISTER_OF[op[1:]]
     return None
 
 
@@ -97,21 +111,23 @@ def interpret_accumulator(instructions):
     for mnemonic, operands in instructions:
         if mnemonic == "syscall":
             break
+        if mnemonic not in ("mov", "add", "sub"):
+            raise AssertionError(f"oracle fed unsupported mnemonic {mnemonic}")
         src, dst = operands
-        d = _reg(dst)
+        d, wide = _reg(dst)
         value = _const(src)
-        if value is None:
-            value = env.get(_reg(src))
-        if mnemonic == "mov":
+        if value is None and (s := _reg(src)) and s[1]:
+            value = env.get(s[0])
+        if not wide:
+            env[d] = None
+        elif mnemonic == "mov":
             env[d] = value
         elif mnemonic == "add":
             cur = env.get(d)
             env[d] = None if cur is None or value is None else (cur + value) & 0xFFFFFFFF
-        elif mnemonic == "sub":
+        else:
             cur = env.get(d)
             env[d] = None if cur is None or value is None else (cur - value) & 0xFFFFFFFF
-        else:
-            raise AssertionError(f"oracle fed unsupported mnemonic {mnemonic}")
     return env.get("rax")
 
 
@@ -230,6 +246,15 @@ class Instruction:
     symbol_comment: str | None = None
 
 
+@dataclass(frozen=True)
+class FunctionRecord:
+    canonical_name: str
+    start: int
+    end: int
+    api_name: str | None
+    instructions: tuple[Instruction, ...]
+
+
 def _split_operands(text: str | None) -> tuple[str, ...]:
     if not text:
         return ()
@@ -268,7 +293,7 @@ def parse_disassembly_reference(text: str) -> DisasmUnit:
     cur_start = 0
     cur_insns: list[Instruction] = []
 
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         m = HEADER_RE.match(line)

@@ -219,6 +219,22 @@ def _verify_golden(data_dir, tmp_path, sidecar=None, mapping=None, events=None):
     return code, log
 
 
+def test_verify_decodes_no_instruction(data_dir, tmp_path, monkeypatch):
+    """verify reads only function extents, so it never decodes the body of
+    a syscall host; analyze does."""
+    import syscage.disasm
+
+    def decode(body):
+        raise AssertionError("decoded an instruction")
+
+    monkeypatch.setattr(syscage.disasm, "decode_instructions", decode)
+    code, log = _verify_golden(data_dir, tmp_path)
+    assert code == 0
+    assert log.read_bytes() == (data_dir / "golden" / "verdicts.log").read_bytes()
+    with pytest.raises(AssertionError, match="decoded an instruction"):
+        _analyze(data_dir, tmp_path)
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("verify", "--scan-limit", "-2"),
     ("verify", "--scan-limit", "0"),

@@ -53,6 +53,16 @@ def test_malformed_id():
         load_cve_dataset("CVE-2016-0728\n")
 
 
+def test_cve_lines_are_numbered_by_newline():
+    # fields are tab-separated, so a stray \x0c or \r is stripped at either
+    # end of a field but stays inside one; `line N` is the N-th `\n` line
+    records = load_cve_dataset("CVE-2016-0728\x0c\tkeyctl\r,\x0cadd_key\tnote\r\n")
+    assert (records[0].id, records[0].syscalls, records[0].note) == \
+        ("CVE-2016-0728", {"keyctl", "add_key"}, "note")
+    with pytest.raises(ParseError, match=r"^line 2: bad CVE id 'CVE-2016\\r-0728'$"):
+        load_cve_dataset("CVE-2016-0729\tread\x0c\nCVE-2016\r-0728\tioctl\n")
+
+
 def test_unknown_syscall_strict(seed_table):
     with pytest.raises(AnalysisError, match="line 1: unknown syscall\\(s\\): not_a_syscall"):
         load_cve_dataset(

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from oracles import parse_disassembly_reference
 from syscage.disasm import (
     DIRECT,
     INDIRECT,
+    CallSite,
     Instruction,
     extract_plt_imports,
     parse_disassembly,
@@ -109,6 +112,73 @@ def test_address_order_error():
 def test_instruction_below_start():
     with pytest.raises(ParseError, match="line 2: address 0xf00 does not increase"):
         parse_disassembly("0000000000001000 <f>:\n    0f00:\tnop\n")
+
+
+def test_first_error_in_text_order_wins():
+    # an address error before a bad line of the same body, also across a
+    # line that is not in the common form
+    for middle, lineno in (("", 3), ("    1006:\tmov\t$0x1, %eax\n", 4)):
+        text = f"0000000000001000 <f>:\n    1005:\tnop\n{middle}    1003:\tnop\n    junk\n"
+        with pytest.raises(ParseError, match=f"^line {lineno}: address 0x1003 does not increase$"):
+            parse_disassembly(text)
+    text = "0000000000001000 <f>:\n    1005:\tnop\n    junk\n    1003:\tnop\n"
+    with pytest.raises(ParseError, match="^line 3: bad instruction line: '    junk'$"):
+        parse_disassembly(text)
+    text = "0000000000001000 <f>:\n    1005:\tnop\n    1009:\tmov\t$0x1, %eax\n    1007:\tnop\n"
+    with pytest.raises(ParseError, match="^line 4: address 0x1007 does not increase$"):
+        parse_disassembly(text)
+
+
+def test_instruction_after_blank_lines_before_any_header():
+    text = "\n  \n\x0c\n    1000:\tnop\n0000000000001000 <f>:\n"
+    with pytest.raises(ParseError, match="^line 4: instruction outside any function$"):
+        parse_disassembly(text)
+    with pytest.raises(ParseError, match="^line 2: bad function header: 'f:'$"):
+        parse_disassembly("\t\nf:\n0000000000001000 <f>:\n")
+
+
+def test_lines_are_numbered_by_newline():
+    # \r, \x0c and \u2028 belong to their line: a header that ends in \r is
+    # bad, and a symbol may hold \u2028
+    with pytest.raises(ParseError, match=r"^line 1: bad function header: '0000000000001000 <f>:\\r'$"):
+        parse_disassembly("0000000000001000 <f>:\r\n    1000:\tnop\r\n")
+    # a line of \x0c alone is blank; one after an instruction is not
+    with pytest.raises(ParseError, match="^line 4: bad instruction line: '    bad'$"):
+        parse_disassembly("0000000000001000 <f>:\n    1000:\tnop\n\x0c\n    bad\n")
+    with pytest.raises(ParseError, match=r"^line 2: bad instruction line: '    1000:\\tnop\\x0c'$"):
+        parse_disassembly("0000000000001000 <f>:\n    1000:\tnop\x0c\n")
+    unit = parse_disassembly("0000000000001000 <f\u2028g>:\n    1000:\tcallq\t2000\x0c<h>")
+    assert [f.canonical_name for f in unit.functions] == ["f\u2028g"]
+    assert unit.callsites == [CallSite("f\u2028g", "h", DIRECT)]
+
+
+def test_operands_end_where_the_line_by_line_matcher_ends_them():
+    # `2000,` then a comment, not one operand list `2000, <g>`
+    text = ("0000000000001000 <f>:\n    1000:\tcallq\t2000, <g>\n"
+            "    1005:\tmov\tx, <f>\n    100a:\tmov\t$0x1, %eax\n    100f:\tsyscall\n")
+    unit = parse_disassembly(text)
+    assert unit.callsites == [CallSite("f", "g", DIRECT)]
+    assert unit.functions[0].instructions[:3] == (
+        Instruction(0x1000, "callq", ("2000", ""), "g"),
+        Instruction(0x1005, "mov", ("x", ""), "f"),
+        Instruction(0x100a, "mov", ("$0x1", "%eax")),
+    )
+
+
+def test_comma_joined_operands_take_linear_time():
+    # a backtracking operand grammar splits k comma-joined words 2^k ways
+    # before it rejects a line
+    for sep in (",", ", ", " ,"):
+        ops = sep.join(["a"] * 41)
+        for tail, ok in ((" @", False), ("", True), (" <g>", True)):
+            text = f"0000000000001000 <f>:\n    1000:\tmov\t{ops}{tail}\n    1005:\tsyscall\n"
+            started = time.perf_counter()
+            try:
+                unit = parse_disassembly(text)
+                assert ok and len(unit.functions[0].instructions[0].operands) == 41
+            except ParseError:
+                assert not ok
+            assert time.perf_counter() - started < 0.5
 
 
 def test_overlapping_functions():
@@ -251,6 +321,45 @@ def _read_view(unit):
     return functions, hosts, unit.callsites, unit.syscall_sites
 
 
+def test_long_bodies_equal_the_reference():
+    # bodies longer than one match of the body pattern, with a line in
+    # another form, a syscall and a call at and around its boundaries
+    lines = [f"    {0x1000 + i:x}:\tmov\t$0x{i:x},%eax" for i in range(2500)]
+    for i in (999, 1000, 1001, 2000):
+        lines[i] = f"    {0x1000 + i:x}:\tmov\t$0x27, %eax"
+    lines[1002] = f"    {0x1000 + 1002:x}:\tsyscall"
+    lines[1999] = f"    {0x1000 + 1999:x}:\tcallq\t3000 <g>"
+    header = "0000000000001000 <f>:"
+    errors = []
+    for body in (lines, lines[:1500] + [""] * 700 + lines[1500:],
+                 lines[:1200] + [lines[1100]] + lines[1200:], lines[:2200] + ["  bad"]):
+        text = "\n".join([header, *body, "0000000000004000 <g>:", "    4000:\tsyscall"])
+        try:
+            expected = parse_disassembly_reference(text)
+        except ParseError as exc:
+            errors.append(str(exc))
+            with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+                parse_disassembly(text)
+            continue
+        assert _read_view(parse_disassembly(text)) == _read_view(expected)
+    assert errors == ["line 1202: address 0x144c does not increase",
+                      "line 2202: bad instruction line: '  bad'"]
+
+
+def test_decoding_on_demand_equals_the_reference_on_the_workloads(monkeypatch):
+    """Every SDIS file of both benchmark workloads at seed 1: the same
+    functions and sites, and the same instructions of each syscall host."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import gen
+
+    for name in ("libc-rare", "indirect-attack"):
+        for path, text in gen.BUILDERS[name](1).files().items():
+            if path.endswith(".sdis"):
+                unit = parse_disassembly(text)
+                assert _read_view(unit) == _read_view(parse_disassembly_reference(text)), path
+                assert any(f.instructions for f in unit.functions) == bool(unit.syscall_sites)
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=st.text() | _mutated_fixture())
 # a call's first operand ends at the first comma, spaces before it dropped
@@ -258,6 +367,17 @@ def _read_view(unit):
 @example(text="0000000000001000 <f>:\n    1000:\tcall\t*%rax ,8 <g>\n    1002:\tsyscall\n")
 @example(text="0000000000001000 <f@@V-0x1f>:\n0000000000001020 <f@@V>:\n"
               "0000000000001030 <f@@V+0x10>:\n0000000000001040 <g@@0x1>:\n")
+# a trailing comma ends the operands when a whole comment follows
+@example(text="0000000000001000 <f>:\n    1000:\tcallq\t2000, <g>\n"
+              "    1005:\tmov\tx, <f>\n    100a:\tsyscall\n")
+# a comment that holds what looks like a call or a syscall line
+@example(text="0000000000001000 <f>:\n    1000:\tnop\tx <a:\tsyscall b>\n"
+              "    1001:\tcall\t*x <y:\tcall *b>\n")
+# characters that str.splitlines breaks at, inside a line; no final newline
+@example(text="0000000000001000 <f>:\n    1000:\tcallq\t2000\x0c<g>\n    1005:\tnop\x0c\n")
+@example(text="0000000000001000 <f>:\r\n    1000:\tsyscall\r\n")
+@example(text="0000000000001000 <f\u2028>:\n    1000:\tsyscall\u2028<g>\n\u2028\n")
+@example(text="\n0000000000001000 <f>:\n    1000:\tmov\t$0x1, %eax\n    1005:\tsyscall")
 def test_parse_equals_the_line_by_line_reference(text):
     try:
         expected = parse_disassembly_reference(text)

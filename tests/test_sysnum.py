@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syscage import packaged_data
-from syscage.disasm import FunctionRecord, Instruction, SyscallSite
+from syscage.disasm import FunctionRecord, SyscallSite
 from syscage.errors import ParseError
 from syscage.sysnum import (
     load_syscall_table,
@@ -19,14 +19,15 @@ from test_verifier import _replace_run
 
 
 def _function(body):
-    """body: list of (mnemonic, operands) ending with syscall."""
-    insns = []
+    """body: list of (mnemonic, operands) ending with syscall, kept as the
+    SDIS body text of a host."""
+    lines = []
     addr = 0x1000
     for mnemonic, operands in body:
-        insns.append(Instruction(addr, mnemonic, tuple(operands)))
+        lines.append(f"\n    {addr:x}:\t{mnemonic}" + (f"\t{','.join(operands)}" if operands else ""))
         addr += 5
-    fn = FunctionRecord("f", 0x1000, addr, None, tuple(insns))
-    site = SyscallSite("f", insns[-1].address)
+    fn = FunctionRecord("f", 0x1000, addr, None, "".join(lines))
+    site = SyscallSite("f", addr - 5)
     return fn, site
 
 
@@ -116,6 +117,30 @@ def test_later_untracked_def_ignored():
     assert _resolve(body) == 1
 
 
+def test_narrow_write_clobbers_its_register():
+    # `mov $0x3c,%al` leaves %rax unknown, not the 1 of the earlier %eax write
+    body = [("mov", ["$0x1", "%eax"]), ("mov", ["$0x3c", "%al"]), ("syscall", [])]
+    assert _resolve(body) is None
+    body = [("mov", ["$0x1", "%eax"]), ("mov", ["%eax", "%ebx"]),
+            ("add", ["$0x1", "%bx"]), ("mov", ["%ebx", "%eax"]), ("syscall", [])]
+    assert _resolve(body) is None
+    # a read through an 8- or 16-bit name is unknown too
+    assert _resolve([("mov", ["$0x1", "%ecx"]), ("mov", ["%cl", "%eax"]), ("syscall", [])]) is None
+
+
+def test_every_width_of_a_register_is_one_cell():
+    # %r15d and %r15 are one register: the later 64-bit write wins
+    body = [("mov", ["$0x1", "%r15d"]), ("mov", ["$0x2", "%r15"]),
+            ("mov", ["%r15d", "%eax"]), ("syscall", [])]
+    assert _resolve(body) == 2
+    body = [("mov", ["$0x3", "%r8"]), ("add", ["$0x1", "%r8d"]),
+            ("mov", ["%r8", "%rax"]), ("syscall", [])]
+    assert _resolve(body) == 4
+    body = [("mov", ["$0x3", "%esi"]), ("mov", ["$0x7", "%sil"]),
+            ("mov", ["%rsi", "%rax"]), ("syscall", [])]
+    assert _resolve(body) is None
+
+
 def test_wraparound_mod_2_32():
     body = [("mov", ["$0x0", "%eax"]), ("sub", ["$0x1", "%eax"]), ("syscall", [])]
     assert _resolve(body) == 0xFFFFFFFF
@@ -190,6 +215,22 @@ def test_resolver_matches_interpreter_exhaustive_small():
             assert _resolve(body) == interpret_accumulator(body), body
 
 
+# every width of three registers, the accumulator among them
+WIDTH_REGS = ["%rax", "%eax", "%ax", "%al", "%ah", "%rbx", "%ebx", "%bx", "%bl", "%bh",
+              "%r15", "%r15d", "%r15w", "%r15b"]
+_WIDTH_STEP = st.tuples(
+    st.sampled_from(["mov", "add", "sub"]),
+    st.tuples(st.sampled_from(WIDTH_REGS) | st.integers(0, 9).map(lambda n: f"${n}"),
+              st.sampled_from(WIDTH_REGS)).map(list),
+) | st.just(("syscall", []))
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.lists(_WIDTH_STEP, max_size=10))
+def test_resolver_matches_interpreter_across_register_widths(body):
+    _check_every_site([*body, ("syscall", [])])
+
+
 def test_unsupported_write_sequences_always_unresolved():
     rng = random.Random(43)
     clobbers = [("xor", ["%eax", "%eax"]), ("imul", ["$2", "%eax"]),
@@ -231,6 +272,15 @@ def test_load_table_malformed():
         load_syscall_table("0 common\n")
     with pytest.raises(ParseError, match="line 2: duplicate syscall name 'read'"):
         load_syscall_table("0 common read\n1 common read\n")
+
+
+def test_table_lines_are_numbered_by_newline():
+    # a stray \x0c or \r inside a row is whitespace between its fields;
+    # `line N` is the text's N-th `\n`-separated line
+    table = load_syscall_table("0\x0ccommon read\r\n1 common\rwrite\x0c\n")
+    assert table.number_to_name == {0: "read", 1: "write"}
+    with pytest.raises(ParseError, match="^line 2: expected <num> <abi> <name>$"):
+        load_syscall_table("0 common read\x0c\nbad\n")
 
 
 TABLE_LINES = packaged_data("syscall_64.tbl").splitlines()

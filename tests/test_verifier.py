@@ -433,6 +433,15 @@ def test_parse_memory_map_errors():
     assert [name for name, _ in memmap.libraries] == ["b", "a"]
 
 
+def test_memory_map_lines_are_numbered_by_newline():
+    # a stray \x0c or \r inside a line is whitespace that separates fields;
+    # `line N` is the text's N-th `\n`-separated line
+    memmap = parse_memory_map("stack\x0c1000 2000\r\ncode 3000\r4000\x0c\n")
+    assert (memmap.stack, memmap.code_segment) == (range(0x1000, 0x2000), range(0x3000, 0x4000))
+    with pytest.raises(ParseError, match="^line 2: bad memory map line 'bogus'$"):
+        parse_memory_map("stack 1000 2000\x0c\nbogus\ncode 3000 4000\n")
+
+
 # the steps of verify_event that an event can stop at before its words are
 # read, and the one where the stack walk may follow
 _STEPS = ("walks", "not target", "not suspicious", "cached")
@@ -495,15 +504,26 @@ def test_parse_event_malformed():
 
 
 def test_line_break_characters_do_not_separate_fields():
-    # run_event_trace splits lines at these, so a line holding one between
-    # fields is rejected alone as it is in a trace
+    # a line holding one between fields is rejected alone, and as the same
+    # whole line in a trace, which splits lines at `\n` only
     table, memmap = _table()
-    for sep in ("\x0b", "\x85"):
+    for sep in ("\x0b", "\x85", "\x0c", "\r", "\u2028"):
         line = f"target open{sep}rip=1 rsp=2 stack="
         for step in _STEPS:
             assert _parsed(line, step) == f"bad event line {line!r}"
-        with pytest.raises(ParseError, match="^line 2: bad event line 'target open'"):
+        with pytest.raises(ParseError, match=f"^line 2: bad event line {re.escape(repr(line))}$"):
             run_event_trace(f"target read rip=1 rsp=2 stack=\n{line}\n", _ctx(table, memmap))
+
+
+def test_event_lines_are_numbered_by_newline():
+    # a stray \x0c or \r at either end of a line is stripped with the other
+    # whitespace, so `\r\n` ends a line too; `line N` is the text's N-th line
+    table, memmap = _table()
+    verdicts, _ = run_event_trace("other read rip=1 rsp=2 stack=1\x0c\r\n"
+                                  "\r\x0cother read rip=1 rsp=2 stack=\r\n", _ctx(table, memmap))
+    assert len(verdicts) == 2
+    with pytest.raises(ParseError, match="^line 2: bad event line 'bad'$"):
+        run_event_trace("other read rip=1 rsp=2 stack=1\x0c\nbad\n", _ctx(table, memmap))
 
 
 EVENT_LINES = (DATA / "events.txt").read_text().splitlines()
