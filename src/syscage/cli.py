@@ -49,11 +49,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def positive_int(text: str) -> int:
-    """argparse type for a limit: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    """argparse type for a limit: an integer of at least 1, in ASCII digits."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:  # no sign, space or "_"
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _read(path: str) -> str:

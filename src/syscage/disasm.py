@@ -1,21 +1,21 @@
 """Parser for the SDIS textual disassembly format.
 
 SDIS is a strict subset of common disassembler output: function headers
-(`<hexaddr> <symbol>:`) followed by tab-separated instruction lines.  Lines
-are separated by `\\n` alone, and `line N` of an error is the text's N-th
-such line; any other character, `\\r` and `\\x0c` included, belongs to its
-line.  Lines inside a function body that parse as neither header nor
-instruction are an error rather than skipped, so broken fixtures surface
-immediately.
+(`<hexaddr> <symbol>:`) followed by instruction lines
+`<ws><hexaddr>:\\t<mnemonic>[<ws><operand>[<ws><<comment>>]]`, where the
+operand is one token with no whitespace (`$0x1,%eax`, operands joined by
+commas) and a comment needs an operand before it.  Lines are separated by
+`\\n` alone, and `line N` of an error is the text's N-th such line; any
+other character, `\\r` and `\\x0c` included, belongs to its line.  Lines
+inside a function body that parse as neither header nor instruction are an
+error rather than skipped, so broken fixtures surface immediately.
 
-The regular-expression engine reads the lines, not a Python loop: one match
-takes a header and the lines of its body that are blank or in the common
-instruction form (at most one operand token and an optional `<comment>`),
-up to 1000 of them, one `findall` takes their addresses, and one search
-finds their `call`, `callq` and `syscall` lines.  A line in any other form
-is read by `_rest_fields`, in time linear in the line.  Instructions are
-decoded only when read, from the body text that a function holding a
-`syscall` keeps.
+The regular-expression engine reads the lines, not a Python loop: one
+possessive match takes a header and every blank or instruction line of its
+body, keeping no backtracking state, one `findall` takes their addresses,
+and one search finds their `call`, `callq` and `syscall` lines.
+Instructions are decoded only when read, from the body text that a
+function holding a `syscall` keeps.
 """
 
 from __future__ import annotations
@@ -30,30 +30,25 @@ from typing import NamedTuple
 from .errors import ParseError
 
 _WS = r"[^\S\n]"  # whitespace inside a line
-# an instruction line in the common form, without captures
-_COMMON = rf"{_WS}+[0-9a-f]+:\t[a-z0-9.]+(?:{_WS}+\S+(?:{_WS}+<[^>\n]+>)?)?"
-# at most 1000 lines a match: the engine keeps backtracking state for each
-# line until the match ends (about 1 KiB a line)
-_BODY = rf"(?:\n(?:{_COMMON}|{_WS}*)$){{0,1000}}"
-FUNCTION_RE = re.compile(rf"^([0-9a-f]{{1,16}}) <([^>\n]+)>:$({_BODY})", re.M)
-BODY_RE = re.compile(_BODY, re.M)
-ADDRESS_RE = re.compile(rf"\n{_WS}+([0-9a-f]+):")
-# what follows the mnemonic in the common form: operand token, comment
+# what follows the mnemonic: the operand token, then the comment
 _TAIL = rf"(?:{_WS}+(\S+)(?:{_WS}+<([^>\n]+)>)?)?$"
-# a common-form `call`, `callq` or `syscall` line from the `:\t` after its
-# address: "syscall" or None, then the tail.  The literal `:\t` makes the
-# search fast; a match must still start at the line's address
+# an instruction line, without captures
+_INSN = rf"{_WS}+[0-9a-f]+:\t[a-z0-9.]+(?:{_WS}+\S+(?:{_WS}+<[^>\n]+>)?)?"
+INSN_RE = re.compile(rf"{_INSN}$", re.M)
+# a header, then its body: blank and instruction lines, each after its `\n`
+FUNCTION_RE = re.compile(
+    rf"^([0-9a-f]{{1,16}}) <([^>\n]+)>:$((?:\n(?:{_INSN}|{_WS}*)$)*+)", re.M)
+ADDRESS_RE = re.compile(rf"\n{_WS}+([0-9a-f]+):")
+# a `call`, `callq` or `syscall` line from the `:\t` after its address:
+# "syscall" or None, then the tail.  The literal `:\t` makes the search
+# fast; a match must still be at the line's first `:\t`
 SITE_RE = re.compile(rf":\t(?:(syscall)|callq?){_TAIL}", re.M)
-# every instruction line; the rest of a line not in the common form is in group 5
-DECODE_RE = re.compile(rf"\n{_WS}+([0-9a-f]+):\t([a-z0-9.]+)(?:{_TAIL}|(.+))", re.M)
-_LINE_HEAD = re.compile(r"\s+([0-9a-f]+):\t([a-z0-9.]+)")
+DECODE_RE = re.compile(rf"\n{_WS}+([0-9a-f]+):\t([a-z0-9.]+){_TAIL}", re.M)
 _FIRST_LINE = re.compile(rf"^{_WS}*\S", re.M)  # the first line that is not blank
-_TOKEN = re.compile(r"\S+")
 HEX_OPERAND_RE = re.compile(r"^[0-9a-f]+$")
 # `name@@VERSION`, but not objdump's label for code that no symbol covers,
 # relative to the nearest symbol, such as `abort@@GLIBC_2.2.5-0x1f`
 EXPORT_RE = re.compile(r"(.*?)@@(?!.*[+-]0x[0-9a-f]+$)")
-_OPERAND_SPLIT = re.compile(r"\s*,\s*").split
 
 CALL_MNEMONICS = {"call", "callq"}
 
@@ -105,71 +100,11 @@ class DisasmUnit:
 
 
 def decode_instructions(body: str) -> tuple[Instruction, ...]:
-    """The instructions of validated body text.  The one operand token of
-    a line in the common form holds no space, so its commas split it."""
+    """The instructions of validated body text; commas split the operand."""
     return tuple([
         Instruction(int(address, 16), mnemonic, tuple(ops.split(",")) if ops else (),
-                    comment or None) if not rest else _decode_rest(address, mnemonic, rest)
-        for address, mnemonic, ops, comment, rest in DECODE_RE.findall(body)])
-
-
-def _decode_rest(address: str, mnemonic: str, rest: str) -> Instruction:
-    ops, comment = _rest_fields(rest)
-    return Instruction(int(address, 16), mnemonic,
-                       tuple(_OPERAND_SPLIT(ops)) if ops else (), comment)
-
-
-def _rest_fields(rest: str) -> tuple[str | None, str | None] | None:
-    """(operands, comment) of the text after a mnemonic, or None where no
-    instruction line ends so.
-
-    The grammar is `(\\s+(\\S+(\\s*,\\s*\\S+)*))?(\\s+<([^>]+)>)?$`, and the
-    fields are those that a backtracking matcher finds first, in linear time.
-    Operands end at the end of a token (a run of non-space); the first of
-    those ends that is followed by the end or by a whole comment wins, in the
-    matcher's order: from a token, first continue through a next token that
-    starts with a comma, else stop here, else continue through this token's
-    own last comma.  `res[i][entry]` is the winning end from token i, entered
-    at its start (entry 0) or after its leading comma (entry 1)."""
-    if not rest:
-        return None, None
-    spans = [m.span() for m in _TOKEN.finditer(rest)]
-    if not rest[0].isspace() or not spans or spans[-1][1] != len(rest):
-        return None
-    n = len(spans)
-    last_gt = rest.rfind(">", 0, len(rest) - 1)
-
-    def comment_from(i: int) -> bool:
-        s = spans[i][0]
-        return rest[s] == "<" and rest[-1] == ">" and s > last_gt and len(rest) - s >= 3
-
-    res: list[list[int | None]] = [[None, None] for _ in range(n)]
-    for i in reversed(range(n)):
-        s, e = spans[i]
-        for entry in (0, 1):
-            end = None
-            if i + 1 < n and rest[spans[i + 1][0]] == ",":
-                if spans[i + 1][1] - spans[i + 1][0] > 1:
-                    end = res[i + 1][1]
-                elif i + 2 < n:  # a lone comma joins the tokens around it
-                    end = res[i + 2][0]
-            if end is None and (i + 1 == n or comment_from(i + 1)):
-                end = i
-            if end is None and i + 1 < n and rest[e - 1] == "," and e - 1 > s + entry:
-                end = res[i + 1][0]
-            res[i][entry] = end
-    end = res[0][0]
-    if end is None:
-        return (None, rest[spans[0][0] + 1:-1]) if comment_from(0) else None
-    comment = rest[spans[end + 1][0] + 1:-1] if end + 1 < n else None
-    return rest[spans[0][0]:spans[end][1]], comment
-
-
-def _line_fields(line: str) -> tuple[str, str, str | None, str | None] | None:
-    """(address, mnemonic, operands, comment) of an instruction line, or None."""
-    m = _LINE_HEAD.match(line)
-    rest = m and _rest_fields(line[m.end():])
-    return None if rest is None else (m.group(1), m.group(2), *rest)
+                    comment or None)
+        for address, mnemonic, ops, comment in DECODE_RE.findall(body)])
 
 
 class _Parse:
@@ -182,10 +117,9 @@ class _Parse:
     def lineno(self, pos: int) -> int:
         return self.text.count("\n", 0, pos) + 1
 
-    def line_at(self, pos: int) -> tuple[str, int]:
+    def line_at(self, pos: int) -> str:
         end = self.text.find("\n", pos)
-        end = len(self.text) if end < 0 else end
-        return self.text[pos:end], end
+        return self.text[pos:] if end < 0 else self.text[pos:end]
 
     def check_addresses(self, lo: int, hi: int, last: int) -> int:
         """The last address of the instruction lines in text[lo:hi], each
@@ -205,55 +139,44 @@ class _Parse:
             last = addr
         return last
 
-    def add_site(self, symbol: str, address: str, mnemonic: str,
-                 ops: str | None, comment: str | None) -> None:
-        if mnemonic == "syscall":
-            self.unit.syscall_sites.append(SyscallSite(symbol, int(address, 16)))
-        elif mnemonic in CALL_MNEMONICS and ops:
-            op = _OPERAND_SPLIT(ops, 1)[0]
-            if op.startswith("*"):
-                self.unit.callsites.append(CallSite(symbol, None, INDIRECT))
-            elif HEX_OPERAND_RE.match(op) and comment:
-                self.unit.callsites.append(CallSite(symbol, comment, DIRECT))
-            # any other operand form is an unmodeled call; not a callsite
-
     def function(self, m: re.Match) -> re.Match | None:
-        """Read the function whose header and first lines `m` matched, up to
-        the next header (returned) or the end of the text (None)."""
+        """Read the function whose header and body `m` matched; return the
+        match of the next header, or None at the end of the text."""
         text, symbol, start = self.text, m.group(2), int(m.group(1), 16)
-        sites = len(self.unit.syscall_sites)
-        body_start = lo = m.start(3)
-        hi = m.end()
-        last = start - 1  # the address check then also rejects one below `start`
-        nxt = None
-        while True:
-            # text[lo:hi] holds blank lines and instruction lines in the common form
-            last = self.check_addresses(lo, hi, last)
-            for s in SITE_RE.finditer(text, lo, hi):
-                head = _LINE_HEAD.match(text, text.rfind("\n", lo, s.start()) + 1)
-                if head.end(1) == s.start():  # not a `:\t` inside a comment
-                    self.add_site(symbol, head.group(1), s.group(1) or "call", *s.group(2, 3))
-            if hi == len(text) or (nxt := FUNCTION_RE.match(text, hi + 1)):
-                break
-            lo = hi
-            hi = BODY_RE.match(text, lo).end()
-            if hi == lo:  # the next line is in another form, or is no instruction
-                line, lo = self.line_at(hi + 1)
-                fields = _line_fields(line)
-                if fields is None:
-                    kind = "instruction line" if line[0].isspace() else "function header"
-                    raise ParseError(f"line {self.lineno(hi + 1)}: bad {kind}: {line!r}")
-                last = self.check_addresses(hi, lo, last)
-                self.add_site(symbol, *fields)
-                hi = BODY_RE.match(text, lo).end()
-        host = len(self.unit.syscall_sites) > sites
-        self.unit.functions.append(FunctionRecord(
+        unit = self.unit
+        sites = len(unit.syscall_sites)
+        lo, hi = m.span(3)
+        # one below `start`, so that the check also rejects an address below it
+        last = self.check_addresses(lo, hi, start - 1)
+        for s in SITE_RE.finditer(text, lo, hi):
+            line = text.rfind("\n", lo, s.start()) + 1
+            if text.find(":\t", line, s.start()) >= 0:
+                continue  # a `:\t` inside a comment
+            syscall, op, comment = s.groups()
+            if syscall:
+                address = int(text[line:s.start()].strip(), 16)
+                unit.syscall_sites.append(SyscallSite(symbol, address))
+            elif op:
+                op = op.split(",", 1)[0]
+                if op.startswith("*"):
+                    unit.callsites.append(CallSite(symbol, None, INDIRECT))
+                elif HEX_OPERAND_RE.match(op) and comment:
+                    unit.callsites.append(CallSite(symbol, comment, DIRECT))
+                # any other operand form is an unmodeled call; not a callsite
+        unit.functions.append(FunctionRecord(
             canonical_name=symbol,
             start=start,
             end=max(last, start) + 1,
             api_name=e.group(1) if (e := EXPORT_RE.match(symbol)) else None,
-            body=text[body_start:hi] if host else "",
+            body=text[lo:hi] if len(unit.syscall_sites) > sites else "",
         ))
+        if hi == len(text):
+            return None
+        nxt = FUNCTION_RE.match(text, hi + 1)
+        if nxt is None:  # the line after the body is neither header nor instruction
+            line = self.line_at(hi + 1)
+            kind = "instruction line" if line[0].isspace() else "function header"
+            raise ParseError(f"line {self.lineno(hi + 1)}: bad {kind}: {line!r}")
         return nxt
 
 
@@ -269,9 +192,8 @@ def parse_disassembly(text: str) -> DisasmUnit:
     if first is not None:
         m = FUNCTION_RE.match(text, first.start())
         if m is None:
-            line, _ = parse.line_at(first.start())
-            what = ("instruction outside any function" if _line_fields(line)
-                    else f"bad function header: {line!r}")
+            what = ("instruction outside any function" if INSN_RE.match(text, first.start())
+                    else f"bad function header: {parse.line_at(first.start())!r}")
             raise ParseError(f"line {parse.lineno(first.start())}: {what}")
         while m is not None:
             m = parse.function(m)

@@ -232,7 +232,7 @@ def load_trace(texts: list[str]) -> Counter:
     token of a line is the syscall name, other lines are skipped."""
     counts: Counter = Counter()
     for text in texts:
-        for line in text.splitlines():
+        for line in text.split("\n"):
             m = TRACE_TOKEN_RE.match(line)
             if m:
                 counts[m.group(0)] += 1

@@ -4,10 +4,10 @@ These deliberately use different algorithms (Floyd-Warshall closure,
 exhaustive permutation-based path enumeration, a forward interpreter,
 index-mapping subsequence search) so a shared bug cannot hide.  The SDIS
 reference is the line-by-line parser, over the lines between `\n`s, that
-keeps every instruction, matches each line with the backtracking `INSN_RE`
-and finds callsites and syscall sites in a second loop; `syscage.disasm`
-must give the same functions, sites, instructions and errors from its
-pattern passes.  The bounded secure-path
+keeps every instruction, matches each line alone with `INSN_RE` and finds
+callsites and syscall sites in a second loop; `syscage.disasm` must give
+the same functions, sites, instructions and errors from its pattern
+passes over whole function bodies.  The bounded secure-path
 enumerator and the iterator subsequence matcher are the matcher that
 `verifier.walk_embeds` replaced, kept as a second reference for it.
 """
@@ -232,9 +232,8 @@ def parse_event_reference(line, scan_limit):
 
 
 HEADER_RE = re.compile(r"^([0-9a-f]{1,16}) <([^>]+)>:$")
-INSN_RE = re.compile(
-    r"^\s+([0-9a-f]+):\t([a-z0-9.]+)(\s+(\S+(\s*,\s*\S+)*))?(\s+<([^>]+)>)?$"
-)
+# one operand token, then a comment (group 6) only after it
+INSN_RE = re.compile(r"^\s+([0-9a-f]+):\t([a-z0-9.]+)(\s+(\S+)(\s+<([^>]+)>)?)?$")
 HEX_OPERAND_RE = re.compile(r"^[0-9a-f]+$")
 
 
@@ -258,7 +257,7 @@ class FunctionRecord:
 def _split_operands(text: str | None) -> tuple[str, ...]:
     if not text:
         return ()
-    return tuple(re.split(r"\s*,\s*", text))
+    return tuple(text.split(","))
 
 
 def _finish_function(symbol: str, start: int, insns: list[Instruction]) -> FunctionRecord:
@@ -316,7 +315,7 @@ def parse_disassembly_reference(text: str) -> DisasmUnit:
                     address=addr,
                     mnemonic=m.group(2),
                     operands=_split_operands(m.group(4)),
-                    symbol_comment=m.group(7),
+                    symbol_comment=m.group(6),
                 )
             )
             continue

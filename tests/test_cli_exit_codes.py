@@ -102,3 +102,14 @@ def test_any_json_value_ends_in_a_documented_exit_code(tmp_path, role, data):
     original = json.loads(FIXTURES[role].read_text())
     value = data.draw(JSON | _spliced(original))
     _assert_contract(role, json.dumps(value).encode(), tmp_path)
+
+
+@pytest.mark.parametrize("command, flag", [("profile", "--min-count"), ("verify", "--scan-limit")])
+def test_a_limit_takes_ascii_digits_only(tmp_path, capsys, command, flag):
+    argv = _argv(command, FIXTURES, tmp_path)
+    assert main(argv + [flag, "12"]) == 0
+    for value in ("\u0661\u0662", " 3 ", "1_0", "+3"):  # int() reads 12, 3, 10 and 3
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from oracles import parse_disassembly_reference
 from syscage.disasm import (
     DIRECT,
+    FUNCTION_RE,
     INDIRECT,
     CallSite,
     Instruction,
+    SyscallSite,
     extract_plt_imports,
     parse_disassembly,
 )
@@ -115,16 +118,15 @@ def test_instruction_below_start():
 
 
 def test_first_error_in_text_order_wins():
-    # an address error before a bad line of the same body, also across a
-    # line that is not in the common form
-    for middle, lineno in (("", 3), ("    1006:\tmov\t$0x1, %eax\n", 4)):
+    # an address error before a bad line of the same body
+    for middle, lineno in (("", 3), ("    1006:\tmov\t$0x1,%eax\n", 4)):
         text = f"0000000000001000 <f>:\n    1005:\tnop\n{middle}    1003:\tnop\n    junk\n"
         with pytest.raises(ParseError, match=f"^line {lineno}: address 0x1003 does not increase$"):
             parse_disassembly(text)
     text = "0000000000001000 <f>:\n    1005:\tnop\n    junk\n    1003:\tnop\n"
     with pytest.raises(ParseError, match="^line 3: bad instruction line: '    junk'$"):
         parse_disassembly(text)
-    text = "0000000000001000 <f>:\n    1005:\tnop\n    1009:\tmov\t$0x1, %eax\n    1007:\tnop\n"
+    text = "0000000000001000 <f>:\n    1005:\tnop\n    1009:\tmov\t$0x1,%eax\n    1007:\tnop\n"
     with pytest.raises(ParseError, match="^line 4: address 0x1007 does not increase$"):
         parse_disassembly(text)
 
@@ -152,10 +154,16 @@ def test_lines_are_numbered_by_newline():
     assert unit.callsites == [CallSite("f\u2028g", "h", DIRECT)]
 
 
-def test_operands_end_where_the_line_by_line_matcher_ends_them():
-    # `2000,` then a comment, not one operand list `2000, <g>`
+def test_an_instruction_has_one_operand_token():
+    # spaced operands, and a comment with no operand before it, are rejected
+    for line in ("mov\t$0x1, %eax", "callq\t2000 , %rax <g>", "nop\t<a b>"):
+        bad = f"    1005:\t{line}"
+        text = f"0000000000001000 <f>:\n    1000:\tnop\n\n{bad}\n"
+        with pytest.raises(ParseError, match=f"^line 4: bad instruction line: {re.escape(repr(bad))}$"):
+            parse_disassembly(text)
+    # a comma that ends the token is the operand's, then a comment follows
     text = ("0000000000001000 <f>:\n    1000:\tcallq\t2000, <g>\n"
-            "    1005:\tmov\tx, <f>\n    100a:\tmov\t$0x1, %eax\n    100f:\tsyscall\n")
+            "    1005:\tmov\tx, <f>\n    100a:\tmov\t$0x1,%eax\n    100f:\tsyscall\n")
     unit = parse_disassembly(text)
     assert unit.callsites == [CallSite("f", "g", DIRECT)]
     assert unit.functions[0].instructions[:3] == (
@@ -167,18 +175,35 @@ def test_operands_end_where_the_line_by_line_matcher_ends_them():
 
 def test_comma_joined_operands_take_linear_time():
     # a backtracking operand grammar splits k comma-joined words 2^k ways
-    # before it rejects a line
-    for sep in (",", ", ", " ,"):
-        ops = sep.join(["a"] * 41)
-        for tail, ok in ((" @", False), ("", True), (" <g>", True)):
+    # before it rejects a line; spaced commas are rejected, joined ones parse
+    for sep in (", ", " ,", " , ", ","):
+        for tail in (" @", "", " <g>"):
+            ops = sep.join(["a"] * 41)
             text = f"0000000000001000 <f>:\n    1000:\tmov\t{ops}{tail}\n    1005:\tsyscall\n"
             started = time.perf_counter()
-            try:
-                unit = parse_disassembly(text)
-                assert ok and len(unit.functions[0].instructions[0].operands) == 41
-            except ParseError:
-                assert not ok
+            if sep == "," and tail != " @":
+                assert len(parse_disassembly(text).functions[0].instructions[0].operands) == 41
+            else:
+                with pytest.raises(ParseError, match="^line 2: bad instruction line"):
+                    parse_disassembly(text)
             assert time.perf_counter() - started < 0.5
+
+
+def test_a_long_body_is_one_match_in_little_memory():
+    # a possessive body keeps no backtracking state; a greedy one keeps
+    # about 1 KiB a line until the match ends
+    lines = [f"    {0x10000 + i:x}:\tmov\t$0x{i:x},%eax" for i in range(40_000)]
+    text = "\n".join(["0000000000010000 <f>:", *lines, "    19c40:\tsyscall", ""])
+    tracemalloc.start()
+    try:
+        assert FUNCTION_RE.match(text).end() == len(text)
+        unit = parse_disassembly(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert unit.syscall_sites == [SyscallSite("f", 0x19c40)]
+    assert unit.functions[0].end == 0x19c41
 
 
 def test_overlapping_functions():
@@ -249,7 +274,7 @@ def test_every_instruction_inside_its_function(minilib_unit):
 def test_only_syscall_hosts_keep_their_instructions(minilib_unit):
     text = (
         "0000000000001000 <host>:\n"
-        "    1000:\tmov\t$0x27 , %eax\n"
+        "    1000:\tmov\t$0x27,%eax\n"
         "    1005:\tcallq\t2000 <helper>\n"
         "    100a:\tsyscall\n"
         "    100c:\tretq\n"
@@ -322,17 +347,16 @@ def _read_view(unit):
 
 
 def test_long_bodies_equal_the_reference():
-    # bodies longer than one match of the body pattern, with a line in
-    # another form, a syscall and a call at and around its boundaries
+    # bodies of 2 500 lines with a syscall and a call past line 1 000, and
+    # errors there
     lines = [f"    {0x1000 + i:x}:\tmov\t$0x{i:x},%eax" for i in range(2500)]
-    for i in (999, 1000, 1001, 2000):
-        lines[i] = f"    {0x1000 + i:x}:\tmov\t$0x27, %eax"
     lines[1002] = f"    {0x1000 + 1002:x}:\tsyscall"
     lines[1999] = f"    {0x1000 + 1999:x}:\tcallq\t3000 <g>"
     header = "0000000000001000 <f>:"
     errors = []
     for body in (lines, lines[:1500] + [""] * 700 + lines[1500:],
-                 lines[:1200] + [lines[1100]] + lines[1200:], lines[:2200] + ["  bad"]):
+                 lines[:1200] + [lines[1100]] + lines[1200:],
+                 lines[:2200] + ["    1898:\tmov\t$0x27, %eax"] + lines[2201:]):
         text = "\n".join([header, *body, "0000000000004000 <g>:", "    4000:\tsyscall"])
         try:
             expected = parse_disassembly_reference(text)
@@ -343,7 +367,7 @@ def test_long_bodies_equal_the_reference():
             continue
         assert _read_view(parse_disassembly(text)) == _read_view(expected)
     assert errors == ["line 1202: address 0x144c does not increase",
-                      "line 2202: bad instruction line: '  bad'"]
+                      "line 2202: bad instruction line: '    1898:\\tmov\\t$0x27, %eax'"]
 
 
 def test_decoding_on_demand_equals_the_reference_on_the_workloads(monkeypatch):
@@ -362,12 +386,12 @@ def test_decoding_on_demand_equals_the_reference_on_the_workloads(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(text=st.text() | _mutated_fixture())
-# a call's first operand ends at the first comma, spaces before it dropped
+# spaced operands are rejected
 @example(text="0000000000001000 <f>:\n    1000:\tcallq\t2000 , %rax <g>\n")
 @example(text="0000000000001000 <f>:\n    1000:\tcall\t*%rax ,8 <g>\n    1002:\tsyscall\n")
 @example(text="0000000000001000 <f@@V-0x1f>:\n0000000000001020 <f@@V>:\n"
               "0000000000001030 <f@@V+0x10>:\n0000000000001040 <g@@0x1>:\n")
-# a trailing comma ends the operands when a whole comment follows
+# a trailing comma ends the operand when a whole comment follows
 @example(text="0000000000001000 <f>:\n    1000:\tcallq\t2000, <g>\n"
               "    1005:\tmov\tx, <f>\n    100a:\tsyscall\n")
 # a comment that holds what looks like a call or a syscall line

@@ -186,6 +186,11 @@ def test_load_trace_merge_adds():
     assert load_trace(["read(3)\n", "read(4)\nclose(3)\n"]) == {"read": 2, "close": 1}
 
 
+def test_trace_lines_are_split_at_newline_only():
+    # \x0c, \r and \u2028 belong to their line, so no call starts after them
+    assert load_trace(["read(0)\x0cwrite(1)\n", "read(0)\rclose(3)\u2028open(1)"]) == {"read": 2}
+
+
 def _simple_mapping(entries, unresolved=0):
     doc = {"format": 3, "apis": {}}
     for api, syscalls in entries.items():
