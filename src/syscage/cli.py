@@ -65,11 +65,12 @@ def _read(path: str) -> str:
 def _load(path: str | None, parse, bundled: str | None = None):
     """`parse` applied to the text of `path`, or of the bundled data file
     `bundled` when no path is given; a parse error names the file.  JSON
-    nested too deeply for the decoder is a parse error too."""
+    nested too deeply for the decoder, or with an integer longer than int()
+    reads (a ValueError, like JSONDecodeError), is a parse error too."""
     text = _read(path) if path else packaged_data(bundled)
     try:
         return parse(text)
-    except (ParseError, json.JSONDecodeError, RecursionError) as exc:
+    except (ParseError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path or bundled}: {exc}") from exc
 
 

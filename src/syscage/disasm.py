@@ -6,9 +6,11 @@ SDIS is a strict subset of common disassembler output: function headers
 operand is one token with no whitespace (`$0x1,%eax`, operands joined by
 commas) and a comment needs an operand before it.  Lines are separated by
 `\\n` alone, and `line N` of an error is the text's N-th such line; any
-other character, `\\r` and `\\x0c` included, belongs to its line.  Lines
-inside a function body that parse as neither header nor instruction are an
-error rather than skipped, so broken fixtures surface immediately.
+other character, `\\r` and `\\x0c` included, belongs to its line.  Addresses
+rise through the whole text: a header's is above every address before it,
+and its first instruction's may equal it, so functions never overlap.
+Lines that parse as neither header nor instruction are an error rather
+than skipped, so broken fixtures surface immediately.
 
 The regular-expression engine reads the lines, not a Python loop: one
 possessive match takes a header and every blank or instruction line of its
@@ -107,47 +109,65 @@ def decode_instructions(body: str) -> tuple[Instruction, ...]:
         for address, mnemonic, ops, comment in DECODE_RE.findall(body)])
 
 
-class _Parse:
-    """One parse: the text and the unit read from it so far."""
+def _lineno(text: str, pos: int) -> int:
+    return text.count("\n", 0, pos) + 1
 
-    def __init__(self, text: str):
-        self.text = text
-        self.unit = DisasmUnit()
 
-    def lineno(self, pos: int) -> int:
-        return self.text.count("\n", 0, pos) + 1
+def _bad_line(text: str, pos: int, in_body: bool) -> ParseError:
+    """The error for the line at `pos`, which starts no function: after a
+    function, an indented line is a bad instruction line; before the first,
+    a whole instruction line is outside any function."""
+    line = text[pos:].split("\n", 1)[0]
+    if not in_body and INSN_RE.match(text, pos):
+        what = "instruction outside any function"
+    else:
+        kind = "instruction line" if in_body and line[0].isspace() else "function header"
+        what = f"bad {kind}: {line!r}"
+    return ParseError(f"line {_lineno(text, pos)}: {what}")
 
-    def line_at(self, pos: int) -> str:
-        end = self.text.find("\n", pos)
-        return self.text[pos:] if end < 0 else self.text[pos:end]
 
-    def check_addresses(self, lo: int, hi: int, last: int) -> int:
-        """The last address of the instruction lines in text[lo:hi], each
-        above the one before and the first above `last`."""
-        addrs = ADDRESS_RE.findall(self.text, lo, hi)
-        if not addrs:
-            return last
-        # hex digits of one length compare as their values do
-        if (int(addrs[0], 16) > last and len(set(map(len, addrs))) == 1
-                and all(map(lt, addrs, islice(addrs, 1, None)))):
-            return int(addrs[-1], 16)
-        for m in ADDRESS_RE.finditer(self.text, lo, hi):
-            addr = int(m.group(1), 16)
-            if addr <= last:
-                raise ParseError(f"line {self.lineno(m.start() + 1)}: "
-                                 f"address {addr:#x} does not increase")
-            last = addr
+def _check_addresses(text: str, lo: int, hi: int, last: int) -> int:
+    """The last address of the instruction lines in text[lo:hi], each above
+    the one before and the first above `last`."""
+    addrs = ADDRESS_RE.findall(text, lo, hi)
+    if not addrs:
         return last
+    # hex digits of one length compare as their values do
+    if (int(addrs[0], 16) > last and len(set(map(len, addrs))) == 1
+            and all(map(lt, addrs, islice(addrs, 1, None)))):
+        return int(addrs[-1], 16)
+    for m in ADDRESS_RE.finditer(text, lo, hi):
+        addr = int(m.group(1), 16)
+        if addr <= last:
+            raise ParseError(f"line {_lineno(text, m.start() + 1)}: "
+                             f"address {addr:#x} does not increase")
+        last = addr
+    return last
 
-    def function(self, m: re.Match) -> re.Match | None:
-        """Read the function whose header and body `m` matched; return the
-        match of the next header, or None at the end of the text."""
-        text, symbol, start = self.text, m.group(2), int(m.group(1), 16)
-        unit = self.unit
-        sites = len(unit.syscall_sites)
+
+def parse_disassembly(text: str) -> DisasmUnit:
+    """Parse SDIS text into a DisasmUnit.
+
+    Function boundaries come from header lines; a header symbol matching
+    EXPORT_RE marks an API export named by the text before "@@".  Every
+    line is validated, in text order; only syscall hosts keep their body
+    text.
+    """
+    unit = DisasmUnit()
+    pos = first.start() if (first := _FIRST_LINE.search(text)) else len(text)
+    last = -1  # the highest address so far
+    while pos < len(text):
+        m = FUNCTION_RE.match(text, pos)
+        if m is None:
+            raise _bad_line(text, pos, bool(unit.functions))
+        symbol, start = m.group(2), int(m.group(1), 16)
+        if start <= last:
+            raise ParseError(f"line {_lineno(text, pos)}: function {symbol} at "
+                             f"{start:#x} is not above address {last:#x}")
         lo, hi = m.span(3)
         # one below `start`, so that the check also rejects an address below it
-        last = self.check_addresses(lo, hi, start - 1)
+        last = max(_check_addresses(text, lo, hi, start - 1), start)
+        sites = len(unit.syscall_sites)
         for s in SITE_RE.finditer(text, lo, hi):
             line = text.rfind("\n", lo, s.start()) + 1
             if text.find(":\t", line, s.start()) >= 0:
@@ -163,52 +183,11 @@ class _Parse:
                 elif HEX_OPERAND_RE.match(op) and comment:
                     unit.callsites.append(CallSite(symbol, comment, DIRECT))
                 # any other operand form is an unmodeled call; not a callsite
-        unit.functions.append(FunctionRecord(
-            canonical_name=symbol,
-            start=start,
-            end=max(last, start) + 1,
-            api_name=e.group(1) if (e := EXPORT_RE.match(symbol)) else None,
-            body=text[lo:hi] if len(unit.syscall_sites) > sites else "",
-        ))
-        if hi == len(text):
-            return None
-        nxt = FUNCTION_RE.match(text, hi + 1)
-        if nxt is None:  # the line after the body is neither header nor instruction
-            line = self.line_at(hi + 1)
-            kind = "instruction line" if line[0].isspace() else "function header"
-            raise ParseError(f"line {self.lineno(hi + 1)}: bad {kind}: {line!r}")
-        return nxt
-
-
-def parse_disassembly(text: str) -> DisasmUnit:
-    """Parse SDIS text into a DisasmUnit.
-
-    Function boundaries come from header lines; a header symbol matching
-    EXPORT_RE marks an API export named by the text before "@@".  Every
-    line is validated; only syscall hosts keep their body text.
-    """
-    parse = _Parse(text)
-    first = _FIRST_LINE.search(text)
-    if first is not None:
-        m = FUNCTION_RE.match(text, first.start())
-        if m is None:
-            what = ("instruction outside any function" if INSN_RE.match(text, first.start())
-                    else f"bad function header: {parse.line_at(first.start())!r}")
-            raise ParseError(f"line {parse.lineno(first.start())}: {what}")
-        while m is not None:
-            m = parse.function(m)
-    _check_disjoint(parse.unit.functions)
-    return parse.unit
-
-
-def _check_disjoint(functions: list[FunctionRecord]) -> None:
-    ordered = sorted(functions, key=lambda f: f.start)
-    for a, b in zip(ordered, ordered[1:]):
-        if b.start < a.end:
-            raise ParseError(
-                f"function {a.canonical_name} [{a.start:#x},{a.end:#x}) overlaps "
-                f"{b.canonical_name} [{b.start:#x},{b.end:#x})"
-            )
+        api = e.group(1) if (e := EXPORT_RE.match(symbol)) else None
+        body = text[lo:hi] if len(unit.syscall_sites) > sites else ""
+        unit.functions.append(FunctionRecord(symbol, start, last + 1, api, body))
+        pos = hi + 1  # past the `\n` after the body, or past the text's end
+    return unit
 
 
 def extract_plt_imports(unit: DisasmUnit) -> set[str]:

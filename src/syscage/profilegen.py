@@ -260,9 +260,6 @@ def generate_profile(
     embedded = set(embedded_syscall_names)
     unresolved = ["the target itself"] if None in embedded else []
     embedded.discard(None)
-    bad_embedded = sorted(embedded - table.names)
-    if bad_embedded:
-        raise AnalysisError(f"embedded syscall(s) not in the table: {', '.join(bad_embedded)}")
 
     tainted: dict[str, bool] = {}  # False once any import reaches a host directly
     unresolved_apis = []

@@ -9,8 +9,10 @@ does a read through one.  It models `mov`, `add` and `sub` of constants and
 known registers.  A call makes every register unknown, and so does any other
 instruction for the register that is its last operand.  Each `syscall` takes
 the accumulator's value at that point, so a number is reported only where it
-is certain; anything else is unresolved, never guessed.  The instructions of
-a host are decoded here, on first read of `FunctionRecord.instructions`.
+is certain; anything else is unresolved, never guessed.  A `syscall` then
+makes `rax`, `rcx` and `r11` unknown, as the kernel writes them.  The
+instructions of a host are decoded here, on first read of
+`FunctionRecord.instructions`.
 """
 
 from __future__ import annotations
@@ -89,9 +91,12 @@ def load_syscall_table(text: str) -> SyscallTable:
         fields = stripped.split()
         if len(fields) < 3:
             raise ParseError(f"line {lineno}: expected <num> <abi> <name>")
-        if not (fields[0].isascii() and fields[0].isdigit()):  # no sign, "_" or non-ASCII digit
-            raise ParseError(f"line {lineno}: bad number {fields[0]!r}")
-        number = int(fields[0])
+        try:
+            if not (fields[0].isascii() and fields[0].isdigit()):  # no sign, "_" or non-ASCII digit
+                raise ValueError
+            number = int(fields[0])  # ValueError past int()'s digit limit
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad number {fields[0]!r}") from None
         name = fields[2]
         if number in number_to_name:
             raise ParseError(f"line {lineno}: duplicate syscall number {number}")
@@ -109,9 +114,11 @@ def resolve_numbers(function: FunctionRecord) -> dict[int, int | None]:
     numbers: dict[int, int | None] = {}
     for ins in function.instructions:
         ops = ins.operands
-        if ins.mnemonic == "syscall":
-            numbers[ins.address] = regs.get(ACCUMULATOR)
-        if ins.mnemonic in CALL_MNEMONICS:
+        if ins.mnemonic == "syscall":  # the kernel writes rax, rcx and r11
+            numbers[ins.address] = regs.pop(ACCUMULATOR, None)
+            regs.pop("rcx", None)
+            regs.pop("r11", None)
+        elif ins.mnemonic in CALL_MNEMONICS:
             regs.clear()
         elif ins.mnemonic in _APPLY and len(ops) == 2:
             src, dst = ops

@@ -105,12 +105,14 @@ def interpret_accumulator(instructions):
     end, or None when it is undefined.
 
     Though `sysnum.resolve_numbers` is also a forward pass, this stays an
-    independent reference: it is separately written, runs straight-line
-    mov/add/sub code only, and stops at the first `syscall`."""
+    independent reference: it is separately written and runs straight-line
+    mov/add/sub code only.  A `syscall` undefines the registers the kernel
+    writes: rax (the return value), rcx and r11."""
     env = {}
     for mnemonic, operands in instructions:
         if mnemonic == "syscall":
-            break
+            env.update(rax=None, rcx=None, r11=None)
+            continue
         if mnemonic not in ("mov", "add", "sub"):
             raise AssertionError(f"oracle fed unsupported mnemonic {mnemonic}")
         src, dst = operands
@@ -285,7 +287,8 @@ def parse_disassembly_reference(text: str) -> DisasmUnit:
 
     Function boundaries come from header lines; a header symbol containing
     "@@" marks an API export whose api_name is the text before "@@", unless
-    it is an offset label.
+    it is an offset label.  Addresses rise through the text: a header's is
+    above every address before it.
     """
     functions: list[FunctionRecord] = []
     cur_symbol: str | None = None
@@ -302,6 +305,10 @@ def parse_disassembly_reference(text: str) -> DisasmUnit:
             cur_start = int(m.group(1), 16)
             cur_symbol = m.group(2)
             cur_insns = []
+            # above the previous function's start and its every instruction
+            if functions and cur_start < functions[-1].end:
+                raise ParseError(f"line {lineno}: function {cur_symbol} at {cur_start:#x} "
+                                 f"is not above address {functions[-1].end - 1:#x}")
             continue
         m = INSN_RE.match(line)
         if m:
@@ -326,8 +333,6 @@ def parse_disassembly_reference(text: str) -> DisasmUnit:
     if cur_symbol is not None:
         functions.append(_finish_function(cur_symbol, cur_start, cur_insns))
 
-    _check_disjoint(functions)
-
     unit = DisasmUnit(functions=functions)
     for fn in functions:
         for ins in fn.instructions:
@@ -344,13 +349,3 @@ def parse_disassembly_reference(text: str) -> DisasmUnit:
                 continue  # call through an unmodeled operand form; not a callsite
             unit.callsites.append(CallSite(fn.canonical_name, target, kind))
     return unit
-
-
-def _check_disjoint(functions: list[FunctionRecord]) -> None:
-    ordered = sorted(functions, key=lambda f: f.start)
-    for a, b in zip(ordered, ordered[1:]):
-        if b.start < a.end:
-            raise ParseError(
-                f"function {a.canonical_name} [{a.start:#x},{a.end:#x}) overlaps "
-                f"{b.canonical_name} [{b.start:#x},{b.end:#x})"
-            )

@@ -207,12 +207,24 @@ def test_a_long_body_is_one_match_in_little_memory():
 
 
 def test_overlapping_functions():
-    text = (
-        "0000000000001000 <f>:\n    1000:\tnop\n    1020:\tnop\n"
-        "0000000000001010 <g>:\n    1010:\tnop\n"
-    )
-    with pytest.raises(ParseError, match=r"function f \[0x1000,0x1021\) overlaps g"):
-        parse_disassembly(text)
+    # each function starts above every address before it: the last
+    # instruction of the function before, or its header when it has none
+    f = "0000000000001000 <f>:\n    1000:\tnop\n    1004:\tnop\n"
+    for text, error in (
+        (f + "0000000000001002 <g>:\n    1002:\tnop\n",
+         "line 4: function g at 0x1002 is not above address 0x1004"),
+        (f + "0000000000001004 <g>:\n", "line 4: function g at 0x1004 is not above address 0x1004"),
+        # disjoint, but below the function before
+        ("0000000000002000 <g>:\n" + f, "line 2: function f at 0x1000 is not above address 0x2000"),
+        # two headers at one address, after a blank line
+        ("\n0000000000001000 <e>:\n" + f, "line 3: function f at 0x1000 is not above address 0x1000"),
+        # a bad line of the body before comes first
+        ("0000000000002000 <g>:\n    junk\n" + f, "line 2: bad instruction line: '    junk'"),
+    ):
+        with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
+            parse_disassembly(text)
+    unit = parse_disassembly(f + "0000000000001005 <g>:\n    1005:\tsyscall\n")
+    assert [(fn.start, fn.end) for fn in unit.functions] == [(0x1000, 0x1005), (0x1005, 0x1006)]
 
 
 def _random_fixture(rng: random.Random):
@@ -402,6 +414,12 @@ def test_decoding_on_demand_equals_the_reference_on_the_workloads(monkeypatch):
 @example(text="0000000000001000 <f>:\r\n    1000:\tsyscall\r\n")
 @example(text="0000000000001000 <f\u2028>:\n    1000:\tsyscall\u2028<g>\n\u2028\n")
 @example(text="\n0000000000001000 <f>:\n    1000:\tmov\t$0x1, %eax\n    1005:\tsyscall")
+# functions out of address order: one below the one before, two headers at
+# one address, and a header at the last instruction address before it
+@example(text="0000000000002000 <g>:\n    2000:\tsyscall\n0000000000001000 <f>:\n    1000:\tnop\n")
+@example(text="0000000000001000 <f>:\n0000000000001000 <g>:\n    1000:\tsyscall\n")
+@example(text="0000000000001000 <f>:\n    1000:\tnop\n    1008:\tnop\n"
+              "0000000000001008 <g>:\n    1008:\tsyscall\n")
 def test_parse_equals_the_line_by_line_reference(text):
     try:
         expected = parse_disassembly_reference(text)

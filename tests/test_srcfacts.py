@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syscage.errors import ParseError
@@ -15,7 +15,7 @@ from syscage.srcfacts import (
     signature_matches,
 )
 
-from test_cli_exit_codes import JSON, _spliced
+from test_cli_exit_codes import JSON, _dumps, _spliced
 
 
 def test_alias_closure_on_address_taken():
@@ -211,7 +211,9 @@ FIXTURE_FACTS = json.loads((Path(__file__).parent / "data" / "minilib.facts.json
 
 @settings(max_examples=300, deadline=None)
 @given(text=st.text() | (JSON | _spliced(FIXTURE_FACTS)
-                         | _spliced(FIXTURE_FACTS).flatmap(_spliced)).map(json.dumps))
+                         | _spliced(FIXTURE_FACTS).flatmap(_spliced)).map(_dumps))
+# an integer with more digits than int() reads
+@example(text='{"address_taken": [1' + "0" * 4300 + "]}")
 def test_load_source_facts_parses_or_raises_parse_error(text):
     try:
         facts = load_source_facts(text)
