@@ -62,15 +62,21 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
+def _json(text: str):
+    """The value of the JSON `text`; what the decoder rejects is a parse error."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad, too deep, or too long an integer
+        raise ParseError(str(exc)) from exc
+
+
 def _load(path: str | None, parse, bundled: str | None = None):
     """`parse` applied to the text of `path`, or of the bundled data file
-    `bundled` when no path is given; a parse error names the file.  JSON
-    nested too deeply for the decoder, or with an integer longer than int()
-    reads (a ValueError, like JSONDecodeError), is a parse error too."""
+    `bundled` when no path is given; a parse error names the file."""
     text = _read(path) if path else packaged_data(bundled)
     try:
         return parse(text)
-    except (ParseError, ValueError, RecursionError) as exc:
+    except ParseError as exc:
         raise ParseError(f"{path or bundled}: {exc}") from exc
 
 
@@ -86,7 +92,7 @@ def _load_mappings(paths: list[str]) -> ApiSyscallMapping:
     mapping = ApiSyscallMapping()
     for path in paths:
         mapping.merge_from(
-            _load(path, lambda text: ApiSyscallMapping.from_document(json.loads(text))))
+            _load(path, lambda text: ApiSyscallMapping.from_document(_json(text))))
     return mapping
 
 
@@ -122,9 +128,7 @@ def cmd_profile(args) -> int:
     mapping = _load_mappings(args.mapping)
     imports = extract_plt_imports(unit)
     embedded = [r.name for r in resolve_sites(unit, table)]
-    trace = None
-    if args.trace:
-        trace = load_trace([_read(p) for p in args.trace])
+    trace = load_trace([_read(p) for p in args.trace]) if args.trace else None
     profile = generate_profile(
         mapping,
         imports,
@@ -146,7 +150,7 @@ def cmd_profile(args) -> int:
 
 def cmd_verify(args) -> int:
     suspicious = _load(args.sidecar, lambda text: suspicious_names(
-        json.loads(text), f"suspicious_{args.policy}"))
+        _json(text), f"suspicious_{args.policy}"))
     mapping = _load_mappings(args.mapping)
     memmap = _load(args.memmap, parse_memory_map)
     table = _read_table(args.table)
@@ -189,7 +193,7 @@ def cmd_cve(args) -> int:
     records = _load(args.dataset, lambda text: load_cve_dataset(
         text, table_names=table.names, strict=args.strict), "cve_seed.tsv")
     allowed = _load(args.profile, lambda text: SeccompProfile.allowed_in_docker_document(
-        json.loads(text)))
+        _json(text)))
     blocked = table.names - allowed
     _write(args.output, dump_json(report_document(records, blocked)))
     return EXIT_OK

@@ -117,7 +117,8 @@ def _bad_line(text: str, pos: int, in_body: bool) -> ParseError:
     """The error for the line at `pos`, which starts no function: after a
     function, an indented line is a bad instruction line; before the first,
     a whole instruction line is outside any function."""
-    line = text[pos:].split("\n", 1)[0]
+    end = text.find("\n", pos)
+    line = text[pos:] if end < 0 else text[pos:end]
     if not in_body and INSN_RE.match(text, pos):
         what = "instruction outside any function"
     else:

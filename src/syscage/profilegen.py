@@ -232,10 +232,8 @@ def load_trace(texts: list[str]) -> Counter:
     token of a line is the syscall name, other lines are skipped."""
     counts: Counter = Counter()
     for text in texts:
-        for line in text.split("\n"):
-            m = TRACE_TOKEN_RE.match(line)
-            if m:
-                counts[m.group(0)] += 1
+        counts.update(m.group(0) for line in text.split("\n")
+                      if (m := TRACE_TOKEN_RE.match(line)))
     return counts
 
 
@@ -285,10 +283,8 @@ def generate_profile(
         name for name, flag in tainted.items()
         if flag and name in allowed and name not in embedded
     }
-    if trace is not None:
-        suspicious_rare = {name for name in allowed if trace[name] < min_count}
-    else:
-        suspicious_rare = set()
+    suspicious_rare = ({name for name in allowed if trace[name] < min_count}
+                       if trace is not None else set())
 
     return SeccompProfile(
         allowed=sorted(allowed),

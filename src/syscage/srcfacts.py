@@ -75,7 +75,7 @@ def load_source_facts(text: str) -> SourceFacts:
     names canonicalized, duplicates deduplicated."""
     try:
         doc = json.loads(text) if text.strip() else {}
-    except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
+    except (ValueError, RecursionError) as exc:  # also too deep, or too long an integer
         raise ParseError(f"facts document is not valid JSON: {exc}") from exc
     expect_json(doc, dict, "facts document")
 

@@ -117,7 +117,9 @@ class _Splice(NamedTuple):
         return copy
 
 
-SPLICES = st.builds(_Splice, st.lists(st.integers(0, 63), max_size=4), JSON)
+# a path long enough to reach every leaf of the fixtures (the mapping's
+# apis/<api>/syscalls/<i>/<field> is the deepest, at five steps)
+SPLICES = st.builds(_Splice, st.lists(st.integers(0, 63), max_size=8), JSON)
 
 
 def _spliced(doc):
@@ -139,6 +141,8 @@ def _dumps(value) -> str:
 @EXAMPLES
 @given(content=st.binary(max_size=300)
        | st.builds(_Mutation, st.integers(0, 2**16), st.integers(0, 16), st.binary(max_size=16)))
+# JSON nested deeper than the decoder goes
+@example(content=b"[" * 100_000)
 # a table row whose number int() does not read
 @example(content=b"0 common read\n1" + b"0" * 4300 + b" common write\n")
 def test_any_bytes_end_in_a_documented_exit_code(tmp_path, capsys, role, content):
@@ -154,6 +158,10 @@ def test_any_bytes_end_in_a_documented_exit_code(tmp_path, capsys, role, content
 # integers that int() does not read: at the top, and inside the document
 @example(value=HUGE)
 @example(value=_Splice([0, 0], _Huge(-HUGE)))
+# in the mapping, a leaf five steps down: a non-boolean `tainted`, and a
+# syscall entry that repeats the name of the one before it
+@example(value=_Splice([0, 0, 1, 0, 1], 1))
+@example(value=_Splice([0, 0, 1, 1, 0], "ioctl"))
 def test_any_json_value_ends_in_a_documented_exit_code(tmp_path, capsys, role, value):
     if isinstance(value, _Splice):
         value = value.apply(json.loads(FIXTURES[role].read_text()))
