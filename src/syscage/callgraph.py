@@ -41,10 +41,14 @@ def build_direct_fcg(unit: DisasmUnit) -> CallGraph:
 
 
 def build_indirect_edges(facts: SourceFacts) -> set[CallSite]:
+    """An edge from each indirect site's caller to each of its candidates;
+    sites with the same parameter types share one resolution."""
+    by_types = {site.param_types: site for site in facts.indirect_sites}
+    targets = {types: resolve_indirect_targets(site, facts) for types, site in by_types.items()}
     return {
         CallSite(site.caller, target, INDIRECT)
         for site in facts.indirect_sites
-        for target in resolve_indirect_targets(site, facts)
+        for target in targets[site.param_types]
     }
 
 

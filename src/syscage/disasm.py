@@ -15,19 +15,17 @@ than skipped, so broken fixtures surface immediately.
 The regular-expression engine reads the lines, not a Python loop: one
 possessive match takes a header and every blank or instruction line of its
 body, keeping no backtracking state, one `findall` takes their addresses,
-and one search finds their `call`, `callq` and `syscall` lines.
-Instructions are decoded only when read, from the body text that a
-function holding a `syscall` keeps.
+and one search finds their `call`, `callq` and `syscall` lines.  No
+instruction is decoded here: a function holding a `syscall` keeps its body
+text, which `sysnum.resolve_numbers` reads.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 from operator import lt
-from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -45,7 +43,6 @@ ADDRESS_RE = re.compile(rf"\n{_WS}+([0-9a-f]+):")
 # "syscall" or None, then the tail.  The literal `:\t` makes the search
 # fast; a match must still be at the line's first `:\t`
 SITE_RE = re.compile(rf":\t(?:(syscall)|callq?){_TAIL}", re.M)
-DECODE_RE = re.compile(rf"\n{_WS}+([0-9a-f]+):\t([a-z0-9.]+){_TAIL}", re.M)
 _FIRST_LINE = re.compile(rf"^{_WS}*\S", re.M)  # the first line that is not blank
 HEX_OPERAND_RE = re.compile(r"^[0-9a-f]+$")
 # `name@@VERSION`, but not objdump's label for code that no symbol covers,
@@ -58,13 +55,6 @@ DIRECT = "Direct"
 INDIRECT = "Indirect"
 
 
-class Instruction(NamedTuple):
-    address: int
-    mnemonic: str
-    operands: tuple[str, ...] = ()
-    symbol_comment: str | None = None
-
-
 @dataclass(frozen=True)
 class FunctionRecord:
     canonical_name: str
@@ -74,11 +64,6 @@ class FunctionRecord:
     # the body lines, each after its `\n`, of a function that holds a
     # `syscall` (the only ones `sysnum.resolve_numbers` reads); "" otherwise
     body: str = ""
-
-    @cached_property
-    def instructions(self) -> tuple[Instruction, ...]:
-        """Every instruction of the body, in order, decoded on first read."""
-        return decode_instructions(self.body)
 
 
 @dataclass(frozen=True)
@@ -99,14 +84,6 @@ class DisasmUnit:
     functions: list[FunctionRecord] = field(default_factory=list)
     callsites: list[CallSite] = field(default_factory=list)
     syscall_sites: list[SyscallSite] = field(default_factory=list)
-
-
-def decode_instructions(body: str) -> tuple[Instruction, ...]:
-    """The instructions of validated body text; commas split the operand."""
-    return tuple([
-        Instruction(int(address, 16), mnemonic, tuple(ops.split(",")) if ops else (),
-                    comment or None)
-        for address, mnemonic, ops, comment in DECODE_RE.findall(body)])
 
 
 def _lineno(text: str, pos: int) -> int:

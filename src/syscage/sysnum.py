@@ -11,18 +11,26 @@ instruction for the register that is its last operand.  Each `syscall` takes
 the accumulator's value at that point, so a number is reported only where it
 is certain; anything else is unresolved, never guessed.  A `syscall` then
 makes `rax`, `rcx` and `r11` unknown, as the kernel writes them.  The
-instructions of a host are decoded here, on first read of
-`FunctionRecord.instructions`.
+pass reads each host's body text straight, one pattern match a line: no
+instruction objects are built, an address is read only at a `syscall`,
+and the operand token is split only at its last comma.  A `$` constant
+counts only in SDIS syntax, hex after `0x` or decimal; any other is unknown.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .disasm import CALL_MNEMONICS, DisasmUnit, FunctionRecord, SyscallSite
 from .errors import ParseError
 
 MASK32 = 0xFFFFFFFF
+
+# a line of validated body text: its address, mnemonic and operand token,
+# "" where it has none
+LINE_RE = re.compile(r"\n[^\S\n]+([0-9a-f]+):\t([a-z0-9.]+)(?:[^\S\n]+(\S+))?")
+CONSTANT_RE = re.compile(r"\$-?(?:0x[0-9a-f]+|[0-9]+)")
 
 # the modelled instructions: new destination value from its old value and
 # the source's, both known 32-bit values or None
@@ -60,9 +68,10 @@ def _as_register(operand: str) -> tuple[str, bool] | None:
 
 
 def _as_constant(operand: str) -> int | None:
-    if not operand.startswith("$"):
+    """The value of an SDIS `$` constant, or None for any other operand."""
+    if CONSTANT_RE.fullmatch(operand) is None:
         return None
-    try:
+    try:  # int() rejects a decimal with leading zeros or past its digit limit
         return int(operand[1:], 0) & MASK32
     except ValueError:
         return None
@@ -112,16 +121,15 @@ def resolve_numbers(function: FunctionRecord) -> dict[int, int | None]:
     the accumulator's value is unknown there."""
     regs: dict[str, int] = {}
     numbers: dict[int, int | None] = {}
-    for ins in function.instructions:
-        ops = ins.operands
-        if ins.mnemonic == "syscall":  # the kernel writes rax, rcx and r11
-            numbers[ins.address] = regs.pop(ACCUMULATOR, None)
+    for address, mnemonic, token in LINE_RE.findall(function.body):
+        src, comma, dst = token.rpartition(",")  # dst: the last operand
+        if mnemonic == "syscall":  # the kernel writes rax, rcx and r11
+            numbers[int(address, 16)] = regs.pop(ACCUMULATOR, None)
             regs.pop("rcx", None)
             regs.pop("r11", None)
-        elif ins.mnemonic in CALL_MNEMONICS:
+        elif mnemonic in CALL_MNEMONICS:
             regs.clear()
-        elif ins.mnemonic in _APPLY and len(ops) == 2:
-            src, dst = ops
+        elif comma and mnemonic in _APPLY and "," not in src:  # two operands
             dreg = _as_register(dst)
             if dreg is None:
                 continue
@@ -130,12 +138,12 @@ def resolve_numbers(function: FunctionRecord) -> dict[int, int | None]:
                 value = regs.get(sreg[0])
             cell, full = dreg
             if value is not None and full:
-                value = _APPLY[ins.mnemonic](regs.get(cell), value)
+                value = _APPLY[mnemonic](regs.get(cell), value)
             if value is None or not full:
                 regs.pop(cell, None)
             else:
                 regs[cell] = value
-        elif ops and (reg := _as_register(ops[-1])) is not None:
+        elif (reg := _as_register(dst)) is not None:
             regs.pop(reg[0], None)  # conservative: any other write clobbers
     return numbers
 

@@ -6,10 +6,15 @@ index-mapping subsequence search) so a shared bug cannot hide.  The SDIS
 reference is the line-by-line parser, over the lines between `\n`s, that
 keeps every instruction, matches each line alone with `INSN_RE` and finds
 callsites and syscall sites in a second loop; `syscage.disasm` must give
-the same functions, sites, instructions and errors from its pattern
-passes over whole function bodies.  The bounded secure-path
-enumerator and the iterator subsequence matcher are the matcher that
-`verifier.walk_embeds` replaced, kept as a second reference for it.
+the same functions, sites and errors from its pattern passes over whole
+function bodies, and `decode_instructions` of the body text it keeps for a
+syscall host must give that host's instructions.
+`resolve_numbers_reference` is the object-based syscall-number resolver
+that `sysnum.resolve_numbers` replaced: it interprets decoded
+`Instruction`s, their operands split at every comma, where the real one
+reads the body text straight.  The bounded secure-path enumerator and the
+iterator subsequence matcher are the matcher that `verifier.walk_embeds`
+replaced, kept as a second reference for it.
 """
 
 from __future__ import annotations
@@ -94,10 +99,19 @@ def _reg(op):
     return None
 
 
+# an SDIS constant: hex after `0x` or decimal, as int() also reads it
+_CONST_RE = re.compile(r"\$-?(?:0x[0-9a-f]+|[0-9]+)")
+
+
 def _const(op):
-    if op.startswith("$"):
+    """The value of an SDIS constant; None for any other operand, a `$`
+    one included."""
+    if _CONST_RE.fullmatch(op) is None:
+        return None
+    try:
         return int(op[1:], 0) & 0xFFFFFFFF
-    return None
+    except ValueError:  # a decimal with leading zeros or past int()'s digit limit
+        return None
 
 
 def interpret_accumulator(instructions):
@@ -131,6 +145,55 @@ def interpret_accumulator(instructions):
             cur = env.get(d)
             env[d] = None if cur is None or value is None else (cur - value) & 0xFFFFFFFF
     return env.get("rax")
+
+
+_APPLY = {
+    "mov": lambda old, value: value,
+    "add": lambda old, value: None if old is None else (old + value) & 0xFFFFFFFF,
+    "sub": lambda old, value: None if old is None else (old - value) & 0xFFFFFFFF,
+}
+
+
+def _cell(op):
+    """(register, full width) of a register operand, where any name outside
+    the views is a register of its own; None for any other operand."""
+    if op.startswith("%"):
+        return _REGISTER_OF.get(op[1:], (op[1:], True))
+    return None
+
+
+def resolve_numbers_reference(function):
+    """Syscall number at each `syscall` of `function`, by address; None
+    where the accumulator's value is unknown there.  The object-based
+    resolver: it decodes every instruction of the body text first."""
+    regs = {}
+    numbers = {}
+    for ins in decode_instructions(function.body):
+        ops = ins.operands
+        if ins.mnemonic == "syscall":  # the kernel writes rax, rcx and r11
+            numbers[ins.address] = regs.pop("rax", None)
+            regs.pop("rcx", None)
+            regs.pop("r11", None)
+        elif ins.mnemonic in CALL_MNEMONICS:
+            regs.clear()
+        elif ins.mnemonic in _APPLY and len(ops) == 2:
+            src, dst = ops
+            dreg = _cell(dst)
+            if dreg is None:
+                continue
+            value = _const(src)
+            if value is None and (sreg := _cell(src)) is not None and sreg[1]:
+                value = regs.get(sreg[0])
+            cell, full = dreg
+            if value is not None and full:
+                value = _APPLY[ins.mnemonic](regs.get(cell), value)
+            if value is None or not full:
+                regs.pop(cell, None)
+            else:
+                regs[cell] = value
+        elif ops and (reg := _cell(ops[-1])) is not None:
+            regs.pop(reg[0], None)  # conservative: any other write clobbers
+    return numbers
 
 
 def subsequence_bruteforce(needle, haystack):
@@ -254,6 +317,21 @@ class FunctionRecord:
     end: int
     api_name: str | None
     instructions: tuple[Instruction, ...]
+
+
+_WS = r"[^\S\n]"  # whitespace inside a line
+# a line of validated body text, after its `\n`: address, mnemonic, operand
+# token and comment
+DECODE_RE = re.compile(
+    rf"\n{_WS}+([0-9a-f]+):\t([a-z0-9.]+)(?:{_WS}+(\S+)(?:{_WS}+<([^>\n]+)>)?)?$", re.M)
+
+
+def decode_instructions(body: str) -> tuple[Instruction, ...]:
+    """The instructions of validated body text; commas split the operand."""
+    return tuple([
+        Instruction(int(address, 16), mnemonic, tuple(ops.split(",")) if ops else (),
+                    comment or None)
+        for address, mnemonic, ops, comment in DECODE_RE.findall(body)])
 
 
 def _split_operands(text: str | None) -> tuple[str, ...]:

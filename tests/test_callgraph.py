@@ -88,6 +88,18 @@ def test_indirect_edges_per_candidate():
     assert all(e.kind == INDIRECT for e in edges)
 
 
+def test_callers_with_the_same_parameter_types_each_get_every_candidate():
+    facts = SourceFacts(
+        address_taken={"X", "Y", "Z"},
+        signatures={"X": ("int",), "Y": ("int", "..."), "Z": ("char*",)},
+        indirect_sites=[IndirectSite("f", ("int",)), IndirectSite("g", ("char*",)),
+                        IndirectSite("h", ("int",)), IndirectSite("f", ("int",))],
+    )
+    edges = build_indirect_edges(facts)
+    assert {(e.caller, e.target) for e in edges} == {
+        ("f", "X"), ("f", "Y"), ("h", "X"), ("h", "Y"), ("g", "Z")}
+
+
 def test_indirect_edges_empty_candidates():
     facts = SourceFacts(indirect_sites=[IndirectSite("f", ("int",))])
     assert build_indirect_edges(facts) == set()

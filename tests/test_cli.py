@@ -220,14 +220,14 @@ def _verify_golden(data_dir, tmp_path, sidecar=None, mapping=None, events=None):
 
 
 def test_verify_decodes_no_instruction(data_dir, tmp_path, monkeypatch):
-    """verify reads only function extents, so it never decodes the body of
-    a syscall host; analyze does."""
-    import syscage.disasm
+    """verify reads only function extents, so it never reads the body of a
+    syscall host; analyze does."""
+    import syscage.sysnum
 
-    def decode(body):
+    def decode(function):
         raise AssertionError("decoded an instruction")
 
-    monkeypatch.setattr(syscage.disasm, "decode_instructions", decode)
+    monkeypatch.setattr(syscage.sysnum, "resolve_numbers", decode)
     code, log = _verify_golden(data_dir, tmp_path)
     assert code == 0
     assert log.read_bytes() == (data_dir / "golden" / "verdicts.log").read_bytes()

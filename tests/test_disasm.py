@@ -8,13 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_disassembly_reference
+from oracles import Instruction, decode_instructions, parse_disassembly_reference
 from syscage.disasm import (
     DIRECT,
     FUNCTION_RE,
     INDIRECT,
     CallSite,
-    Instruction,
     SyscallSite,
     extract_plt_imports,
     parse_disassembly,
@@ -41,7 +40,7 @@ def test_api_export_header():
     for label in ("abort@@GLIBC_2.2.5-0x1f", "abort@@GLIBC_2.2.5+0x8"):
         assert parse_disassembly(f"0000000000001000 <{label}>:\n").functions[0].api_name is None
     assert fn.start == 0x1130 and fn.end == 0x1136
-    assert [i.mnemonic for i in fn.instructions] == ["mov", "syscall"]
+    assert [i.mnemonic for i in decode_instructions(fn.body)] == ["mov", "syscall"]
 
 
 def test_empty_input():
@@ -166,7 +165,7 @@ def test_an_instruction_has_one_operand_token():
             "    1005:\tmov\tx, <f>\n    100a:\tmov\t$0x1,%eax\n    100f:\tsyscall\n")
     unit = parse_disassembly(text)
     assert unit.callsites == [CallSite("f", "g", DIRECT)]
-    assert unit.functions[0].instructions[:3] == (
+    assert decode_instructions(unit.functions[0].body)[:3] == (
         Instruction(0x1000, "callq", ("2000", ""), "g"),
         Instruction(0x1005, "mov", ("x", ""), "f"),
         Instruction(0x100a, "mov", ("$0x1", "%eax")),
@@ -182,7 +181,8 @@ def test_comma_joined_operands_take_linear_time():
             text = f"0000000000001000 <f>:\n    1000:\tmov\t{ops}{tail}\n    1005:\tsyscall\n"
             started = time.perf_counter()
             if sep == "," and tail != " @":
-                assert len(parse_disassembly(text).functions[0].instructions[0].operands) == 41
+                body = parse_disassembly(text).functions[0].body
+                assert len(decode_instructions(body)[0].operands) == 41
             else:
                 with pytest.raises(ParseError, match="^line 2: bad instruction line"):
                     parse_disassembly(text)
@@ -276,8 +276,9 @@ def test_every_instruction_inside_its_function(minilib_unit):
     checked = 0
     for fn in minilib_unit.functions:
         if fn.canonical_name in hosts:
-            assert fn.instructions
-            for ins in fn.instructions:
+            instructions = decode_instructions(fn.body)
+            assert instructions
+            for ins in instructions:
                 assert fn.start <= ins.address < fn.end
             checked += 1
     assert checked >= 1
@@ -295,13 +296,13 @@ def test_only_syscall_hosts_keep_their_instructions(minilib_unit):
         "    2002:\tretq\n"
     )
     host, helper = parse_disassembly(text).functions
-    assert host.instructions == (
+    assert decode_instructions(host.body) == (
         Instruction(0x1000, "mov", ("$0x27", "%eax")),
         Instruction(0x1005, "callq", ("2000",), "helper"),
         Instruction(0x100a, "syscall"),
         Instruction(0x100c, "retq"),
     )
-    assert helper.instructions == ()
+    assert decode_instructions(helper.body) == ()
     # on the fixture: every instruction line of a host, in order; () elsewhere
     hosts = {s.function for s in minilib_unit.syscall_sites}
     body: dict[str, list[int]] = {}
@@ -312,9 +313,9 @@ def test_only_syscall_hosts_keep_their_instructions(minilib_unit):
             body.setdefault(name, []).append(int(line.split(":", 1)[0], 16))
     for fn in minilib_unit.functions:
         if fn.canonical_name in hosts:
-            assert [i.address for i in fn.instructions] == body[fn.canonical_name]
+            assert [i.address for i in decode_instructions(fn.body)] == body[fn.canonical_name]
         else:
-            assert fn.instructions == ()
+            assert decode_instructions(fn.body) == ()
 
 
 # pieces of SDIS lines, so mutated lines often still parse
@@ -349,12 +350,19 @@ def test_parse_either_rejects_or_resolves_every_site(text, seed_table):
     assert [r.site for r in resolved] == unit.syscall_sites
 
 
+def _instructions(f):
+    """The instructions of a function: those the reference parser keeps, or
+    those decoded from the body text that `parse_disassembly` keeps."""
+    return f.instructions if hasattr(f, "instructions") else decode_instructions(f.body)
+
+
 def _read_view(unit):
     """What the readers of a unit see: each function's name and extent, the
     instructions of each function that holds a `syscall`, and the sites."""
     functions = [(f.canonical_name, f.start, f.end, f.api_name) for f in unit.functions]
-    hosts = [[(i.address, i.mnemonic, i.operands, i.symbol_comment) for i in f.instructions]
-             for f in unit.functions if any(i.mnemonic == "syscall" for i in f.instructions)]
+    hosts = [[(i.address, i.mnemonic, i.operands, i.symbol_comment) for i in ins]
+             for ins in map(_instructions, unit.functions)
+             if any(i.mnemonic == "syscall" for i in ins)]
     return functions, hosts, unit.callsites, unit.syscall_sites
 
 
@@ -393,7 +401,7 @@ def test_decoding_on_demand_equals_the_reference_on_the_workloads(monkeypatch):
             if path.endswith(".sdis"):
                 unit = parse_disassembly(text)
                 assert _read_view(unit) == _read_view(parse_disassembly_reference(text)), path
-                assert any(f.instructions for f in unit.functions) == bool(unit.syscall_sites)
+                assert any(map(_instructions, unit.functions)) == bool(unit.syscall_sites)
 
 
 @settings(max_examples=300, deadline=None)
@@ -430,6 +438,6 @@ def test_parse_equals_the_line_by_line_reference(text):
         return
     unit = parse_disassembly(text)
     assert _read_view(unit) == _read_view(expected)
-    kept = [bool(f.instructions) for f in unit.functions]
+    kept = [bool(_instructions(f)) for f in unit.functions]
     assert kept == [any(i.mnemonic == "syscall" for i in f.instructions)
                     for f in expected.functions]

@@ -1,12 +1,13 @@
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syscage import packaged_data
-from syscage.disasm import FunctionRecord, SyscallSite
+from syscage.disasm import FunctionRecord, SyscallSite, parse_disassembly
 from syscage.errors import ParseError
 from syscage.sysnum import (
     load_syscall_table,
@@ -14,7 +15,7 @@ from syscage.sysnum import (
     resolve_sites,
 )
 
-from oracles import interpret_accumulator
+from oracles import decode_instructions, interpret_accumulator, resolve_numbers_reference
 from test_verifier import _replace_run
 
 
@@ -146,6 +147,14 @@ def test_wraparound_mod_2_32():
     assert _resolve(body) == 0xFFFFFFFF
 
 
+def test_a_constant_counts_only_in_sdis_syntax():
+    # int(text, 0) reads each of these; none is an SDIS constant
+    for constant in ("$1_0", "$0x_3c", "$\u0661", "$+0x3c", "$0X3c"):
+        assert _resolve([("mov", [constant, "%eax"]), ("syscall", [])]) is None, constant
+    for constant, number in (("$0x3c", 60), ("$60", 60), ("$-0x1", 0xFFFFFFFF), ("$0", 0)):
+        assert _resolve([("mov", [constant, "%eax"]), ("syscall", [])]) == number, constant
+
+
 REGS = ["%eax", "%ebx", "%ecx", "%edx", "%esi", "%edi", "%rax", "%rbx"]
 
 
@@ -173,7 +182,8 @@ def _numbers(body):
     """Resolved number of each `syscall` of `body`, in order."""
     fn, _ = _function(body)
     found = resolve_numbers(fn)
-    numbers = [found[ins.address] for ins in fn.instructions if ins.mnemonic == "syscall"]
+    numbers = [found[ins.address] for ins in decode_instructions(fn.body)
+               if ins.mnemonic == "syscall"]
     assert len(found) == len(numbers)
     return numbers
 
@@ -232,6 +242,50 @@ _WIDTH_STEP = st.tuples(
 @given(body=st.lists(_WIDTH_STEP, max_size=10))
 def test_resolver_matches_interpreter_across_register_widths(body):
     _check_every_site([*body, ("syscall", [])])
+
+
+# operand parts: registers of every width and some outside the model,
+# constants in and out of SDIS syntax, memory operands with and without
+# commas, other destinations and the empty part
+_PART = st.sampled_from([
+    *WIDTH_REGS, "%rcx", "%r11", "%edx", "%xmm0",
+    "$0x3c", "$1", "$-1", "$0", "$sym", "$010", "$1_0", "$0X3c",
+    "0x8(%rsp,%rbx,4)", "(%rdi)", "0x8(%rsp)", "*%rax", "*0x8(%rax,%rbx,8)", "2000", "sym", "",
+])
+_LINE = st.tuples(
+    st.sampled_from(["mov", "add", "sub", "lea", "pop", "xor", "cmp", "nop", "call", "callq",
+                     "syscall"]),
+    st.lists(_PART, max_size=4).map(",".join),  # 0-3 commas
+    st.booleans(),  # a comment after the operand
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=st.lists(_LINE, max_size=12))
+def test_resolver_matches_the_object_based_reference_on_any_operands(lines):
+    body = [f"    {0x1000 + 4 * i:x}:\t{mnemonic}" + (f"\t{token}" if token else "")
+            + (" <g>" if token and comment else "")
+            for i, (mnemonic, token, comment) in enumerate(lines)]
+    body.append(f"    {0x1000 + 4 * len(lines):x}:\tsyscall")
+    fn = parse_disassembly("\n".join(["0000000000001000 <f>:", *body, ""])).functions[0]
+    numbers = resolve_numbers(fn)
+    assert numbers == resolve_numbers_reference(fn)
+    assert len(numbers) == 1 + sum(mnemonic == "syscall" for mnemonic, _, _ in lines)
+
+
+def test_resolver_matches_the_object_based_reference_on_the_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import gen
+
+    hosts = 0
+    for name in ("libc-rare", "indirect-attack"):
+        for path, text in gen.BUILDERS[name](1).files().items():
+            if path.endswith(".sdis"):
+                for fn in parse_disassembly(text).functions:
+                    if fn.body:
+                        assert resolve_numbers(fn) == resolve_numbers_reference(fn), path
+                        hosts += 1
+    assert hosts > 200
 
 
 def test_unsupported_write_sequences_always_unresolved():
