@@ -6,5 +6,6 @@ __version__ = "0.1.0"
 
 
 def packaged_data(name: str) -> str:
-    """Read a bundled data file (seed syscall table or CVE dataset)."""
-    return resources.files("syscage").joinpath("data", name).read_text(encoding="utf-8")
+    """Read a bundled data file (seed syscall table or CVE dataset), its
+    line ends as they are in the file."""
+    return resources.files("syscage").joinpath("data", name).read_bytes().decode("utf-8")

@@ -56,8 +56,9 @@ def positive_int(text: str) -> int:
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of `path`, its line ends as they are in the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
@@ -89,11 +90,13 @@ def _parse_unit(path: str):
 
 
 def _load_mappings(paths: list[str]) -> ApiSyscallMapping:
-    mapping = ApiSyscallMapping()
-    for path in paths:
-        mapping.merge_from(
-            _load(path, lambda text: ApiSyscallMapping.from_document(_json(text))))
-    return mapping
+    """The merge of the mappings in `paths`, read in order onto the first."""
+    mappings = (_load(path, lambda text: ApiSyscallMapping.from_document(_json(text)))
+                for path in paths)
+    first = next(mappings)
+    for other in mappings:
+        first.merge_from(other)
+    return first
 
 
 def _write(path: str | None, text: str) -> None:

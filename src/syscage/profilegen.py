@@ -22,7 +22,7 @@ from .callgraph import CallGraph, bfs_reachable
 from .errors import AnalysisError, ParseError, expect_json, expect_names
 from .sysnum import ResolvedSyscallSite, SyscallTable
 
-TRACE_TOKEN_RE = re.compile(r"^[a-z0-9_]+")
+TRACE_TOKEN_RE = re.compile(r"^[a-z0-9_]+", re.M)  # under re.M, ^ follows \n alone
 MAPPING_FORMAT = 3
 SYSCALL_ENTRY = "mapping API {!r} syscalls[{}]"
 
@@ -232,8 +232,7 @@ def load_trace(texts: list[str]) -> Counter:
     token of a line is the syscall name, other lines are skipped."""
     counts: Counter = Counter()
     for text in texts:
-        counts.update(m.group(0) for line in text.split("\n")
-                      if (m := TRACE_TOKEN_RE.match(line)))
+        counts.update(TRACE_TOKEN_RE.findall(text))
     return counts
 
 
@@ -296,4 +295,5 @@ def generate_profile(
 
 
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """One line of compact JSON with sorted keys; no indent keeps the C encoder."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

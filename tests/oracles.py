@@ -14,13 +14,16 @@ that `sysnum.resolve_numbers` replaced: it interprets decoded
 `Instruction`s, their operands split at every comma, where the real one
 reads the body text straight.  The bounded secure-path enumerator and the
 iterator subsequence matcher are the matcher that `verifier.walk_embeds`
-replaced, kept as a second reference for it.
+replaced, kept as a second reference for it.  `load_trace_reference` is
+the per-line trace counter that `profilegen.load_trace`'s one multi-line
+`findall` per text replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from syscage.callgraph import bfs_reachable
@@ -294,6 +297,19 @@ def parse_event_reference(line, scan_limit):
     if not all(_HEX_WORD.fullmatch(w) for w in [rip, rsp, *words]):
         return None
     return tag, name, int(rip, 16), int(rsp, 16), tuple(int(w, 16) for w in words)[:scan_limit]
+
+
+_TRACE_TOKEN = re.compile(r"[a-z0-9_]+")
+
+
+def load_trace_reference(texts) -> Counter:
+    """Per-syscall counts over trace texts, line by line: each text split
+    at every `\n`, and the leading [a-z0-9_]+ run of each line counted."""
+    counts: Counter = Counter()
+    for text in texts:
+        counts.update(m.group(0) for line in text.split("\n")
+                      if (m := _TRACE_TOKEN.match(line)))
+    return counts
 
 
 HEADER_RE = re.compile(r"^([0-9a-f]{1,16}) <([^>]+)>:$")

@@ -468,11 +468,126 @@ def test_api_exported_by_two_functions_is_an_analysis_error(tmp_path, capsys):
 
 def test_non_utf8_disassembly_is_a_parse_error(data_dir, tmp_path, capsys):
     bad = tmp_path / "lib.sdis"
-    bad.write_bytes(b"0000000000001000 <f\xff>:\n")
-    code = main(["analyze", str(bad), str(data_dir / "minilib.facts.json"),
+    # a line end counts in bytes as it is in the file
+    for data, offset in ((b"0000000000001000 <f\xff>:\n", 19), (b"\r\n\r\n\xff", 4)):
+        bad.write_bytes(data)
+        code = main(["analyze", str(bad), str(data_dir / "minilib.facts.json"),
+                     "-o", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"syscage: parse error: {bad}: not UTF-8 text "
+                                           f"(invalid start byte at byte {offset})\n")
+
+
+def test_crlf_disassembly_is_a_parse_error_at_line_1(data_dir, tmp_path, capsys):
+    # files are decoded with no line-end translation, so the header ends in \r
+    sdis = tmp_path / "minilib.sdis"
+    sdis.write_bytes((data_dir / "minilib.sdis").read_bytes().replace(b"\n", b"\r\n"))
+    code = main(["analyze", str(sdis), str(data_dir / "minilib.facts.json"),
                  "-o", str(tmp_path / "m.json")])
     assert code == 2
-    assert f"parse error: {bad}: not UTF-8 text" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"syscage: parse error: {sdis}: line 1: bad function header: "
+        "'0000000000001000 <read@@GLIBC_2.2.5>:\\r'\n")
+
+
+def test_a_lone_cr_in_disassembly_is_not_a_line_break(data_dir, tmp_path, capsys):
+    # whitespace between an operand and its comment, so later lines keep their numbers
+    text = (data_dir / "minilib.sdis").read_bytes().replace(b" <do_write>", b"\r<do_write>", 1)
+    sdis, mapping = tmp_path / "minilib.sdis", tmp_path / "mapping.json"
+    sdis.write_bytes(text)
+    argv = ["analyze", str(sdis), str(data_dir / "minilib.facts.json"), "-o", str(mapping)]
+    assert main(argv) == 0
+    assert mapping.read_bytes() == (data_dir / "golden" / "mapping.json").read_bytes()
+    sdis.write_bytes(text + b"bad\n")
+    assert main(argv) == 2
+    line = text.count(b"\n") + 1
+    assert f"{sdis}: line {line}: bad function header: 'bad'\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line_end, rare", [
+    (b"\n", []),
+    (b"\r\n", []),  # the \r is after the syscall name, so every line still counts
+    (b"\r", ["close"]),  # one line: only its first call counts
+])
+def test_trace_lines_split_at_newline_alone(data_dir, tmp_path, line_end, rare):
+    trace = tmp_path / "target.trace"
+    text = (data_dir / "target.trace").read_bytes()
+    trace.write_bytes(text.replace(b"\nclose", line_end + b"close"))
+    profile, sidecar = tmp_path / "profile.json", tmp_path / "sidecar.json"
+    assert main(["profile", str(data_dir / "target.sdis"),
+                 "--mapping", str(data_dir / "golden" / "mapping.json"), "--trace", str(trace),
+                 "-o", str(profile), "--sidecar", str(sidecar)]) == 0
+    assert json.loads(sidecar.read_text())["suspicious_rare"] == sorted(["ioctl", "open", *rare])
+
+
+def test_crlf_events_verify(data_dir, tmp_path):
+    events = tmp_path / "events.txt"
+    events.write_bytes((data_dir / "events.txt").read_bytes().replace(b"\n", b"\r\n"))
+    code, log = _verify_golden(data_dir, tmp_path, events=events)
+    assert code == 0
+    assert log.read_bytes() == (data_dir / "golden" / "verdicts.log").read_bytes()
+
+
+def _golden_outputs(data_dir, tmp_path, *mappings):
+    """profile and verify on the fixtures with `mappings`; each output's
+    bytes must be those of the golden file of the same role."""
+    argv = [arg for m in mappings for arg in ("--mapping", str(m))]
+    profile, sidecar, log = (tmp_path / "p.json", tmp_path / "s.json", tmp_path / "v.log")
+    assert main(["profile", str(data_dir / "target.sdis"), *argv,
+                 "--trace", str(data_dir / "target.trace"),
+                 "-o", str(profile), "--sidecar", str(sidecar)]) == 0
+    assert main(["verify", "--sidecar", str(sidecar), *argv,
+                 "--memmap", str(data_dir / "memmap.txt"),
+                 "--events", str(data_dir / "events.txt"),
+                 "--lib-disasm", str(data_dir / "minilib.sdis"),
+                 "--target", "target", "-o", str(log)]) == 0
+    golden = data_dir / "golden"
+    for out, name in ((profile, "profile.json"), (sidecar, "sidecar.json"),
+                      (log, "verdicts.log")):
+        assert out.read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_an_indented_mapping_gives_the_same_outputs(data_dir, tmp_path):
+    # the layout `analyze` wrote before its output became compact: format 3
+    # takes any JSON whitespace
+    mapping = tmp_path / "indented.json"
+    mapping.write_text(json.dumps(_golden_mapping(data_dir), indent=2, sort_keys=True) + "\n")
+    assert mapping.read_bytes() != (data_dir / "golden" / "mapping.json").read_bytes()
+    _golden_outputs(data_dir, tmp_path, mapping)
+
+
+def test_mappings_merge_in_order(data_dir, tmp_path, capsys):
+    """Split files give the golden outputs: records, call graphs and host
+    lists are unioned, with `dispatch`'s callees split between the files and
+    `open`'s host listed in both."""
+    doc = _golden_mapping(data_dir)
+    graph, hosts, apis = doc["call_graph"], doc["hosts"], doc["apis"]
+    first = {"format": 3, "apis": {k: apis[k] for k in ("read", "write")},
+             "call_graph": {"dispatch": ["log_call"], "do_write": graph["do_write"],
+                            "write@@GLIBC_2.2.5": graph["write@@GLIBC_2.2.5"]},
+             "hosts": {k: hosts[k] for k in ("open", "read", "write")}}
+    second = {"format": 3, "apis": {"open": apis["open"]},
+              "call_graph": {"dispatch": ["ioctl_handler", "open_handler"],
+                             "log_call": graph["log_call"],
+                             "open@@GLIBC_2.2.5": graph["open@@GLIBC_2.2.5"]},
+              "hosts": {k: hosts[k] for k in ("ioctl", "open")}}
+    paths = [tmp_path / "first.json", tmp_path / "second.json", tmp_path / "bad.json"]
+    for path, part in zip(paths, (first, second, {"format": 2})):
+        path.write_text(json.dumps(part))
+    _golden_outputs(data_dir, tmp_path, *paths[:2])
+    capsys.readouterr()
+
+    def profile(*order):
+        code = main(["profile", str(data_dir / "target.sdis"), "-o", str(tmp_path / "p.json"),
+                     "--sidecar", str(tmp_path / "s.json"),
+                     *[arg for m in order for arg in ("--mapping", str(m))]])
+        return code, capsys.readouterr().err
+
+    # each file is merged as it is read, so the first fault in order is reported
+    assert profile(paths[0], paths[1], paths[0], paths[2]) == (
+        3, "syscage: analysis error: API 'read' defined by more than one mapping\n")
+    code, err = profile(paths[0], paths[2], paths[0])
+    assert code == 2 and err.startswith(f"syscage: parse error: {paths[2]}: ")
 
 
 @pytest.mark.parametrize("text, reason", [

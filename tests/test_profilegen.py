@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syscage.callgraph import (
@@ -28,7 +28,7 @@ from syscage.profilegen import (
 from syscage.srcfacts import load_source_facts
 from syscage.sysnum import ResolvedSyscallSite, load_syscall_table, resolve_sites
 
-from oracles import closure_floyd_warshall
+from oracles import closure_floyd_warshall, load_trace_reference
 from test_callgraph import _graph, _rsite
 from test_cli_exit_codes import JSON, _spliced
 
@@ -189,6 +189,19 @@ def test_load_trace_merge_adds():
 def test_trace_lines_are_split_at_newline_only():
     # \x0c, \r and \u2028 belong to their line, so no call starts after them
     assert load_trace(["read(0)\x0cwrite(1)\n", "read(0)\rclose(3)\u2028open(1)"]) == {"read": 2}
+
+
+# line breaks of str.splitlines and of regex `^`, whitespace, and token characters
+_TRACE_TEXTS = st.lists(st.text(alphabet="\n\r\x0c\x85\u2028 (a_0Z", max_size=30), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@example([""])
+@example(["read(0)\nclose"])  # no final newline
+@example(["\n\n\nread(0)\n", "\nopen(1)\n\n"])  # leading blank lines
+@given(_TRACE_TEXTS)
+def test_trace_counts_equal_the_line_by_line_reference(texts):
+    assert load_trace(texts) == load_trace_reference(texts)
 
 
 def _simple_mapping(entries, unresolved=0):
