@@ -58,7 +58,8 @@ def positive_int(text: str) -> int:
 def _read(path: str) -> str:
     """The UTF-8 text of `path`, its line ends as they are in the file."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        with open(path, "rb") as file:  # open(""), unlike Path(""), finds no file
+            return file.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
@@ -74,11 +75,11 @@ def _json(text: str):
 def _load(path: str | None, parse, bundled: str | None = None):
     """`parse` applied to the text of `path`, or of the bundled data file
     `bundled` when no path is given; a parse error names the file."""
-    text = _read(path) if path else packaged_data(bundled)
+    text = packaged_data(bundled) if path is None else _read(path)
     try:
         return parse(text)
     except ParseError as exc:
-        raise ParseError(f"{path or bundled}: {exc}") from exc
+        raise ParseError(f"{bundled if path is None else path}: {exc}") from exc
 
 
 def _read_table(path: str | None):
@@ -101,8 +102,9 @@ def _load_mappings(paths: list[str]) -> ApiSyscallMapping:
 
 def _write(path: str | None, text: str) -> None:
     """Write `text` to the file `path`, or to stdout when there is none."""
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
     else:
         sys.stdout.write(text)
 

@@ -163,67 +163,40 @@ def suspicious_names(sidecar, key: str) -> set[str]:
     return set(expect_names(doc.get(key, []), "sidecar {}", key))
 
 
-def sites_by_host(
-    resolved_sites: list[ResolvedSyscallSite],
-) -> dict[str, list[str | None]]:
-    """The syscall name of each site, grouped by host function; None where
-    the number was not recovered."""
-    grouped: dict[str, list[str | None]] = {}
-    for rsite in resolved_sites:
-        grouped.setdefault(rsite.site.function, []).append(rsite.name)
-    return grouped
-
-
-def reachable_syscalls(
-    adj: dict[str, list[str]],
-    direct_adj: dict[str, list[str]],
-    sites: dict[str, list[str | None]],
-    api: str,
-) -> tuple[dict[str, bool], int]:
-    """The syscalls invoked in the functions that graph node `api` reaches,
-    as name -> tainted, and the number of sites in those functions whose
-    number was not recovered.
-
-    tainted is False exactly when some all-direct path reaches a host that
-    invokes the syscall; direct evidence from any host wins.
-    """
-    if api not in adj:
-        raise AnalysisError(f"API {api} is not a call-graph node")
-    full = bfs_reachable(adj, api)
-    direct = bfs_reachable(direct_adj, api)
-    found: dict[str, bool] = {}
-    unresolved = 0
-    for host in full.intersection(sites):
-        for name in sites[host]:
-            if name is None:
-                unresolved += 1
-            else:
-                found[name] = found.get(name, True) and host not in direct
-    return found, unresolved
-
-
 def build_mapping(
     graph: CallGraph,
     resolved_sites: list[ResolvedSyscallSite],
     apis: dict[str, str],
 ) -> ApiSyscallMapping:
-    """One record per exported API; `apis` maps api_name -> graph node."""
+    """One record per exported API; `apis` maps api_name -> graph node.
+    A record holds the syscalls invoked in the functions that the node
+    reaches, tainted unless an all-direct path reaches a host (direct
+    evidence from any host wins), and the number of those functions'
+    sites whose number was not recovered."""
     adj = graph.successors()
     direct_adj = graph.successors(direct_only=True)
-    sites = sites_by_host(resolved_sites)
+    sites: dict[str, list[str | None]] = {}  # host -> its sites' names, None if not recovered
     hosts: dict[str, set[str]] = {}
-    for host, names in sites.items():
-        for name in names:
-            if name is not None:
-                hosts.setdefault(name, set()).add(host)
+    for rsite in resolved_sites:
+        sites.setdefault(rsite.site.function, []).append(rsite.name)
+        if rsite.name is not None:
+            hosts.setdefault(rsite.name, set()).add(rsite.site.function)
     mapping = ApiSyscallMapping(
         call_graph={node: succ for node, succ in adj.items() if succ},
         hosts={name: sorted(fns) for name, fns in hosts.items()},
     )
     for api_name, node in sorted(apis.items()):
-        found, unresolved = reachable_syscalls(adj, direct_adj, sites, node)
-        mapping.records[api_name] = ApiRecord(
-            entry_function=node, syscalls=found, unresolved_sites=unresolved)
+        if node not in adj:
+            raise AnalysisError(f"API {node} is not a call-graph node")
+        full = bfs_reachable(adj, node)
+        direct = bfs_reachable(direct_adj, node)
+        record = mapping.records[api_name] = ApiRecord(entry_function=node)
+        for host in full.intersection(sites):
+            for name in sites[host]:
+                if name is None:
+                    record.unresolved_sites += 1
+                else:
+                    record.syscalls[name] = record.syscalls.get(name, True) and host not in direct
     return mapping
 
 

@@ -150,10 +150,9 @@ def resolve_numbers(function: FunctionRecord) -> dict[int, int | None]:
 
 def resolve_sites(unit: DisasmUnit, table: SyscallTable) -> list[ResolvedSyscallSite]:
     """Resolve every syscall site of a unit against the table."""
-    hosts = {site.function for site in unit.syscall_sites}
     numbers: dict[int, int | None] = {}
     for fn in unit.functions:
-        if fn.canonical_name in hosts:
+        if fn.body:  # only a function that holds a `syscall` keeps its body
             numbers.update(resolve_numbers(fn))
     return [ResolvedSyscallSite(site, table.number_to_name.get(numbers.get(site.site_address)))
             for site in unit.syscall_sites]

@@ -6,7 +6,7 @@ import pytest
 from syscage.callgraph import CallGraph, build_direct_fcg, build_indirect_edges, merge
 from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, parse_disassembly
 from syscage.errors import AnalysisError
-from syscage.profilegen import reachable_syscalls, sites_by_host
+from syscage.profilegen import build_mapping
 from syscage.srcfacts import IndirectSite, SourceFacts
 from syscage.sysnum import ResolvedSyscallSite
 
@@ -32,12 +32,10 @@ def _graph(direct=(), indirect=()):
 
 
 def _reachable(graph, api, resolved_sites):
-    """(name, tainted) for each syscall `api` reaches, by build_mapping's step."""
-    found, _ = reachable_syscalls(
-        graph.successors(), graph.successors(direct_only=True),
-        sites_by_host(resolved_sites), api,
-    )
-    return set(found.items())
+    """(name, tainted) for each syscall that graph node `api` reaches, in
+    the record build_mapping makes for it."""
+    record = build_mapping(graph, resolved_sites, {"api": api}).records["api"]
+    return set(record.syscalls.items())
 
 
 def _paths(graph, api, host, **limits):

@@ -618,6 +618,51 @@ def test_unusable_path_is_a_usage_error(data_dir, tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def _working_argv(data_dir, out):
+    """A command line of each subcommand that exits 0 on the fixtures."""
+    golden = data_dir / "golden"
+    argvs = {
+        "analyze": ["analyze", data_dir / "minilib.sdis", data_dir / "minilib.facts.json",
+                    "-o", out / "m.json"],
+        "profile": ["profile", data_dir / "target.sdis", "--mapping", golden / "mapping.json",
+                    "--trace", data_dir / "target.trace",
+                    "-o", out / "p.json", "--sidecar", out / "s.json"],
+        "verify": ["verify", "--sidecar", golden / "sidecar.json",
+                   "--mapping", golden / "mapping.json", "--memmap", data_dir / "memmap.txt",
+                   "--events", data_dir / "events.txt", "--lib-disasm", data_dir / "minilib.sdis",
+                   "-o", out / "v.log"],
+        "cve": ["cve", golden / "profile.json", "-o", out / "c.json"],
+    }
+    return {command: [str(arg) for arg in argv] for command, argv in argvs.items()}
+
+
+# (subcommand, the index of a positional path or a path option's flag)
+@pytest.mark.parametrize("command, where", [
+    ("analyze", 1), ("analyze", 2), ("analyze", "--table"), ("analyze", "-o"),
+    ("profile", 1), ("profile", "--mapping"), ("profile", "--table"), ("profile", "--trace"),
+    ("profile", "-o"), ("profile", "--sidecar"),
+    ("verify", "--sidecar"), ("verify", "--mapping"), ("verify", "--memmap"),
+    ("verify", "--events"), ("verify", "--lib-disasm"), ("verify", "--table"),
+    ("verify", "-o"),
+    ("cve", 1), ("cve", "--dataset"), ("cve", "--table"), ("cve", "-o"),
+])
+def test_empty_path_is_a_usage_error(data_dir, tmp_path, capsys, command, where):
+    """An empty path names no file: it is not the bundled file, nor stdout."""
+    argv = _working_argv(data_dir, tmp_path)[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    if isinstance(where, int):
+        argv[where] = ""
+    elif where in argv:
+        argv[argv.index(where) + 1] = ""
+    else:
+        argv += [where, ""]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "syscage: error: [Errno 2] No such file or directory: ''\n"
+
+
 @pytest.mark.parametrize("profile", [
     ["read"],
     {"syscalls": [{"action": "SCMP_ACT_ALLOW", "names": "read"}]},

@@ -147,30 +147,47 @@ def test_json_document_parses_or_raises_parse_error(name, data):
 
 def test_mapping_matches_reachability_oracle():
     rng = random.Random(7)
-    for _ in range(25):
+    names = [f"sys{i}" for i in range(4)] + [None]  # None: a number not recovered
+    for _ in range(40):
         n = rng.randint(3, 25)
         nodes = [f"n{i}" for i in range(n)]
         graph = CallGraph(nodes=set(nodes))
-        pairs = []
+        pairs, direct_pairs = [], []
         for a in nodes:
             for b in nodes:
                 if a != b and rng.random() < 0.08:
                     kind = DIRECT if rng.random() < 0.7 else INDIRECT
                     graph.edges.add(CallSite(a, b, kind))
                     pairs.append((a, b))
+                    if kind == DIRECT:
+                        direct_pairs.append((a, b))
+        # a host holds one to three sites, and a name may have several hosts
         sites = [
-            ResolvedSyscallSite(SyscallSite(h, 0), f"sys{i}")
-            for i, h in enumerate(nodes)
-            if rng.random() < 0.3
+            ResolvedSyscallSite(SyscallSite(h, 0), rng.choice(names))
+            for h in nodes
+            if rng.random() < 0.4
+            for _ in range(rng.randint(1, 3))
         ]
+        rng.shuffle(sites)
         apis = {f"api_{node}": node for node in rng.sample(nodes, 3)}
         mapping = build_mapping(graph, sites, apis)
-        closure = closure_floyd_warshall(nodes, pairs)
+        full = closure_floyd_warshall(nodes, pairs)
+        donly = closure_floyd_warshall(nodes, direct_pairs)
+        hosts = {name: sorted({s.site.function for s in sites if s.name == name})
+                 for name in names[:-1]}
+        assert mapping.hosts == {name: fns for name, fns in hosts.items() if fns}
         for api, node in apis.items():
+            reached = [s for s in sites if s.site.function in full[node]]
+            # tainted unless some host of the name is reached all-directly
             expected = {
-                s.name for s in sites if s.site.function in closure[node]
+                s.name: all(t.site.function not in donly[node]
+                            for t in reached if t.name == s.name)
+                for s in reached if s.name is not None
             }
-            assert set(mapping.records[api].syscalls) == expected
+            record = mapping.records[api]
+            assert record.entry_function == node
+            assert record.syscalls == expected
+            assert record.unresolved_sites == sum(s.name is None for s in reached)
 
 
 def test_load_trace_counts():
