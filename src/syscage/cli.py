@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import mmap
+import os
 import sys
 from pathlib import Path
 
 from . import packaged_data
 from .callgraph import build_direct_fcg, build_indirect_edges, merge
 from .cve import load_cve_dataset, report_document
-from .disasm import extract_plt_imports, parse_disassembly
+from .disasm import extract_plt_imports, function_extents, parse_disassembly
 from .errors import AnalysisError, ParseError
 from .profilegen import (
     ApiSyscallMapping,
@@ -41,6 +43,10 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_ANALYSIS = 3
 
+# a smaller file is read faster than mapped: read() fills a heap buffer that
+# the allocator reuses, while every page of a map is faulted in afresh
+MAP_MIN_BYTES = 1 << 20
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -56,10 +62,16 @@ def positive_int(text: str) -> int:
 
 
 def _read(path: str) -> str:
-    """The UTF-8 text of `path`, its line ends as they are in the file."""
+    """The UTF-8 text of `path`, its line ends as they are in the file.  A
+    large file is decoded straight from a read-only map, so that its bytes
+    are never copied into a buffer of their own."""
     try:
         with open(path, "rb") as file:  # open(""), unlike Path(""), finds no file
-            return file.read().decode("utf-8")
+            # st_size is 0 for a pipe or a file of /proc, which cannot be mapped
+            if os.fstat(file.fileno()).st_size < MAP_MIN_BYTES:
+                return file.read().decode("utf-8")
+            with mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as view:
+                return str(view, "utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
@@ -98,6 +110,24 @@ def _load_mappings(paths: list[str]) -> ApiSyscallMapping:
     for other in mappings:
         first.merge_from(other)
     return first
+
+
+def _probe(paths: list[str]) -> None:
+    """Open each of `paths` for appending, which creates a missing file but
+    empties none; when one cannot be opened, remove the files that this
+    created before raising, so that a command writes all its outputs or
+    none."""
+    created = []
+    try:
+        for path in paths:
+            new = not os.path.lexists(path)
+            open(path, "a", encoding="utf-8").close()
+            if new:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
 
 
 def _write(path: str | None, text: str) -> None:
@@ -148,8 +178,11 @@ def cmd_profile(args) -> int:
               file=sys.stderr)
     if profile.fallback:
         print(f"warning: allowing every syscall: {profile.fallback}", file=sys.stderr)
-    _write(args.output, dump_json(profile.to_docker_document()))
-    _write(args.sidecar, dump_json(profile.sidecar_document()))
+    docker, sidecar = (dump_json(profile.to_docker_document()),
+                       dump_json(profile.sidecar_document()))
+    _probe([args.output, args.sidecar])
+    _write(args.output, docker)
+    _write(args.sidecar, sidecar)
     return EXIT_OK
 
 
@@ -167,10 +200,7 @@ def cmd_verify(args) -> int:
         if paths.setdefault(stem, path) != path:
             raise AnalysisError(
                 f"--lib-disasm {paths[stem]} and {path} share the library name {stem!r}")
-    # no parsed unit stays bound: a collection during the replay would scan it
-    offsets = {stem: [(fn.canonical_name, fn.start, fn.end)
-                      for fn in _parse_unit(path).functions]
-               for stem, path in paths.items()}
+    offsets = {stem: _load(path, function_extents) for stem, path in paths.items()}
     fat = locate_functions(memmap, offsets)
 
     entries, hosts = mapping.walk_ends()

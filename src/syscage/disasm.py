@@ -15,7 +15,9 @@ than skipped, so broken fixtures surface immediately.
 The regular-expression engine reads the lines, not a Python loop: one
 possessive match takes a header and every blank or instruction line of its
 body, keeping no backtracking state, one `findall` takes their addresses,
-and one search finds their `call`, `callq` and `syscall` lines.  No
+and one search finds their `call`, `callq` and `syscall` lines.  Two
+readers share the one validating loop: `function_extents` stops at each
+function's extent, and `parse_disassembly` also looks for its sites.  No
 instruction is decoded here: a function holding a `syscall` keeps its body
 text, which `sysnum.resolve_numbers` reads.
 """
@@ -123,6 +125,33 @@ def _check_addresses(text: str, lo: int, hi: int, last: int) -> int:
     return last
 
 
+def _functions(text: str):
+    """Each function of SDIS `text` in text order, as (symbol, start, end,
+    lo, hi) with its body lines in text[lo:hi], once its header and every
+    line of its body are validated."""
+    pos = first.start() if (first := _FIRST_LINE.search(text)) else len(text)
+    last = -1  # the highest address so far; -1 before the first function
+    while pos < len(text):
+        m = FUNCTION_RE.match(text, pos)
+        if m is None:
+            raise _bad_line(text, pos, last >= 0)
+        symbol, start = m.group(2), int(m.group(1), 16)
+        if start <= last:
+            raise ParseError(f"line {_lineno(text, pos)}: function {symbol} at "
+                             f"{start:#x} is not above address {last:#x}")
+        lo, hi = m.span(3)
+        # one below `start`, so that the check also rejects an address below it
+        last = max(_check_addresses(text, lo, hi, start - 1), start)
+        yield symbol, start, last + 1, lo, hi
+        pos = hi + 1  # past the `\n` after the body, or past the text's end
+
+
+def function_extents(text: str) -> list[tuple[str, int, int]]:
+    """(name, start, end) of each function of SDIS `text`, every line
+    validated as `parse_disassembly` does, but no site looked for."""
+    return [(symbol, start, end) for symbol, start, end, _, _ in _functions(text)]
+
+
 def parse_disassembly(text: str) -> DisasmUnit:
     """Parse SDIS text into a DisasmUnit.
 
@@ -132,19 +161,7 @@ def parse_disassembly(text: str) -> DisasmUnit:
     text.
     """
     unit = DisasmUnit()
-    pos = first.start() if (first := _FIRST_LINE.search(text)) else len(text)
-    last = -1  # the highest address so far
-    while pos < len(text):
-        m = FUNCTION_RE.match(text, pos)
-        if m is None:
-            raise _bad_line(text, pos, bool(unit.functions))
-        symbol, start = m.group(2), int(m.group(1), 16)
-        if start <= last:
-            raise ParseError(f"line {_lineno(text, pos)}: function {symbol} at "
-                             f"{start:#x} is not above address {last:#x}")
-        lo, hi = m.span(3)
-        # one below `start`, so that the check also rejects an address below it
-        last = max(_check_addresses(text, lo, hi, start - 1), start)
+    for symbol, start, end, lo, hi in _functions(text):
         sites = len(unit.syscall_sites)
         for s in SITE_RE.finditer(text, lo, hi):
             line = text.rfind("\n", lo, s.start()) + 1
@@ -163,8 +180,7 @@ def parse_disassembly(text: str) -> DisasmUnit:
                 # any other operand form is an unmodeled call; not a callsite
         api = e.group(1) if (e := EXPORT_RE.match(symbol)) else None
         body = text[lo:hi] if len(unit.syscall_sites) > sites else ""
-        unit.functions.append(FunctionRecord(symbol, start, last + 1, api, body))
-        pos = hi + 1  # past the `\n` after the body, or past the text's end
+        unit.functions.append(FunctionRecord(symbol, start, end, api, body))
     return unit
 
 

@@ -191,7 +191,7 @@ def build_mapping(
         full = bfs_reachable(adj, node)
         direct = bfs_reachable(direct_adj, node)
         record = mapping.records[api_name] = ApiRecord(entry_function=node)
-        for host in full.intersection(sites):
+        for host in sites.keys() & full:  # walks the smaller of the two
             for name in sites[host]:
                 if name is None:
                     record.unresolved_sites += 1

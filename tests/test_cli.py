@@ -1,11 +1,14 @@
 import argparse
 import json
+import os
 import re
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from syscage.cli import build_parser, main
+from syscage.cli import MAP_MIN_BYTES, build_parser, main
 from syscage.profilegen import SeccompProfile
 
 DATA_ARGS = {}
@@ -203,7 +206,7 @@ def test_outputs_match_golden(data_dir, tmp_path):
         assert out.read_bytes() == (data_dir / "golden" / out.name).read_bytes(), out.name
 
 
-def _verify_golden(data_dir, tmp_path, sidecar=None, mapping=None, events=None):
+def _verify_golden(data_dir, tmp_path, sidecar=None, mapping=None, events=None, lib=None):
     """verify on the fixtures with the golden sidecar and mapping, or the
     given replacements; returns the exit code and the verdict log's path."""
     golden = data_dir / "golden"
@@ -213,7 +216,7 @@ def _verify_golden(data_dir, tmp_path, sidecar=None, mapping=None, events=None):
         "--mapping", str(mapping or golden / "mapping.json"),
         "--memmap", str(data_dir / "memmap.txt"),
         "--events", str(events or data_dir / "events.txt"),
-        "--lib-disasm", str(data_dir / "minilib.sdis"),
+        "--lib-disasm", str(lib or data_dir / "minilib.sdis"),
         "--target", "target", "-o", str(log),
     ])
     return code, log
@@ -233,6 +236,95 @@ def test_verify_decodes_no_instruction(data_dir, tmp_path, monkeypatch):
     assert log.read_bytes() == (data_dir / "golden" / "verdicts.log").read_bytes()
     with pytest.raises(AssertionError, match="decoded an instruction"):
         _analyze(data_dir, tmp_path)
+
+
+def test_verify_scans_for_no_site(data_dir, tmp_path, monkeypatch):
+    """verify reads function extents alone, so it never looks for a call or
+    `syscall` line in the library SDIS; analyze does."""
+    import syscage.disasm
+
+    class NoScan:
+        def finditer(self, *args):
+            raise AssertionError("scanned for sites")
+
+    monkeypatch.setattr(syscage.disasm, "SITE_RE", NoScan())
+    code, log = _verify_golden(data_dir, tmp_path)
+    assert code == 0
+    assert log.read_bytes() == (data_dir / "golden" / "verdicts.log").read_bytes()
+    with pytest.raises(AssertionError, match="scanned for sites"):
+        _analyze(data_dir, tmp_path)
+
+
+def test_malformed_lib_disasm_fails_verify_as_it_fails_analyze(data_dir, tmp_path, capsys):
+    lib = tmp_path / "minilib.sdis"  # the stem of the memory map's `lib` line
+    lib.write_bytes((data_dir / "minilib.sdis").read_bytes() + b"    1000:\tnop\n")
+    line = lib.read_bytes().count(b"\n")
+    expected = f"syscage: parse error: {lib}: line {line}: address 0x1000 does not increase\n"
+    code = main(["analyze", str(lib), str(data_dir / "minilib.facts.json"),
+                 "-o", str(tmp_path / "m.json")])
+    assert (code, capsys.readouterr().err) == (2, expected)
+    code, _ = _verify_golden(data_dir, tmp_path, lib=lib)
+    assert (code, capsys.readouterr().err) == (2, expected)
+
+
+@contextmanager
+def _events(tmp_path, kind, data):
+    """An events file holding `data`: a regular file, or a FIFO that a
+    thread feeds."""
+    path = tmp_path / "events.txt"
+    if kind == "file":
+        path.write_bytes(data)
+        yield path
+        return
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    yield path
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("kind", ["file", "fifo"])
+def test_events_are_read_from_a_file_or_a_pipe(data_dir, tmp_path, capsys, monkeypatch, kind):
+    """A regular file of MAP_MIN_BYTES or more is mapped and a FIFO is read;
+    both give the same verdicts, and the same error for bytes that are not
+    UTF-8."""
+    import mmap
+
+    mapped = []
+
+    def spy(fileno, length, *args, real=mmap.mmap, **kwargs):
+        mapped.append(os.fstat(fileno).st_size)
+        return real(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", spy)
+    pad = b"\n" * MAP_MIN_BYTES  # blank lines, which are skipped
+    text = (data_dir / "events.txt").read_bytes() + pad
+    golden = (data_dir / "golden" / "verdicts.log").read_bytes()
+    with _events(tmp_path, kind, text) as events:
+        code, log = _verify_golden(data_dir, tmp_path, events=events)
+    assert (code, log.read_bytes()) == (0, golden)
+    assert mapped == ([len(text)] if kind == "file" else [])
+    capsys.readouterr()
+    events.unlink()
+    with _events(tmp_path, kind, pad + b"\xff\n") as events:
+        code, _ = _verify_golden(data_dir, tmp_path, events=events)
+    assert (code, capsys.readouterr().err) == (2, f"syscage: parse error: {events}: "
+                                               f"not UTF-8 text (invalid start byte at byte {len(pad)})\n")
+
+
+def test_empty_events_give_an_empty_log(data_dir, tmp_path):
+    empty = tmp_path / "events.txt"
+    empty.write_bytes(b"")
+    code, log = _verify_golden(data_dir, tmp_path, events=empty)
+    assert (code, log.read_bytes()) == (0, b"")
+
+
+def test_events_directory_is_a_usage_error(data_dir, tmp_path, capsys):
+    code, log = _verify_golden(data_dir, tmp_path, events=tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"syscage: error: {tmp_path}: ")
+    assert not log.exists()
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -647,20 +739,28 @@ def _working_argv(data_dir, out):
     ("cve", 1), ("cve", "--dataset"), ("cve", "--table"), ("cve", "-o"),
 ])
 def test_empty_path_is_a_usage_error(data_dir, tmp_path, capsys, command, where):
-    """An empty path names no file: it is not the bundled file, nor stdout."""
+    """An empty path names no file: it is not the bundled file, nor stdout.
+    The failed command leaves each of its outputs as it was: neither
+    rewritten nor, when missing, created."""
     argv = _working_argv(data_dir, tmp_path)[command]
     assert main(argv) == 0
     capsys.readouterr()
+    outputs = sorted(tmp_path.iterdir())  # what the command wrote
     if isinstance(where, int):
         argv[where] = ""
     elif where in argv:
         argv[argv.index(where) + 1] = ""
     else:
         argv += [where, ""]
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "syscage: error: [Errno 2] No such file or directory: ''\n"
+    for old in (b"old\n", None):
+        for path in outputs:
+            path.write_bytes(old) if old else path.unlink()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "syscage: error: [Errno 2] No such file or directory: ''\n"
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == (
+            dict.fromkeys(outputs, old) if old else {})
 
 
 @pytest.mark.parametrize("profile", [

@@ -16,6 +16,7 @@ from syscage.disasm import (
     CallSite,
     SyscallSite,
     extract_plt_imports,
+    function_extents,
     parse_disassembly,
 )
 from syscage.errors import ParseError
@@ -392,7 +393,8 @@ def test_long_bodies_equal_the_reference():
 
 def test_decoding_on_demand_equals_the_reference_on_the_workloads(monkeypatch):
     """Every SDIS file of both benchmark workloads at seed 1: the same
-    functions and sites, and the same instructions of each syscall host."""
+    functions and sites, and the same instructions of each syscall host;
+    and the same extents from `function_extents`."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import gen
 
@@ -402,6 +404,7 @@ def test_decoding_on_demand_equals_the_reference_on_the_workloads(monkeypatch):
                 unit = parse_disassembly(text)
                 assert _read_view(unit) == _read_view(parse_disassembly_reference(text)), path
                 assert any(map(_instructions, unit.functions)) == bool(unit.syscall_sites)
+                assert function_extents(text) == _extents(unit), path
 
 
 @settings(max_examples=300, deadline=None)
@@ -441,3 +444,25 @@ def test_parse_equals_the_line_by_line_reference(text):
     kept = [bool(_instructions(f)) for f in unit.functions]
     assert kept == [any(i.mnemonic == "syscall" for i in f.instructions)
                     for f in expected.functions]
+
+
+def _extents(unit):
+    return [(f.canonical_name, f.start, f.end) for f in unit.functions]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | _mutated_fixture())
+@example(text="    1000:\tnop\n")
+@example(text="0000000000001000 <f>:\n    1000:\tnop\n    1000:\tnop\n")
+@example(text="0000000000001000 <f>:\n    1004:\tnop\n0000000000001002 <g>:\n")
+def test_extents_equal_those_of_the_full_parse(text):
+    """`function_extents` validates what `parse_disassembly` does: the same
+    extents, or the same error."""
+    try:
+        unit = parse_disassembly(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            function_extents(text)
+        assert str(got.value) == str(exc)
+        return
+    assert function_extents(text) == _extents(unit)
