@@ -7,7 +7,12 @@ in-memory function layout and looks in it for a walk of the library's call
 graph from an API that can issue the syscall to a function that issues it.
 
 An event line is `<tag> <syscall> rip=<hex> rsp=<hex> stack=<hex>,...`, each
-address lowercase hex with an optional `0x`.  Empty stack words are skipped
+address lowercase hex with an optional `0x`.  Lines end at `\n` only; the
+whitespace around a line is stripped, and a line that holds only whitespace
+is blank and skipped.  `run_event_trace` reads the text in one scan, one
+match of `EVENT_LINE_RE` per line, and rejects a line that is not an event
+in time linear in its length, however long a run of whitespace, of tag
+characters or of stack commas it holds.  Empty stack words are skipped
 and only the first `scan_limit` words are scanned, but any malformed word
 rejects the whole trace (`parse_event_line`).  Every word is validated, but
 words are converted to integers only for events of the target that issue a
@@ -21,6 +26,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import AnalysisError, ParseError
@@ -39,9 +45,16 @@ RIP_OUT_OF_RANGE = "RipOutOfRange"
 NO_PATH_MATCH = "NoPathMatch"
 UNKNOWN_SYSCALL = "UnknownSyscall"
 
-EVENT_RE = re.compile(
-    r"^(\S+)[ \t]+([a-z0-9_]+)[ \t]+rip=([0-9a-fx]+)[ \t]+rsp=([0-9a-fx]+)"
-    r"[ \t]+stack=([0-9a-fx,]*)$"
+# One `\n`-line of an event trace per match, with the whitespace around it
+# and its `\n`: the five fields of an event (groups 1-5), a blank line (no
+# group) or a bad line (group 6).  Every run is matched possessively, so
+# each branch fails or matches at its first try, in time linear in the line;
+# as some branch always matches, `finditer` yields the lines in turn, plus
+# an empty blank match at the end of the text.
+EVENT_LINE_RE = re.compile(
+    r"[^\S\n]*+(?:(\S++)[ \t]++([a-z0-9_]++)[ \t]++rip=([0-9a-fx]++)[ \t]++"
+    r"rsp=([0-9a-fx]++)[ \t]++stack=([0-9a-fx,]*+)[^\S\n]*+(?:\n|\Z)"
+    r"|(?:\n|\Z)|([^\n]++)\n?)"
 )
 ADDRESS_RE = re.compile(r"(0x)?[0-9a-f]+")
 
@@ -56,18 +69,23 @@ class MemoryMap:
 
 
 class FunctionAddressTable:
-    """Function extents `(name, start, end)`, sorted by start."""
+    """Function extents `(name, start, end)`, sorted by start, as parallel
+    lists, and the span `[lo, hi)` from the first start to the last end: an
+    address outside it lies in no function, with no bisect."""
 
     def __init__(self, entries: list[tuple[str, int, int]]):
-        self.entries = sorted(entries, key=lambda e: e[1])
-        self.starts = [e[1] for e in self.entries]
+        entries = sorted(entries, key=lambda e: e[1])
+        self.names = [e[0] for e in entries]
+        self.starts = [e[1] for e in entries]
+        self.ends = [e[2] for e in entries]
+        self.lo = self.starts[0] if entries else 0
+        self.hi = max(self.ends, default=0)
 
     def find(self, addr: int) -> str | None:
-        i = bisect_right(self.starts, addr) - 1
-        if i >= 0:
-            name, start, end = self.entries[i]
-            if start <= addr < end:
-                return name
+        if self.lo <= addr < self.hi:
+            i = bisect_right(self.starts, addr) - 1  # >= 0, as starts[0] <= addr
+            if addr < self.ends[i]:
+                return self.names[i]
         return None
 
 
@@ -172,29 +190,29 @@ def locate_functions(
     return FunctionAddressTable(entries)
 
 
-def reconstruct_path(
-    event: SyscallEvent, table: FunctionAddressTable, memmap: MemoryMap
-) -> tuple[str, ...]:
+def reconstruct_path(event: SyscallEvent, table: FunctionAddressTable,
+                     memmap: MemoryMap, rip_fn: str | None) -> tuple[str, ...]:
     """Scan stack words for return addresses inside known functions; stop at
-    the first word pointing into the code segment.  The function holding RIP
-    is prepended as the innermost frame.  A return address points just past
-    its call, so each word is looked up as `word - 1`, as unwinders do.
+    the first word pointing into the code segment.  `rip_fn`, the function
+    holding RIP (`table.find(event.rip)`), is prepended as the innermost
+    frame.  A return address points just past its call, so each word is
+    looked up as `word - 1`, as unwinders do.
 
     The loop is `table.find(word - 1)` and `word in memmap.code_segment`
-    written out: the function starting last at or before `word - 1` holds
-    it when `word - 1 < end`, that is `word <= end`.  The bounds are locals
-    because `lo <= w < hi` is faster than `w in range`."""
-    starts, entries = table.starts, table.entries
+    written out: `word - 1` lies in the span when `lo < word <= hi`, and
+    then the function starting last at or before it holds it when
+    `word - 1 < end`, that is `word <= end`.  The bounds are locals because
+    `lo <= w < hi` is faster than `w in range`."""
+    names, starts, ends, lo, hi = table.names, table.starts, table.ends, table.lo, table.hi
     code_lo, code_hi = memmap.code_segment.start, memmap.code_segment.stop
-    path: list[str] = []
-    rip_fn = table.find(event.rip)
-    if rip_fn is not None:
-        path.append(rip_fn)
+    path = [] if rip_fn is None else [rip_fn]
     for word in event.stack_words:
-        i = bisect_right(starts, word - 1) - 1
-        if i >= 0 and word <= entries[i][2]:
-            path.append(entries[i][0])
-        elif code_lo <= word < code_hi:
+        if lo < word <= hi:
+            i = bisect_right(starts, word - 1) - 1
+            if word <= ends[i]:
+                path.append(names[i])
+                continue
+        if code_lo <= word < code_hi:
             break
     return tuple(path)
 
@@ -253,9 +271,10 @@ def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
         return _CACHE_HIT
     if event.rsp not in ctx.memmap.stack:
         return _RSP_OUT_OF_RANGE
-    if ctx.table.find(event.rip) is None and event.rip not in ctx.memmap.code_segment:
+    rip_fn = ctx.table.find(event.rip)
+    if rip_fn is None and event.rip not in ctx.memmap.code_segment:
         return _RIP_OUT_OF_RANGE
-    path = reconstruct_path(event, ctx.table, ctx.memmap)
+    path = reconstruct_path(event, ctx.table, ctx.memmap, rip_fn)
     name = event.syscall_name
     if walk_embeds(reversed(path), ctx.call_graph,
                    ctx.entries.get(name, ()), ctx.hosts.get(name, ())):
@@ -264,47 +283,46 @@ def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
     return Verdict(DENY, NO_PATH_MATCH, path)
 
 
-def parse_event_line(line: str, ctx: VerifierContext,
+def parse_event_line(m: re.Match, ctx: VerifierContext,
                      scan_limit: int = DEFAULT_SCAN_LIMIT) -> SyscallEvent:
-    """The event of a stripped line.  Every stack word is validated, also
-    past `scan_limit`, but words are converted only when `ctx.may_walk`
-    holds, for events of the target that issue a suspicious syscall not yet
-    matched; others get `stack_words == ()`.  Parse each line just before
-    verifying it, so that the cache is current; a checked event then pays
-    its conversion here, not in `verify_event`."""
-    m = EVENT_RE.match(line)
-    if not m:
-        raise ParseError(f"bad event line {line!r}")
-    tag, name, rip, rsp, stack = m.groups()
+    """The event of a line, given as its `EVENT_LINE_RE` match; a bad or a
+    blank line raises ParseError.  Every stack word is validated, also past
+    `scan_limit`, but words are converted only when `ctx.may_walk` holds, for
+    events of the target that issue a suspicious syscall not yet matched;
+    others get `stack_words == ()`.  Parse each line just before verifying
+    it, so that the cache is current; a checked event then pays its
+    conversion here, not in `verify_event`."""
+    tag, name, rip, rsp, stack, _ = m.groups()
+    if tag is None:
+        raise ParseError(f"bad event line {m[0].strip()!r}")
     words = ()
     try:
         if ctx.may_walk(tag, name):
             words = tuple(map(int, filter(None, stack.split(",")), repeat(16)))[:scan_limit]
         elif "x" in stack and not all(map(ADDRESS_RE.fullmatch, filter(None, stack.split(",")))):
-            raise ValueError(stack)  # EVENT_RE leaves only words with an `x` to check
+            raise ValueError(stack)  # the pattern leaves only words with an `x` to check
         return SyscallEvent(tag, name, int(rip, 16), int(rsp, 16), words)
     except ValueError as exc:
-        raise ParseError(f"bad address in event line {line!r}") from exc
+        raise ParseError(f"bad address in event line {m[0].strip()!r}") from exc
 
 
 def run_event_trace(
     text: str, ctx: VerifierContext, scan_limit: int = DEFAULT_SCAN_LIMIT
 ) -> tuple[list[Verdict], Counter]:
-    """One verdict per event line, in order, plus counts by reason."""
+    """One verdict per event line, in order, plus counts by reason.  The
+    lines are the matches of one scan of `text`; a line's number is counted
+    only when it is rejected."""
     verdicts: list[Verdict] = []
-    summary: Counter = Counter()
-    for lineno, line in enumerate(text.split("\n"), 1):
-        line = line.strip()
-        if not line:
+    for m in EVENT_LINE_RE.finditer(text):
+        if m.lastindex is None:  # a blank line
             continue
         try:
-            event = parse_event_line(line, ctx, scan_limit)
+            event = parse_event_line(m, ctx, scan_limit)
         except ParseError as exc:
+            lineno = text.count("\n", 0, m.start()) + 1
             raise ParseError(f"line {lineno}: {exc}") from exc
-        verdict = verify_event(event, ctx)
-        verdicts.append(verdict)
-        summary[verdict.reason] += 1
-    return verdicts, summary
+        verdicts.append(verify_event(event, ctx))
+    return verdicts, Counter(map(attrgetter("reason"), verdicts))
 
 
 def format_verdict_log(verdicts: list[Verdict]) -> str:

@@ -299,6 +299,13 @@ def parse_event_reference(line, scan_limit):
     return tag, name, int(rip, 16), int(rsp, 16), tuple(int(w, 16) for w in words)[:scan_limit]
 
 
+def event_line_error(line):
+    """The message, without its `line N: `, that rejects the stripped event
+    line `line`, which parse_event_reference finds malformed."""
+    kind = "bad event line" if _EVENT_LINE.fullmatch(line) is None else "bad address in event line"
+    return f"{kind} {line!r}"
+
+
 _TRACE_TOKEN = re.compile(r"[a-z0-9_]+")
 
 

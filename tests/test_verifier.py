@@ -1,6 +1,8 @@
 import json
 import random
 import re
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from syscage.verifier import (
     CACHE_HIT,
     DEFAULT_SCAN_LIMIT,
     DENY,
+    EVENT_LINE_RE,
     NO_PATH_MATCH,
     NOT_SUSPICIOUS,
     NOT_TARGET,
@@ -42,6 +45,7 @@ from oracles import (
     all_simple_paths_bruteforce,
     closure_floyd_warshall,
     enumerate_secure_paths,
+    event_line_error,
     is_subsequence,
     parse_event_reference,
     predecessors,
@@ -112,7 +116,7 @@ def test_locate_functions_rebases():
 
 def test_locate_functions_empty():
     table = locate_functions(_memmap(), {})
-    assert table.entries == []
+    assert (table.names, table.starts, table.ends) == ([], [], [])
     assert table.find(BASE) is None
 
 
@@ -120,6 +124,10 @@ def test_locate_functions_overflow():
     with pytest.raises(AnalysisError, match=r"function f \[0x0,0x20000\) exceeds the size "
                        "0x10000 that the memory map gives library lib"):
         locate_functions(_memmap(), {"lib": [("f", 0x0, 0x20000)]})
+
+
+def _path(event, table, memmap):
+    return reconstruct_path(event, table, memmap, table.find(event.rip))
 
 
 def test_reconstruct_hand_simulation():
@@ -132,19 +140,19 @@ def test_reconstruct_hand_simulation():
         0x400abc,              # code segment: stop
         BASE + 0x1018,         # must not be reached
     ])
-    assert reconstruct_path(event, table, memmap) == ("wrapper", "B", "A")
+    assert _path(event, table, memmap) == ("wrapper", "B", "A")
 
 
 def test_reconstruct_empty():
     table, memmap = _table()
     event = _event(rip=0x999, stack=[])
-    assert reconstruct_path(event, table, memmap) == ()
+    assert _path(event, table, memmap) == ()
 
 
 def test_reconstruct_stops_at_first_code_word():
     table, memmap = _table()
     event = _event(stack=[0x400abc, BASE + 0x1015])
-    assert reconstruct_path(event, table, memmap) == ("wrapper",)
+    assert _path(event, table, memmap) == ("wrapper",)
 
 
 def _reconstruct_reference(event, table, memmap):
@@ -183,7 +191,7 @@ def _scan_cases(draw):
     memmap = MemoryMap(libraries, range(0x10000, 0x20000), code)
     table = locate_functions(memmap, offsets)
     bounds = [0, 1, code.start - 1, code.start, code.start + 1, code.stop - 1, code.stop]
-    for _, start, end in table.entries:
+    for start, end in zip(table.starts, table.ends):
         bounds += [start, start + 1, end - 1, end, end + 1]
     word = st.sampled_from(bounds) | st.integers(0, base + 0x40)
     event = _event(rip=draw(word), stack=draw(st.lists(word, max_size=10)))
@@ -194,7 +202,52 @@ def _scan_cases(draw):
 @given(_scan_cases())
 def test_reconstruct_equals_find_and_region_reference(case):
     event, table, memmap = case
-    assert reconstruct_path(event, table, memmap) == _reconstruct_reference(*case)
+    assert _path(event, table, memmap) == _reconstruct_reference(*case)
+
+
+@st.composite
+def _gapped_cases(draw):
+    """Two to four libraries with gaps between them, each with up to four
+    functions, or an empty table; a code segment anywhere; and stack words
+    drawn mostly from the boundaries: each function's start and end, the
+    span's ends `lo` and `hi`, and the code segment's."""
+    base = draw(st.integers(1, 16)) * 0x100
+    libraries, offsets = [], {}
+    for k in range(draw(st.integers(2, 4))):
+        base += draw(st.integers(1, 0x40))  # the gap before the library
+        size = draw(st.integers(1, 0x40))
+        starts = sorted(draw(st.sets(st.integers(0, size - 1), max_size=4)))
+        offsets[f"lib{k}"] = [(f"lib{k}.f{i}", start, draw(st.integers(start + 1, size)))
+                              for i, start in enumerate(starts)]
+        libraries.append((f"lib{k}", range(base, base + size)))
+        base += size
+    if draw(st.integers(0, 4)) == 0:
+        offsets = {}
+    code_lo = draw(st.integers(0, base + 0x40))
+    code = range(code_lo, code_lo + draw(st.integers(1, 0x40)))
+    memmap = MemoryMap(libraries, range(0x10000, 0x20000), code)
+    table = locate_functions(memmap, offsets)
+    bounds = [0, table.lo - 1, table.lo, table.lo + 1, table.hi - 1, table.hi, table.hi + 1,
+              code.start, code.start + 1, code.stop - 1]
+    for start, end in zip(table.starts, table.ends):
+        bounds += [start, end, end + 1]
+    word = st.sampled_from(bounds) | st.integers(0, base + 0x40)
+    event = _event(rip=draw(word), stack=draw(st.lists(word, max_size=12)))
+    return event, table, memmap, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gapped_cases())
+def test_flat_table_walk_equals_find_of_every_word(case):
+    """The span test skips the bisect only for words that no function
+    holds: the walk equals one that looks every word up with `find`, and
+    `find` equals a scan of every extent."""
+    event, table, memmap, bounds = case
+    assert _path(event, table, memmap) == _reconstruct_reference(event, table, memmap)
+    extents = list(zip(table.names, table.starts, table.ends))
+    for addr in bounds:
+        assert table.find(addr) == next(
+            (name for name, start, end in extents if start <= addr < end), None)
 
 
 def test_verify_not_target():
@@ -461,10 +514,14 @@ def _parse_ctx(line, step):
 
 
 def _parsed(line, step, scan_limit=DEFAULT_SCAN_LIMIT):
-    """The event of `line` under a context of `step`, or the ParseError's
-    message."""
+    """The event of `line`, stripped, under a context of `step`, or the
+    ParseError's message.  A trace splits lines at `\n`, so a `line` with
+    one inside is several lines, and is reported as such."""
+    m = EVENT_LINE_RE.fullmatch(line.strip())
+    if m is None:
+        return "several lines"
     try:
-        return parse_event_line(line.strip(), _parse_ctx(line, step), scan_limit)
+        return parse_event_line(m, _parse_ctx(line, step), scan_limit)
     except ParseError as exc:
         return str(exc)
 
@@ -642,6 +699,30 @@ def test_run_event_trace_malformed_line_number():
         run_event_trace(text, _ctx(table, memmap))
 
 
+def test_bad_lines_are_rejected_in_linear_time():
+    # a pattern that backtracks over a run, or fails at a position and is
+    # tried again at the next, takes time quadratic in the run
+    table, memmap = _table()
+    for run in (" " * 100_000, "\t" * 100_000, " \t" * 50_000):
+        for line in (f"a{run}b", f"target open rip=1 rsp=2{run}stack=1,2@"):
+            _assert_rejected_quickly(f"other read rip=1 rsp=2 stack=\n{line}\n",
+                                     f"line 2: bad event line {line!r}", _ctx(table, memmap))
+    tag = "t" * 1_000_000
+    for line in (tag, f"{tag} open rip=1 rsp=2 stack=1@", f"{tag}\x0bopen rip=1 rsp=2 stack="):
+        _assert_rejected_quickly(f"\n{line}", f"line 2: bad event line {line!r}",
+                                 _ctx(table, memmap))
+    line = "target open rip=1 rsp=2 stack=" + "," * 200_000 + "@"
+    _assert_rejected_quickly(f"{line}\n", f"line 1: bad event line {line!r}", _ctx(table, memmap))
+
+
+def _assert_rejected_quickly(text, message, ctx):
+    started = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        run_event_trace(text, ctx)
+    assert time.perf_counter() - started < 0.5
+    assert str(exc.value) == message
+
+
 _READS_NO_WORD = {UNKNOWN_SYSCALL, NOT_TARGET, NOT_SUSPICIOUS, CACHE_HIT}
 
 
@@ -679,9 +760,82 @@ def test_may_walk_is_the_verdict_ladder(minilib_unit, seed_table, lines, target,
     ctx = context()
     for line, want in zip(lines, expected):
         walks = ctx.may_walk(*line.split()[:2])
-        event = parse_event_line(line.strip(), ctx, scan_limit)
+        event = parse_event_line(EVENT_LINE_RE.fullmatch(line), ctx, scan_limit)
         assert verify_event(event, ctx) == want
         assert walks or want.reason in _READS_NO_WORD
+
+
+# whitespace that str.strip removes and a `\n` split leaves inside a line
+_SPACE = st.sampled_from(["", " ", "\t", "\r", "\x0b", "\x0c", "\x85", "\u2028", " \x0c\r"])
+
+
+@st.composite
+def _trace_line(draw):
+    """A fixture, mutated, random or blank line, with whitespace around it
+    or, now and then, put in its middle."""
+    line = draw(st.sampled_from(EVENT_LINES) | _mutated_event_line() | _SPACE
+                | st.text(max_size=8))
+    if line and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(line)))
+        line = line[:i] + draw(_SPACE) + line[i:]
+    return draw(_SPACE) + line + draw(_SPACE)
+
+
+@st.composite
+def _trace_text(draw):
+    """Lines ended by `\n` or `\r\n`, the last one maybe by nothing."""
+    lines = draw(st.lists(_trace_line(), max_size=10))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\n")
+    return text
+
+
+def _replay_reference(text, ctx, scan_limit):
+    """(verdicts, counts) of a replay that splits `text` at `\n`, strips each
+    line and parses it with parse_event_reference, or the ParseError's
+    message."""
+    verdicts = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = parse_event_reference(line, scan_limit)
+        if fields is None:
+            return f"line {lineno}: {event_line_error(line)}"
+        verdicts.append(verify_event(SyscallEvent(*fields), ctx))
+    return verdicts, Counter(v.reason for v in verdicts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_trace_text(), target=st.sampled_from(["target", "other"]),
+       suspicious=st.sets(st.sampled_from(["open", "read", "ioctl", "close"])),
+       cached=st.sets(st.sampled_from(["open", "read"])), scan_limit=st.integers(1, 5))
+def test_run_event_trace_equals_line_by_line_replay(minilib_unit, seed_table, text, target,
+                                                    suspicious, cached, scan_limit):
+    """The one scan of the whole text gives the verdicts, counts and final
+    cache of a replay line by line, or the same ParseError at the same line."""
+    memmap = parse_memory_map((DATA / "memmap.txt").read_text())
+    table = locate_functions(memmap, {"minilib": [
+        (fn.canonical_name, fn.start, fn.end) for fn in minilib_unit.functions]})
+    mapping = ApiSyscallMapping.from_document(
+        json.loads((DATA / "golden" / "mapping.json").read_text()))
+    entries, hosts = mapping.walk_ends()
+
+    def context():
+        return VerifierContext(target, set(suspicious), seed_table.names, mapping.call_graph,
+                               entries, hosts, table, memmap, cache=set(cached))
+
+    reference = context()
+    expected = _replay_reference(text, reference, scan_limit)
+    ctx = context()
+    try:
+        got = run_event_trace(text, ctx, scan_limit)
+    except ParseError as exc:
+        got = str(exc)
+    assert got == expected
+    if not isinstance(expected, str):
+        assert ctx.cache == reference.cache
 
 
 def test_format_verdict_log():
@@ -696,7 +850,7 @@ def test_format_verdict_log():
 def test_determinism():
     table, memmap = _table()
     event = _event(stack=[BASE + 0x1015, 0xDEAD, BASE + 0x1025])
-    paths = {reconstruct_path(event, table, memmap) for _ in range(5)}
+    paths = {_path(event, table, memmap) for _ in range(5)}
     assert len(paths) == 1
 
 
