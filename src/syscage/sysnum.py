@@ -1,20 +1,32 @@
 """Syscall-number recovery at syscall sites, plus the number<->name table.
 
-The resolver runs once forward through each function that hosts a
-`syscall`, holding the known 32-bit value of each 64-bit register; every
-register starts unknown.  Each register name stands for its 64-bit cell
-(`eax`, `ax`, `al` and `ah` for `rax`): a write through a 32- or 64-bit name
-sets the cell, and a write through an 8- or 16-bit name makes it unknown, as
-does a read through one.  It models `mov`, `add` and `sub` of constants and
-known registers.  A call makes every register unknown, and so does any other
-instruction for the register that is its last operand.  Each `syscall` takes
-the accumulator's value at that point, so a number is reported only where it
-is certain; anything else is unresolved, never guessed.  A `syscall` then
-makes `rax`, `rcx` and `r11` unknown, as the kernel writes them.  The
-pass reads each host's body text straight, one pattern match a line: no
-instruction objects are built, an address is read only at a `syscall`,
-and the operand token is split only at its last comma.  A `$` constant
-counts only in SDIS syntax, hex after `0x` or decimal; any other is unknown.
+The model: every register is unknown at the top of a function.  Each
+register name stands for its 64-bit cell (`eax`, `ax`, `al` and `ah` for
+`rax`): a write through a 32- or 64-bit name sets the cell, and a write
+through an 8- or 16-bit name makes it unknown, as does a read through one.
+It models `mov`, `add` and `sub` of constants and known registers.  A call
+makes every register unknown, and so does any other instruction for the
+register that is its last operand.  Each `syscall` takes the accumulator's
+value at that point, so a number is reported only where it is certain;
+anything else is unresolved, never guessed.  A `syscall` then makes `rax`,
+`rcx` and `r11` unknown, as the kernel writes them.  A `$` constant counts
+only in SDIS syntax, hex after `0x` or decimal; any other is unknown.
+
+The resolver reads only the lines that decide each number.  It finds each
+`syscall` line of a host's body text as `disasm` does, and walks up from
+it one line at a time, one pattern match a line, to the line that writes
+the accumulator; from a full-width `mov`, `add` or `sub` it walks on for
+the source register, and for `add` and `sub` for the old value too.  A
+walk stops, with the value unknown, exactly where the model loses it: at a
+call, at a `syscall` for `rax`, `rcx` and `r11`, at a partial-width write
+or read, at any other write whose last operand is the register, at any
+other source, and at the top of the function.  The walks of one function
+share the value of every (cell, line) pair that any of them passed, so no
+pair is examined twice: the work is at most the body's lines times the
+cells it names.  A stack of waiting walks stands in for recursion, so a
+chain of any length fits.  No instruction objects are built, an address is
+read only at a `syscall`, and the operand token is split only at its last
+comma.
 """
 
 from __future__ import annotations
@@ -27,9 +39,12 @@ from .errors import ParseError
 
 MASK32 = 0xFFFFFFFF
 
-# a line of validated body text: its address, mnemonic and operand token,
-# "" where it has none
-LINE_RE = re.compile(r"\n[^\S\n]+([0-9a-f]+):\t([a-z0-9.]+)(?:[^\S\n]+(\S+))?")
+# a line of validated body text, from its `\n`: its mnemonic and operand
+# token, None where it has none
+LINE_RE = re.compile(r"\n[^\S\n]+[0-9a-f]+:\t([a-z0-9.]+)(?:[^\S\n]+(\S+))?")
+# a `syscall` mnemonic from the `:\t` after its address; a match must still
+# be at the line's first `:\t`
+SYSCALL_RE = re.compile(r":\tsyscall(?![a-z0-9.])")
 CONSTANT_RE = re.compile(r"\$-?(?:0x[0-9a-f]+|[0-9]+)")
 
 # the modelled instructions: new destination value from its old value and
@@ -57,6 +72,7 @@ def _register_cells() -> dict[str, tuple[str, bool]]:
 _CELLS = _register_cells()  # any other name is a cell of its own
 
 ACCUMULATOR = "rax"
+SYSCALL_WRITES = {ACCUMULATOR, "rcx", "r11"}  # the registers the kernel writes
 
 
 def _as_register(operand: str) -> tuple[str, bool] | None:
@@ -119,33 +135,78 @@ def load_syscall_table(text: str) -> SyscallTable:
 def resolve_numbers(function: FunctionRecord) -> dict[int, int | None]:
     """Syscall number at each `syscall` of `function`, by address; None where
     the accumulator's value is unknown there."""
-    regs: dict[str, int] = {}
+    body = function.body
+    known: dict[tuple[str, int], int | None] = {}  # shared by the walks of every site
     numbers: dict[int, int | None] = {}
-    for address, mnemonic, token in LINE_RE.findall(function.body):
-        src, comma, dst = token.rpartition(",")  # dst: the last operand
-        if mnemonic == "syscall":  # the kernel writes rax, rcx and r11
-            numbers[int(address, 16)] = regs.pop(ACCUMULATOR, None)
-            regs.pop("rcx", None)
-            regs.pop("r11", None)
-        elif mnemonic in CALL_MNEMONICS:
-            regs.clear()
-        elif comma and mnemonic in _APPLY and "," not in src:  # two operands
-            dreg = _as_register(dst)
-            if dreg is None:
-                continue
-            value = _as_constant(src)
-            if value is None and (sreg := _as_register(src)) is not None and sreg[1]:
-                value = regs.get(sreg[0])
-            cell, full = dreg
-            if value is not None and full:
-                value = _APPLY[mnemonic](regs.get(cell), value)
-            if value is None or not full:
-                regs.pop(cell, None)
-            else:
-                regs[cell] = value
-        elif (reg := _as_register(dst)) is not None:
-            regs.pop(reg[0], None)  # conservative: any other write clobbers
+    for site in SYSCALL_RE.finditer(body):
+        at = site.start()
+        line = body.rfind("\n", 0, at)
+        if body.find(":\t", line, at) < 0:  # not a `:\t` inside a comment
+            address = int(body[line:at].strip(), 16)
+            numbers[address] = _value(body, (ACCUMULATOR, line), known)
     return numbers
+
+
+def _value(body: str, key: tuple[str, int], known: dict) -> int | None:
+    """The value of the cell `key[0]` before the line at `body[key[1]]`.
+
+    A stack of walks stands in for recursion: a walk that ends at a
+    modelled write whose source or old value is not yet known stays on the
+    stack under a walk for that value.  `known` gains the value of every
+    (cell, position) pair that a walk passes."""
+    walks = [_walk(body, key, known)]
+    while walks:
+        passed, mnemonic, source, old = walks[-1]
+        if type(source) is tuple and source not in known:
+            walks.append(_walk(body, source, known))
+        elif old is not None and old not in known:
+            walks.append(_walk(body, old, known))
+        else:
+            walks.pop()
+            value = known[source] if type(source) is tuple else source
+            if old is not None and value is not None:
+                value = _APPLY[mnemonic](known[old], value)
+            for pair in passed:
+                known[pair] = value
+    return known[key]
+
+
+def _walk(body: str, key: tuple[str, int], known: dict):
+    """Walk up from the line at `body[key[1]]` to the line that writes the
+    cell `key[0]`: (the (cell, position) pairs passed, the write's mnemonic,
+    its source as a value or as a pair to read, the pair that holds the
+    cell's old value or None).  A known pair ends the walk as a `mov` from
+    it, and a stop as a `mov` of None."""
+    cell, pos = key
+    passed = []
+    while (key := (cell, pos)) not in known:
+        passed.append(key)
+        pos = body.rfind("\n", 0, pos)
+        if pos < 0:
+            break  # the start of the function
+        if (m := LINE_RE.match(body, pos)) is None:
+            continue  # a blank line
+        mnemonic, token = m.groups("")
+        if mnemonic == "syscall":
+            if cell in SYSCALL_WRITES:
+                break
+            continue
+        if mnemonic in CALL_MNEMONICS:
+            break
+        src, comma, dst = token.rpartition(",")  # dst: the last operand
+        if (reg := _as_register(dst)) is None or reg[0] != cell:
+            continue
+        if not (reg[1] and comma and mnemonic in _APPLY and "," not in src):
+            break  # a partial-width write, or any other write
+        old = None if mnemonic == "mov" else (cell, pos)
+        if (value := _as_constant(src)) is not None:
+            return passed, mnemonic, value, old
+        if (sreg := _as_register(src)) is not None and sreg[1]:
+            return passed, mnemonic, (sreg[0], pos), old
+        break  # a memory operand or a partial-width read
+    else:
+        return passed, "mov", key, None
+    return passed, "mov", None, None
 
 
 def resolve_sites(unit: DisasmUnit, table: SyscallTable) -> list[ResolvedSyscallSite]:

@@ -11,12 +11,12 @@ function bodies, and `decode_instructions` of the body text it keeps for a
 syscall host must give that host's instructions.
 `resolve_numbers_reference` is the object-based syscall-number resolver
 that `sysnum.resolve_numbers` replaced: it interprets decoded
-`Instruction`s, their operands split at every comma, where the real one
-reads the body text straight.  The bounded secure-path enumerator and the
-iterator subsequence matcher are the matcher that `verifier.walk_embeds`
-replaced, kept as a second reference for it.  `load_trace_reference` is
-the per-line trace counter that `profilegen.load_trace`'s one multi-line
-`findall` per text replaced.
+`Instruction`s, their operands split at every comma, in one forward pass,
+where the real one walks back from each site over the body text.  The
+bounded secure-path enumerator and the iterator subsequence matcher are
+the matcher that `verifier.walk_embeds` replaced, kept as a second
+reference for it.  `load_trace_reference` is the per-line trace counter
+that `profilegen.load_trace`'s one multi-line `findall` per text replaced.
 """
 
 from __future__ import annotations
@@ -121,10 +121,10 @@ def interpret_accumulator(instructions):
     """Run every instruction in order; return the accumulator value at the
     end, or None when it is undefined.
 
-    Though `sysnum.resolve_numbers` is also a forward pass, this stays an
-    independent reference: it is separately written and runs straight-line
-    mov/add/sub code only.  A `syscall` undefines the registers the kernel
-    writes: rax (the return value), rcx and r11."""
+    This is an independent reference for `sysnum.resolve_numbers`: it is
+    separately written and runs straight-line mov/add/sub code only.  A
+    `syscall` undefines the registers the kernel writes: rax (the return
+    value), rcx and r11."""
     env = {}
     for mnemonic, operands in instructions:
         if mnemonic == "syscall":

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -252,40 +253,70 @@ _PART = st.sampled_from([
     "$0x3c", "$1", "$-1", "$0", "$sym", "$010", "$1_0", "$0X3c",
     "0x8(%rsp,%rbx,4)", "(%rdi)", "0x8(%rsp)", "*%rax", "*0x8(%rax,%rbx,8)", "2000", "sym", "",
 ])
+# an instruction line: mnemonic, operand token and comment; `syscall`
+# twice, so a body holds several sites, and mnemonics that only start
+# with it.  A comment may hold a `:\tsyscall`, which is no site
 _LINE = st.tuples(
     st.sampled_from(["mov", "add", "sub", "lea", "pop", "xor", "cmp", "nop", "call", "callq",
-                     "syscall"]),
+                     "syscall", "syscall", "syscalls", "syscall.1"]),
     st.lists(_PART, max_size=4).map(",".join),  # 0-3 commas
-    st.booleans(),  # a comment after the operand
-)
+    st.sampled_from(["", " <g>", " <g+0x8:\tsyscall>"]),
+) | st.sampled_from(["", " ", "\t", "\x0c"])  # a blank line
 
 
 @settings(max_examples=400, deadline=None)
-@given(lines=st.lists(_LINE, max_size=12))
+@given(lines=st.lists(_LINE, max_size=40))
 def test_resolver_matches_the_object_based_reference_on_any_operands(lines):
-    body = [f"    {0x1000 + 4 * i:x}:\t{mnemonic}" + (f"\t{token}" if token else "")
-            + (" <g>" if token and comment else "")
-            for i, (mnemonic, token, comment) in enumerate(lines)]
+    body = [line if isinstance(line, str) else
+            f"    {0x1000 + 4 * i:x}:\t{line[0]}" + (f"\t{line[1]}{line[2]}" if line[1] else "")
+            for i, line in enumerate(lines)]
     body.append(f"    {0x1000 + 4 * len(lines):x}:\tsyscall")
-    fn = parse_disassembly("\n".join(["0000000000001000 <f>:", *body, ""])).functions[0]
+    unit = parse_disassembly("\n".join(["0000000000001000 <f>:", *body, ""]))
+    fn = unit.functions[0]
     numbers = resolve_numbers(fn)
     assert numbers == resolve_numbers_reference(fn)
-    assert len(numbers) == 1 + sum(mnemonic == "syscall" for mnemonic, _, _ in lines)
+    assert list(numbers) == [site.site_address for site in unit.syscall_sites]
+    assert len(numbers) == 1 + sum(not isinstance(line, str) and line[0] == "syscall"
+                                   for line in lines)
 
 
 def test_resolver_matches_the_object_based_reference_on_the_workloads(monkeypatch):
+    # the resolver's walk was written against seed 1; seed 2 is held out
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import gen
 
     hosts = 0
-    for name in ("libc-rare", "indirect-attack"):
-        for path, text in gen.BUILDERS[name](1).files().items():
+    for name, seed in (("libc-rare", 1), ("libc-rare", 2), ("indirect-attack", 1)):
+        for path, text in gen.BUILDERS[name](seed).files().items():
             if path.endswith(".sdis"):
                 for fn in parse_disassembly(text).functions:
                     if fn.body:
                         assert resolve_numbers(fn) == resolve_numbers_reference(fn), path
                         hosts += 1
-    assert hosts > 200
+    assert hosts > 450
+
+
+@pytest.mark.parametrize("body, number", [
+    # a chain of 100 000 additions to the accumulator
+    ([("mov", ["$0x0", "%eax"])] + [("add", ["$0x1", "%eax"])] * 100_000 + [("syscall", [])],
+     100_000),
+    # a relay through two registers, 100 000 lines long
+    ([("mov", ["$0x3c", "%eax"])]
+     + [("mov", ["%eax", "%ebx"]), ("mov", ["%ebx", "%eax"])] * 50_000 + [("syscall", [])], 0x3c),
+    # 5 000 sites, each reading one register set at the top, past filler
+    ([("mov", ["$0x27", "%ebx"])]
+     + [("mov", ["%ebx", "%eax"]), ("syscall", []), ("nop", []), ("mov", ["$0x1", "%ecx"]),
+        ("lea", ["0x8(%rsp)", "%rdx"])] * 5_000, 0x27),
+], ids=["add-chain", "relay", "many-sites"])
+def test_resolver_work_is_linear_in_the_body(body, number):
+    # a walk that recursed would pass Python's stack limit on the first two,
+    # and one that kept no values would walk back to the top from each site
+    fn, _ = _function(body)
+    started = time.perf_counter()
+    numbers = resolve_numbers(fn)
+    assert time.perf_counter() - started < 5
+    assert numbers == resolve_numbers_reference(fn)
+    assert set(numbers.values()) == {number}
 
 
 def test_unsupported_write_sequences_always_unresolved():
