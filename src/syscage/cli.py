@@ -234,18 +234,15 @@ def cmd_cve(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="syscage")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="build an API->syscall mapping for a library")
+def _analyze_options(p: _Parser) -> None:
     p.add_argument("lib_disasm", help="library disassembly (SDIS)")
     p.add_argument("facts", help="source facts (JSON)")
     p.add_argument("--table", help="syscall table file (default: bundled)")
     p.add_argument("-o", "--output", required=True, help="mapping output (JSON)")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("profile", help="generate a Seccomp profile for a target")
+
+def _profile_options(p: _Parser) -> None:
     p.add_argument("target_disasm", help="target binary disassembly (SDIS)")
     p.add_argument("--mapping", action="append", required=True,
                    help="mapping file; repeatable")
@@ -258,7 +255,8 @@ def build_parser() -> _Parser:
     p.add_argument("--min-count", type=positive_int, default=1)
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("verify", help="replay a syscall event trace")
+
+def _verify_options(p: _Parser) -> None:
     p.add_argument("--sidecar", required=True)
     p.add_argument("--mapping", action="append", required=True)
     p.add_argument("--memmap", required=True)
@@ -272,7 +270,8 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", help="verdict log output")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("cve", help="report CVEs mitigated by a profile")
+
+def _cve_options(p: _Parser) -> None:
     p.add_argument("profile", help="Seccomp profile (JSON)")
     p.add_argument("--dataset", help="CVE dataset (default: bundled seed)")
     p.add_argument("--table", help="syscall table file (default: bundled)")
@@ -280,11 +279,32 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_cve)
 
+
+# each subcommand's name -> (its help line, the function that adds its options)
+COMMANDS = {
+    "analyze": ("build an API->syscall mapping for a library", _analyze_options),
+    "profile": ("generate a Seccomp profile for a target", _profile_options),
+    "verify": ("replay a syscall event trace", _verify_options),
+    "cve": ("report CVEs mitigated by a profile", _cve_options),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand name, with the options of `command`
+    only, or of all of them when it is None: a command parses with the
+    same results either way, and builds no other command's options."""
+    parser = _Parser(prog="syscage")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            options(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

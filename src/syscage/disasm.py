@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import lt
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -57,8 +58,7 @@ DIRECT = "Direct"
 INDIRECT = "Indirect"
 
 
-@dataclass(frozen=True)
-class FunctionRecord:
+class FunctionRecord(NamedTuple):
     canonical_name: str
     start: int
     end: int
@@ -68,15 +68,13 @@ class FunctionRecord:
     body: str = ""
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(NamedTuple):
     caller: str
     target: str | None  # None for an indirect call
     kind: str
 
 
-@dataclass(frozen=True)
-class SyscallSite:
+class SyscallSite(NamedTuple):
     function: str
     site_address: int
 

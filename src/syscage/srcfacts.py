@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError, expect_json, expect_names
 
 VARIADIC = "..."
 
 
-@dataclass(frozen=True)
-class IndirectSite:
+class IndirectSite(NamedTuple):
     caller: str
     param_types: tuple[str, ...]
 

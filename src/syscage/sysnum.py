@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .disasm import CALL_MNEMONICS, DisasmUnit, FunctionRecord, SyscallSite
 from .errors import ParseError
@@ -99,8 +100,7 @@ class SyscallTable:
     names: frozenset[str]
 
 
-@dataclass(frozen=True)
-class ResolvedSyscallSite:
+class ResolvedSyscallSite(NamedTuple):
     site: SyscallSite
     name: str | None  # None where the number was not recovered or is not in the table
 

@@ -4,7 +4,14 @@ import time
 import pytest
 
 from syscage.callgraph import CallGraph, build_direct_fcg, build_indirect_edges, merge
-from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, parse_disassembly
+from syscage.disasm import (
+    DIRECT,
+    INDIRECT,
+    CallSite,
+    FunctionRecord,
+    SyscallSite,
+    parse_disassembly,
+)
 from syscage.errors import AnalysisError
 from syscage.profilegen import build_mapping
 from syscage.srcfacts import IndirectSite, SourceFacts
@@ -73,6 +80,20 @@ def test_two_callsites_one_edge():
     g = build_direct_fcg(unit)
     assert g.edges == {CallSite("A", "B", DIRECT)}
     assert g.successors() == {"A": ["B"], "B": []}
+    # every record of the parse and graph paths is an immutable value: a
+    # field cannot be set, and two equal records are one set element
+    for make, field in [
+        (lambda: CallSite("A", "B", DIRECT), "target"),
+        (lambda: SyscallSite("A", 0x1000), "site_address"),
+        (lambda: ResolvedSyscallSite(SyscallSite("A", 0x1000), "read"), "name"),
+        (lambda: IndirectSite("A", ("int",)), "param_types"),
+        (lambda: FunctionRecord("A", 0x1000, 0x1010, None), "body"),
+    ]:
+        record = make()
+        assert len({record, make()}) == 1
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert FunctionRecord("A", 0x1000, 0x1010, None).body == ""
 
 
 def test_indirect_edges_per_candidate():

@@ -1,14 +1,13 @@
 import argparse
 import json
 import os
-import re
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from syscage.cli import MAP_MIN_BYTES, build_parser, main
+from syscage.cli import COMMANDS, MAP_MIN_BYTES, build_parser, main
 from syscage.profilegen import SeccompProfile
 
 DATA_ARGS = {}
@@ -881,9 +880,47 @@ def test_conflicting_alias_is_a_parse_error(data_dir, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def test_readme_usage_names_every_subcommand():
+def _readme_usage() -> dict[str, list[str]]:
+    """Each subcommand of the README's usage block -> the argv of its
+    example, continued lines joined."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    usage = readme.split("## CLI usage", 1)[1].split("```", 2)[1]
-    documented = set(re.findall(r"^syscage ([a-z-]+)", usage, re.MULTILINE))
+    usage = readme.split("## CLI usage", 1)[1].split("```", 2)[1].replace("\\\n", " ")
+    return {line.split()[1]: line.split()[1:]
+            for line in usage.splitlines() if line.startswith("syscage ")}
+
+
+def test_readme_usage_names_every_subcommand():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert documented == set(sub.choices)
+    assert set(_readme_usage()) == set(sub.choices)
+
+
+def _parse(parser, argv, capsys):
+    """(the parsed options, or the exit code, then stdout and stderr) of
+    `argv` on `parser`."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_command_parser_parses_as_the_full_parser(command, capsys):
+    usage = _readme_usage()[command]
+    for argv in (usage, [command, "-h"], [command], usage + ["--no-such-option"],
+                 usage + ["--min-count", "0"]):
+        assert _parse(build_parser(command), argv, capsys) == _parse(
+            build_parser(), argv, capsys), argv
+
+
+def test_top_level_usage_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 1
+    assert "{analyze,profile,verify,cve}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(f"{name}  " in out and help_line in out
+               for name, (help_line, _) in COMMANDS.items())
