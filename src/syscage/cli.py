@@ -30,7 +30,6 @@ from .profilegen import (
 from .srcfacts import load_source_facts
 from .sysnum import load_syscall_table, resolve_sites
 from .verifier import (
-    DEFAULT_SCAN_LIMIT,
     VerifierContext,
     format_verdict_log,
     locate_functions,
@@ -214,8 +213,7 @@ def cmd_verify(args) -> int:
         table=fat,
         memmap=memmap,
     )
-    verdicts, summary = _load(
-        args.events, lambda text: run_event_trace(text, ctx, args.scan_limit))
+    verdicts, summary = _load(args.events, lambda text: run_event_trace(text, ctx))
     log = format_verdict_log(verdicts)
     _write(args.output, log)
     for reason in sorted(summary):
@@ -266,7 +264,6 @@ def _verify_options(p: _Parser) -> None:
     p.add_argument("--table", help="syscall table file (default: bundled)")
     p.add_argument("--policy", choices=["indirect", "rare"], default="indirect")
     p.add_argument("--target", default="target", help="target process tag")
-    p.add_argument("--scan-limit", type=positive_int, default=DEFAULT_SCAN_LIMIT)
     p.add_argument("-o", "--output", help="verdict log output")
     p.set_defaults(func=cmd_verify)
 

@@ -21,14 +21,14 @@ CVE_ID_RE = re.compile(r"^CVE-[0-9]{4}-[0-9]{4,}$")  # \d would take any Unicode
 class CveRecord:
     id: str
     syscalls: set[str]
-    note: str = ""
 
 
 def load_cve_dataset(
     text: str, table_names: set[str] | None = None, strict: bool = False
 ) -> list[CveRecord]:
-    """Lines: `<CVE-id>\\t<syscall[,syscall...]>\\t[note]`; duplicate ids are
-    merged with their syscall sets unioned."""
+    """Lines: `<CVE-id>\\t<syscall[,syscall...]>[\\t<note>]`, the note free
+    text that is not read; duplicate ids are merged with their syscall sets
+    unioned."""
     by_id: dict[str, CveRecord] = {}
     for lineno, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
@@ -45,13 +45,7 @@ def load_cve_dataset(
             unknown = sorted(syscalls - table_names)
             if unknown:
                 raise AnalysisError(f"line {lineno}: unknown syscall(s): {', '.join(unknown)}")
-        note = fields[2].strip() if len(fields) > 2 else ""
-        if cve_id in by_id:
-            by_id[cve_id].syscalls |= syscalls
-            if note and not by_id[cve_id].note:
-                by_id[cve_id].note = note
-        else:
-            by_id[cve_id] = CveRecord(id=cve_id, syscalls=syscalls, note=note)
+        by_id.setdefault(cve_id, CveRecord(cve_id, set())).syscalls.update(syscalls)
     return list(by_id.values())
 
 

@@ -60,8 +60,6 @@ INDIRECT = "Indirect"
 
 class FunctionRecord(NamedTuple):
     canonical_name: str
-    start: int
-    end: int
     api_name: str | None  # set exactly for an API export
     # the body lines, each after its `\n`, of a function that holds a
     # `syscall` (the only ones `sysnum.resolve_numbers` reads); "" otherwise
@@ -159,7 +157,7 @@ def parse_disassembly(text: str) -> DisasmUnit:
     text.
     """
     unit = DisasmUnit()
-    for symbol, start, end, lo, hi in _functions(text):
+    for symbol, _, _, lo, hi in _functions(text):
         sites = len(unit.syscall_sites)
         for s in SITE_RE.finditer(text, lo, hi):
             line = text.rfind("\n", lo, s.start()) + 1
@@ -178,7 +176,7 @@ def parse_disassembly(text: str) -> DisasmUnit:
                 # any other operand form is an unmodeled call; not a callsite
         api = e.group(1) if (e := EXPORT_RE.match(symbol)) else None
         body = text[lo:hi] if len(unit.syscall_sites) > sites else ""
-        unit.functions.append(FunctionRecord(symbol, start, end, api, body))
+        unit.functions.append(FunctionRecord(symbol, api, body))
     return unit
 
 

@@ -14,14 +14,16 @@ class AnalysisError(Exception):
 
 JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
               bool: "true or false", int: "an integer"}
+MISSING = object()  # `doc.get(key, MISSING)`: every field of a document is required
 
 
 def expect_json(value, kind: type, what: str, *args):
     """`value` when it has the JSON type `kind`; otherwise a ParseError naming
     `what`, a str.format template that `args` fill in only then (per field,
-    formatting would cost more than the check)."""
+    formatting would cost more than the check), or saying that it is MISSING."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ParseError(f"{what.format(*args)} is not {JSON_TYPES[kind]}")
+        problem = "missing" if value is MISSING else f"not {JSON_TYPES[kind]}"
+        raise ParseError(f"{what.format(*args)} is {problem}")
     return value
 
 

@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .callgraph import CallGraph, bfs_reachable
-from .errors import AnalysisError, ParseError, expect_json, expect_names
+from .errors import MISSING, AnalysisError, ParseError, expect_json, expect_names
 from .sysnum import ResolvedSyscallSite, SyscallTable
 
 TRACE_TOKEN_RE = re.compile(r"^[a-z0-9_]+", re.M)  # under re.M, ^ follows \n alone
@@ -72,10 +72,11 @@ class ApiSyscallMapping:
             )
         mapping = cls(call_graph=_name_lists(doc, "call_graph"),
                       hosts=_name_lists(doc, "hosts"))
-        for api, rec in expect_json(doc.get("apis", {}), dict, "mapping apis").items():
+        for api, rec in expect_json(doc.get("apis", MISSING), dict, "mapping apis").items():
             expect_json(rec, dict, "mapping API {!r}", api)
             syscalls: dict[str, bool] = {}
-            entries = expect_json(rec.get("syscalls", []), list, "mapping API {!r} syscalls", api)
+            entries = expect_json(rec.get("syscalls", MISSING), list,
+                                  "mapping API {!r} syscalls", api)
             for i, e in enumerate(entries):
                 if not (isinstance(e, dict) and isinstance(e.get("syscall"), str)
                         and isinstance(e.get("tainted"), bool)):  # say which is wrong
@@ -86,12 +87,12 @@ class ApiSyscallMapping:
                     raise ParseError(f"{SYSCALL_ENTRY.format(api, i)}: "
                                      f"duplicate syscall {e['syscall']!r}")
                 syscalls[e["syscall"]] = e["tainted"]
-            unresolved = expect_json(rec.get("unresolved_sites", 0), int,
+            unresolved = expect_json(rec.get("unresolved_sites", MISSING), int,
                                      "mapping API {!r} unresolved_sites", api)
             if unresolved < 0:  # would keep the allow-all fallback from firing
                 raise ParseError(f"mapping API {api!r} unresolved_sites is negative")
             mapping.records[api] = ApiRecord(
-                entry_function=expect_json(rec.get("entry_function", api), str,
+                entry_function=expect_json(rec.get("entry_function", MISSING), str,
                                            "mapping API {!r} entry_function", api),
                 syscalls=syscalls, unresolved_sites=unresolved)
         return mapping
@@ -117,8 +118,8 @@ class ApiSyscallMapping:
 
 
 def _name_lists(doc: dict, key: str) -> dict[str, list[str]]:
-    """`doc[key]`, by default empty, when it is an object of string arrays."""
-    table = expect_json(doc.get(key, {}), dict, "mapping {}", key)
+    """`doc[key]` when it is an object of string arrays."""
+    table = expect_json(doc.get(key, MISSING), dict, "mapping {}", key)
     for name, names in table.items():
         expect_names(names, "mapping {}[{!r}]", key, name)
     return table
@@ -160,7 +161,7 @@ class SeccompProfile:
 def suspicious_names(sidecar, key: str) -> set[str]:
     """The syscall names that a sidecar document lists under `key`."""
     doc = expect_json(sidecar, dict, "sidecar")
-    return set(expect_names(doc.get(key, []), "sidecar {}", key))
+    return set(expect_names(doc.get(key, MISSING), "sidecar {}", key))
 
 
 def build_mapping(

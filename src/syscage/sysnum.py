@@ -106,7 +106,8 @@ class ResolvedSyscallSite(NamedTuple):
 
 
 def load_syscall_table(text: str) -> SyscallTable:
-    """Parse syscall_64.tbl-shaped rows: `<num> <abi> <name> [<entry>]`."""
+    """Parse syscall_64.tbl-shaped rows: `<num> <abi> <name> [<entry>]`.
+    Rows of the x32 ABI are skipped: they repeat 64-bit names."""
     number_to_name: dict[int, str] = {}
     names: set[str] = set()
     for lineno, line in enumerate(text.split("\n"), 1):
@@ -122,6 +123,8 @@ def load_syscall_table(text: str) -> SyscallTable:
             number = int(fields[0])  # ValueError past int()'s digit limit
         except ValueError:
             raise ParseError(f"line {lineno}: bad number {fields[0]!r}") from None
+        if fields[1] == "x32":
+            continue
         name = fields[2]
         if number in number_to_name:
             raise ParseError(f"line {lineno}: duplicate syscall number {number}")

@@ -12,10 +12,10 @@ whitespace around a line is stripped, and a line that holds only whitespace
 is blank and skipped.  `run_event_trace` reads the text in one scan, one
 match of `EVENT_LINE_RE` per line, and rejects a line that is not an event
 in time linear in its length, however long a run of whitespace, of tag
-characters or of stack commas it holds.  Empty stack words are skipped
-and only the first `scan_limit` words are scanned, but any malformed word
-rejects the whole trace (`parse_event_line`).  Every word is validated, but
-words are converted to integers only for events of the target that issue a
+characters or of stack commas it holds.  Empty stack words are skipped and
+only the first 512 are scanned (`DEFAULT_SCAN_LIMIT`), but any malformed
+word rejects the whole trace (`parse_event_line`).  Every word is checked,
+but converted to an integer only for events of the target that issue a
 suspicious syscall not yet matched: no other verdict reads them.
 """
 

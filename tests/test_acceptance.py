@@ -8,7 +8,14 @@ from syscage import packaged_data
 from syscage.callgraph import CallGraph
 from syscage.cli import main
 from syscage.cve import load_cve_dataset, mitigation_report
-from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, parse_disassembly
+from syscage.disasm import (
+    DIRECT,
+    INDIRECT,
+    CallSite,
+    SyscallSite,
+    function_extents,
+    parse_disassembly,
+)
 from syscage.profilegen import ApiSyscallMapping, generate_profile
 from syscage.srcfacts import resolve_indirect_targets
 from syscage.sysnum import ResolvedSyscallSite, load_syscall_table, resolve_numbers
@@ -112,7 +119,7 @@ def test_profile_partition_on_fixture_targets():
             for _ in range(rng.randint(0, 6))
         ]
         apis[f"api{i}"] = syscalls
-    doc = {"format": 3, "apis": {
+    doc = {"format": 3, "call_graph": {}, "hosts": {}, "apis": {
         api: {
             "entry_function": api,
             "unresolved_sites": 0,
@@ -147,12 +154,9 @@ def test_cve_seed_counts():
 
 
 def test_verifier_conformance(data_dir):
-    unit = parse_disassembly((data_dir / "minilib.sdis").read_text())
     memmap = parse_memory_map((data_dir / "memmap.txt").read_text())
     table = locate_functions(
-        memmap,
-        {"minilib": [(f.canonical_name, f.start, f.end) for f in unit.functions]},
-    )
+        memmap, {"minilib": function_extents((data_dir / "minilib.sdis").read_text())})
     base = 0x7F0000000000
     secure = walk_sets({"open": [("open@@GLIBC_2.2.5", "dispatch", "open_handler")]})
     ctx = VerifierContext(

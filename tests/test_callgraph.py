@@ -87,13 +87,13 @@ def test_two_callsites_one_edge():
         (lambda: SyscallSite("A", 0x1000), "site_address"),
         (lambda: ResolvedSyscallSite(SyscallSite("A", 0x1000), "read"), "name"),
         (lambda: IndirectSite("A", ("int",)), "param_types"),
-        (lambda: FunctionRecord("A", 0x1000, 0x1010, None), "body"),
+        (lambda: FunctionRecord("A", None), "body"),
     ]:
         record = make()
         assert len({record, make()}) == 1
         with pytest.raises(AttributeError):
             setattr(record, field, None)
-    assert FunctionRecord("A", 0x1000, 0x1010, None).body == ""
+    assert FunctionRecord("A", None).body == ""
 
 
 def test_indirect_edges_per_candidate():

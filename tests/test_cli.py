@@ -205,9 +205,11 @@ def test_outputs_match_golden(data_dir, tmp_path):
         assert out.read_bytes() == (data_dir / "golden" / out.name).read_bytes(), out.name
 
 
-def _verify_golden(data_dir, tmp_path, sidecar=None, mapping=None, events=None, lib=None):
+def _verify_golden(data_dir, tmp_path, sidecar=None, mapping=None, events=None, lib=None,
+                   extra=()):
     """verify on the fixtures with the golden sidecar and mapping, or the
-    given replacements; returns the exit code and the verdict log's path."""
+    given replacements, and `extra` options; returns the exit code and the
+    verdict log's path."""
     golden = data_dir / "golden"
     log = tmp_path / "v.log"
     code = main([
@@ -216,7 +218,7 @@ def _verify_golden(data_dir, tmp_path, sidecar=None, mapping=None, events=None, 
         "--memmap", str(data_dir / "memmap.txt"),
         "--events", str(events or data_dir / "events.txt"),
         "--lib-disasm", str(lib or data_dir / "minilib.sdis"),
-        "--target", "target", "-o", str(log),
+        "--target", "target", "-o", str(log), *extra,
     ])
     return code, log
 
@@ -327,34 +329,30 @@ def test_events_directory_is_a_usage_error(data_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    ("verify", "--scan-limit", "-2"),
-    ("verify", "--scan-limit", "0"),
     ("profile", "--min-count", "-1"),
     ("profile", "--min-count", "0"),
 ])
 def test_non_positive_limit_is_a_usage_error(data_dir, tmp_path, capsys,
                                              command, flag, value):
-    golden = data_dir / "golden"
-    if command == "verify":
-        argv = [
-            "verify", "--sidecar", str(golden / "sidecar.json"),
-            "--mapping", str(golden / "mapping.json"),
-            "--memmap", str(data_dir / "memmap.txt"),
-            "--events", str(data_dir / "events.txt"),
-            "--lib-disasm", str(data_dir / "minilib.sdis"),
-            "-o", str(tmp_path / "v.log"),
-        ]
-    else:
-        argv = [
-            "profile", str(data_dir / "target.sdis"),
-            "--mapping", str(golden / "mapping.json"),
-            "--trace", str(data_dir / "target.trace"),
-            "-o", str(tmp_path / "p.json"), "--sidecar", str(tmp_path / "s.json"),
-        ]
+    argv = [
+        command, str(data_dir / "target.sdis"),
+        "--mapping", str(data_dir / "golden" / "mapping.json"),
+        "--trace", str(data_dir / "target.trace"),
+        "-o", str(tmp_path / "p.json"), "--sidecar", str(tmp_path / "s.json"),
+    ]
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag, value])
     assert exc.value.code == 1
     assert flag in capsys.readouterr().err
+
+
+def test_verify_has_no_scan_limit(data_dir, tmp_path, capsys):
+    # the first 512 stack words are scanned, and no option changes that
+    with pytest.raises(SystemExit) as exc:
+        _verify_golden(data_dir, tmp_path, extra=["--scan-limit", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --scan-limit 5" in capsys.readouterr().err
+    assert not (tmp_path / "v.log").exists()
 
 
 def test_unknown_syscall_gets_its_own_verdict(data_dir, tmp_path):
@@ -471,6 +469,57 @@ def test_malformed_mapping_or_sidecar_is_a_parse_error(data_dir, tmp_path, capsy
         assert "mapping API 'open' syscalls[2]: duplicate syscall 'open'" in err
     if spoil is _unresolved_sites_negative:
         assert "mapping API 'open' unresolved_sites is negative" in err
+
+
+# each field that `analyze` writes, as its path in the mapping document
+MAPPING_FIELDS = [("call_graph",), ("hosts",), ("apis",), ("apis", "open", "entry_function"),
+                  ("apis", "open", "unresolved_sites"), ("apis", "open", "syscalls")]
+
+
+@pytest.mark.parametrize("path", MAPPING_FIELDS, ids=".".join)
+def test_a_missing_mapping_field_is_a_parse_error(data_dir, tmp_path, capsys, path):
+    doc = _golden_mapping(data_dir)
+    *parents, key = path
+    owner = doc if not parents else doc["apis"]["open"]
+    del owner[key]
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps(doc))
+    what = "mapping" if not parents else "mapping API 'open'"
+    assert _profile(data_dir, tmp_path, mapping)[0] == 2
+    assert _verify_golden(data_dir, tmp_path, mapping=mapping)[0] == 2
+    error = f"syscage: parse error: {mapping}: {what} {key} is missing\n"
+    assert capsys.readouterr().err == error * 2
+
+
+@pytest.mark.parametrize("policy", ["indirect", "rare"])
+def test_a_missing_sidecar_list_is_a_parse_error(data_dir, tmp_path, capsys, policy):
+    doc = json.loads((data_dir / "golden" / "sidecar.json").read_text())
+    del doc[f"suspicious_{policy}"]
+    sidecar = tmp_path / "sidecar.json"
+    sidecar.write_text(json.dumps(doc))
+    code, log = _verify_golden(data_dir, tmp_path, sidecar=sidecar, extra=["--policy", policy])
+    assert (code, capsys.readouterr().err) == (
+        2, f"syscage: parse error: {sidecar}: sidecar suspicious_{policy} is missing\n")
+    assert not log.exists()
+
+
+def test_a_missing_unresolved_count_gives_no_profile(data_dir, tmp_path, capsys):
+    """An imported API with unresolved sites allows the whole table; without
+    its count, the profile would allow only the syscalls its record lists."""
+    doc = _golden_mapping(data_dir)
+    doc["apis"]["read"]["unresolved_sites"] = 2
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps(doc))
+    code, profile, _ = _profile(data_dir, tmp_path, mapping)
+    assert (code, capsys.readouterr().err) == (
+        0, "warning: allowing every syscall: unresolved syscall sites in API(s): read\n")
+    profile.unlink()
+    del doc["apis"]["read"]["unresolved_sites"]
+    mapping.write_text(json.dumps(doc))
+    code, profile, _ = _profile(data_dir, tmp_path, mapping)
+    assert (code, capsys.readouterr().err) == (
+        2, f"syscage: parse error: {mapping}: mapping API 'read' unresolved_sites is missing\n")
+    assert not profile.exists()
 
 
 def _chain_library(n):

@@ -168,7 +168,7 @@ def test_any_json_value_ends_in_a_documented_exit_code(tmp_path, capsys, role, v
     _assert_contract(role, _dumps(value).encode(), tmp_path, capsys)
 
 
-@pytest.mark.parametrize("command, flag", [("profile", "--min-count"), ("verify", "--scan-limit")])
+@pytest.mark.parametrize("command, flag", [("profile", "--min-count")])
 def test_a_limit_takes_ascii_digits_only(tmp_path, capsys, command, flag):
     argv = _argv(command, FIXTURES, tmp_path)
     assert main(argv + [flag, "12"]) == 0

@@ -40,7 +40,7 @@ def test_api_export_header():
     # objdump's label for code before or after a symbol is not an export
     for label in ("abort@@GLIBC_2.2.5-0x1f", "abort@@GLIBC_2.2.5+0x8"):
         assert parse_disassembly(f"0000000000001000 <{label}>:\n").functions[0].api_name is None
-    assert fn.start == 0x1130 and fn.end == 0x1136
+    assert function_extents(text) == [("read@@GLIBC_2.2.5", 0x1130, 0x1136)]
     assert [i.mnemonic for i in decode_instructions(fn.body)] == ["mov", "syscall"]
 
 
@@ -204,7 +204,7 @@ def test_a_long_body_is_one_match_in_little_memory():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert unit.syscall_sites == [SyscallSite("f", 0x19c40)]
-    assert unit.functions[0].end == 0x19c41
+    assert function_extents(text) == [("f", 0x10000, 0x19c41)]
 
 
 def test_overlapping_functions():
@@ -224,8 +224,8 @@ def test_overlapping_functions():
     ):
         with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
             parse_disassembly(text)
-    unit = parse_disassembly(f + "0000000000001005 <g>:\n    1005:\tsyscall\n")
-    assert [(fn.start, fn.end) for fn in unit.functions] == [(0x1000, 0x1005), (0x1005, 0x1006)]
+    extents = function_extents(f + "0000000000001005 <g>:\n    1005:\tsyscall\n")
+    assert extents == [("f", 0x1000, 0x1005), ("g", 0x1005, 0x1006)]
 
 
 def _random_fixture(rng: random.Random):
@@ -272,15 +272,17 @@ def test_parse_is_deterministic(data_dir):
     assert parse_disassembly(text) == parse_disassembly(text)
 
 
-def test_every_instruction_inside_its_function(minilib_unit):
+def test_every_instruction_inside_its_function(data_dir, minilib_unit):
     hosts = {s.function for s in minilib_unit.syscall_sites}
+    extents = function_extents((data_dir / "minilib.sdis").read_text())
     checked = 0
-    for fn in minilib_unit.functions:
-        if fn.canonical_name in hosts:
+    for fn, (name, start, end) in zip(minilib_unit.functions, extents, strict=True):
+        assert fn.canonical_name == name
+        if name in hosts:
             instructions = decode_instructions(fn.body)
             assert instructions
             for ins in instructions:
-                assert fn.start <= ins.address < fn.end
+                assert start <= ins.address < end
             checked += 1
     assert checked >= 1
 
@@ -358,9 +360,9 @@ def _instructions(f):
 
 
 def _read_view(unit):
-    """What the readers of a unit see: each function's name and extent, the
+    """What the readers of a unit see: each function's name and API name, the
     instructions of each function that holds a `syscall`, and the sites."""
-    functions = [(f.canonical_name, f.start, f.end, f.api_name) for f in unit.functions]
+    functions = [(f.canonical_name, f.api_name) for f in unit.functions]
     hosts = [[(i.address, i.mnemonic, i.operands, i.symbol_comment) for i in ins]
              for ins in map(_instructions, unit.functions)
              if any(i.mnemonic == "syscall" for i in ins)]
@@ -387,6 +389,7 @@ def test_long_bodies_equal_the_reference():
                 parse_disassembly(text)
             continue
         assert _read_view(parse_disassembly(text)) == _read_view(expected)
+        assert function_extents(text) == _extents(expected)
     assert errors == ["line 1202: address 0x144c does not increase",
                       "line 2202: bad instruction line: '    1898:\\tmov\\t$0x27, %eax'"]
 
@@ -401,10 +404,10 @@ def test_decoding_on_demand_equals_the_reference_on_the_workloads(monkeypatch):
     for name in ("libc-rare", "indirect-attack"):
         for path, text in gen.BUILDERS[name](1).files().items():
             if path.endswith(".sdis"):
-                unit = parse_disassembly(text)
-                assert _read_view(unit) == _read_view(parse_disassembly_reference(text)), path
+                unit, expected = parse_disassembly(text), parse_disassembly_reference(text)
+                assert _read_view(unit) == _read_view(expected), path
                 assert any(map(_instructions, unit.functions)) == bool(unit.syscall_sites)
-                assert function_extents(text) == _extents(unit), path
+                assert function_extents(text) == _extents(expected), path
 
 
 @settings(max_examples=300, deadline=None)
@@ -441,12 +444,14 @@ def test_parse_equals_the_line_by_line_reference(text):
         return
     unit = parse_disassembly(text)
     assert _read_view(unit) == _read_view(expected)
+    assert function_extents(text) == _extents(expected)
     kept = [bool(_instructions(f)) for f in unit.functions]
     assert kept == [any(i.mnemonic == "syscall" for i in f.instructions)
                     for f in expected.functions]
 
 
 def _extents(unit):
+    """The extent of each function of a unit of the reference parser."""
     return [(f.canonical_name, f.start, f.end) for f in unit.functions]
 
 
@@ -456,8 +461,8 @@ def _extents(unit):
 @example(text="0000000000001000 <f>:\n    1000:\tnop\n    1000:\tnop\n")
 @example(text="0000000000001000 <f>:\n    1004:\tnop\n0000000000001002 <g>:\n")
 def test_extents_equal_those_of_the_full_parse(text):
-    """`function_extents` validates what `parse_disassembly` does: the same
-    extents, or the same error."""
+    """`function_extents` validates what `parse_disassembly` does: one extent
+    per function, in order, or the same error."""
     try:
         unit = parse_disassembly(text)
     except ParseError as exc:
@@ -465,4 +470,5 @@ def test_extents_equal_those_of_the_full_parse(text):
             function_extents(text)
         assert str(got.value) == str(exc)
         return
-    assert function_extents(text) == _extents(unit)
+    assert [name for name, _, _ in function_extents(text)] == \
+        [f.canonical_name for f in unit.functions]

@@ -222,7 +222,7 @@ def test_trace_counts_equal_the_line_by_line_reference(texts):
 
 
 def _simple_mapping(entries, unresolved=0):
-    doc = {"format": 3, "apis": {}}
+    doc = {"format": 3, "call_graph": {}, "hosts": {}, "apis": {}}
     for api, syscalls in entries.items():
         doc["apis"][api] = {
             "entry_function": api,

@@ -28,7 +28,7 @@ def _function(body):
     for mnemonic, operands in body:
         lines.append(f"\n    {addr:x}:\t{mnemonic}" + (f"\t{','.join(operands)}" if operands else ""))
         addr += 5
-    fn = FunctionRecord("f", 0x1000, addr, None, "".join(lines))
+    fn = FunctionRecord("f", None, "".join(lines))
     site = SyscallSite("f", addr - 5)
     return fn, site
 
@@ -363,6 +363,19 @@ def test_load_table_malformed():
         load_syscall_table("0 common read\n1 common read\n")
 
 
+def test_load_table_skips_x32_rows():
+    # the kernel's own table repeats 64-bit names in its x32 rows, 512 and up
+    table = load_syscall_table("13\t64\trt_sigaction\tsys_rt_sigaction\n"
+                               "512\tx32\trt_sigaction\tcompat_sys_rt_sigaction\n")
+    assert table.number_to_name == {13: "rt_sigaction"}
+    assert table.names == {"rt_sigaction"}
+    bundled = packaged_data("syscall_64.tbl")
+    assert load_syscall_table(bundled + "512 x32 rt_sigaction compat_sys_rt_sigaction\n") == \
+        load_syscall_table(bundled)
+    with pytest.raises(ParseError, match="^line 1: bad number 'x'$"):
+        load_syscall_table("x x32 rt_sigaction\n")
+
+
 def test_table_lines_are_numbered_by_newline():
     # a stray \x0c or \r inside a row is whitespace between its fields;
     # `line N` is the text's N-th `\n`-separated line
@@ -374,7 +387,7 @@ def test_table_lines_are_numbered_by_newline():
 
 TABLE_LINES = packaged_data("syscall_64.tbl").splitlines()
 _TABLE_PIECE = st.sampled_from([
-    " ", "\t", "\n", "#", "0", "1", "-", "+", "_", "x", "common", "read",
+    " ", "\t", "\n", "#", "0", "1", "-", "+", "_", "x", "x32", "common", "read",
 ]) | st.text(max_size=2)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syscage.callgraph import CallGraph
-from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, parse_disassembly
+from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, function_extents
 from syscage.errors import AnalysisError, ParseError
 from syscage.profilegen import ApiSyscallMapping, build_mapping
 from syscage.sysnum import ResolvedSyscallSite
@@ -334,7 +334,7 @@ def test_subsequence_equivalence_with_bruteforce():
 def test_return_address_after_a_trailing_call_keeps_its_caller():
     # api ends in a call to host, which does not return: the return address
     # 0x100b + 5 lies past api's last instruction, at host's first byte
-    unit = parse_disassembly(
+    extents = function_extents(
         "0000000000001000 <api@@V_1>:\n"
         "    1000:\tpush\t%rbp\n"
         "    100b:\tcallq\t1010 <host>\n"
@@ -343,9 +343,7 @@ def test_return_address_after_a_trailing_call_keeps_its_caller():
         "    1015:\tsyscall\n"
     )
     memmap = _memmap()
-    table = locate_functions(
-        memmap, {"lib": [(f.canonical_name, f.start, f.end) for f in unit.functions]}
-    )
+    table = locate_functions(memmap, {"lib": extents})
     ctx = _ctx(table, memmap, secure={"open": [("api@@V_1", "host")]})
     verdict = verify_event(_event(rip=BASE + 0x1015, stack=[BASE + 0x100B + 5, 0x400abc]), ctx)
     assert (verdict.decision, verdict.reason) == (ALLOW, PATH_MATCHED)
@@ -732,16 +730,16 @@ _READS_NO_WORD = {UNKNOWN_SYSCALL, NOT_TARGET, NOT_SUSPICIOUS, CACHE_HIT}
        suspicious=st.sets(st.sampled_from(["open", "read", "ioctl", "close"])),
        cached=st.sets(st.sampled_from(["open", "read", "ioctl"])),
        scan_limit=st.integers(1, 5))
-def test_may_walk_is_the_verdict_ladder(minilib_unit, seed_table, lines, target,
-                                         suspicious, cached, scan_limit):
+def test_may_walk_is_the_verdict_ladder(seed_table, lines, target, suspicious, cached,
+                                         scan_limit):
     """Replaying with the context-aware parse gives the verdicts and the
     final cache of a replay of fully converted reference events, and every
     event whose words the parse left out ends before the stack walk."""
     lines = [line for line in lines  # valid, and one line of a trace
              if parse_event_reference(line, scan_limit) and line.splitlines() == [line]]
     memmap = parse_memory_map((DATA / "memmap.txt").read_text())
-    table = locate_functions(memmap, {"minilib": [
-        (fn.canonical_name, fn.start, fn.end) for fn in minilib_unit.functions]})
+    table = locate_functions(
+        memmap, {"minilib": function_extents((DATA / "minilib.sdis").read_text())})
     mapping = ApiSyscallMapping.from_document(
         json.loads((DATA / "golden" / "mapping.json").read_text()))
     entries, hosts = mapping.walk_ends()
@@ -811,13 +809,13 @@ def _replay_reference(text, ctx, scan_limit):
 @given(text=_trace_text(), target=st.sampled_from(["target", "other"]),
        suspicious=st.sets(st.sampled_from(["open", "read", "ioctl", "close"])),
        cached=st.sets(st.sampled_from(["open", "read"])), scan_limit=st.integers(1, 5))
-def test_run_event_trace_equals_line_by_line_replay(minilib_unit, seed_table, text, target,
-                                                    suspicious, cached, scan_limit):
+def test_run_event_trace_equals_line_by_line_replay(seed_table, text, target, suspicious,
+                                                    cached, scan_limit):
     """The one scan of the whole text gives the verdicts, counts and final
     cache of a replay line by line, or the same ParseError at the same line."""
     memmap = parse_memory_map((DATA / "memmap.txt").read_text())
-    table = locate_functions(memmap, {"minilib": [
-        (fn.canonical_name, fn.start, fn.end) for fn in minilib_unit.functions]})
+    table = locate_functions(
+        memmap, {"minilib": function_extents((DATA / "minilib.sdis").read_text())})
     mapping = ApiSyscallMapping.from_document(
         json.loads((DATA / "golden" / "mapping.json").read_text()))
     entries, hosts = mapping.walk_ends()
