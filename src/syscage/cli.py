@@ -7,6 +7,7 @@ path that cannot be read or written), 2 parse error, 3 analysis error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import mmap
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import packaged_data
 from .callgraph import build_direct_fcg, build_indirect_edges, merge
 from .cve import load_cve_dataset, report_document
-from .disasm import extract_plt_imports, function_extents, parse_disassembly
+from .disasm import extract_plt_imports, function_extents, header_extents, parse_disassembly
 from .errors import AnalysisError, ParseError
 from .profilegen import (
     ApiSyscallMapping,
@@ -25,7 +26,7 @@ from .profilegen import (
     dump_json,
     generate_profile,
     load_trace,
-    suspicious_names,
+    read_sidecar,
 )
 from .srcfacts import load_source_facts
 from .sysnum import load_syscall_table, resolve_sites
@@ -60,16 +61,22 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
-def _read(path: str) -> str:
+def _read(path: str, sha256=None) -> str:
     """The UTF-8 text of `path`, its line ends as they are in the file.  A
     large file is decoded straight from a read-only map, so that its bytes
-    are never copied into a buffer of their own."""
+    are never copied into a buffer of their own.  `sha256`, a hashlib
+    object, is given the same bytes."""
     try:
         with open(path, "rb") as file:  # open(""), unlike Path(""), finds no file
             # st_size is 0 for a pipe or a file of /proc, which cannot be mapped
             if os.fstat(file.fileno()).st_size < MAP_MIN_BYTES:
-                return file.read().decode("utf-8")
+                data = file.read()
+                if sha256 is not None:
+                    sha256.update(data)
+                return data.decode("utf-8")
             with mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as view:
+                if sha256 is not None:
+                    sha256.update(view)
                 return str(view, "utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
@@ -83,32 +90,81 @@ def _json(text: str):
         raise ParseError(str(exc)) from exc
 
 
-def _load(path: str | None, parse, bundled: str | None = None):
-    """`parse` applied to the text of `path`, or of the bundled data file
-    `bundled` when no path is given; a parse error names the file."""
-    text = packaged_data(bundled) if path is None else _read(path)
+def _parsed(name: str, parse, text: str):
+    """`parse` applied to `text`, the text of the file `name`; a parse error
+    names the file."""
     try:
         return parse(text)
     except ParseError as exc:
-        raise ParseError(f"{bundled if path is None else path}: {exc}") from exc
+        raise ParseError(f"{name}: {exc}") from exc
+
+
+def _load(path: str | None, parse, bundled: str | None = None, sha256=None):
+    """`parse` applied to the text of `path`, read as `_read` does with
+    `sha256`, or of the bundled data file `bundled` when no path is given;
+    a parse error names the file."""
+    if path is None:
+        return _parsed(bundled, parse, packaged_data(bundled))
+    return _parsed(path, parse, _read(path, sha256))
 
 
 def _read_table(path: str | None):
     return _load(path, load_syscall_table, "syscall_64.tbl")
 
 
-def _parse_unit(path: str):
-    return _load(path, parse_disassembly)
+def _load_mappings(paths: list[str]) -> tuple[ApiSyscallMapping, list[str]]:
+    """The merge of the mappings in `paths`, read in order onto the first,
+    and the sha256 of each file."""
+    digests = []
+
+    def load(path):
+        sha256 = hashlib.sha256()
+        mapping = _load(path, lambda text: ApiSyscallMapping.from_document(_json(text)),
+                        sha256=sha256)
+        digests.append(sha256.hexdigest())
+        return mapping
+
+    first = load(paths[0])
+    for path in paths[1:]:
+        first.merge_from(load(path))
+    return first, digests
 
 
-def _load_mappings(paths: list[str]) -> ApiSyscallMapping:
-    """The merge of the mappings in `paths`, read in order onto the first."""
-    mappings = (_load(path, lambda text: ApiSyscallMapping.from_document(_json(text)))
-                for path in paths)
-    first = next(mappings)
-    for other in mappings:
-        first.merge_from(other)
-    return first
+def _library_offsets(args, memmap, mapping: ApiSyscallMapping):
+    """Library stem -> the function extents of its `--lib-disasm` file.  A
+    library is named by its file stem, so two files may not share one, and
+    each needs a `lib` line; both are checked before any file is parsed.
+    When a file's sha256 is the one that the mappings list for its library,
+    `analyze` validated its text, and the headers alone give the extents.
+    Any other file is validated, so that a malformed one fails as it does
+    in `analyze`, and then rejected."""
+    paths: dict[str, str] = {}
+    for path in args.lib_disasm:
+        stem = Path(path).stem
+        if paths.setdefault(stem, path) != path:
+            raise AnalysisError(
+                f"--lib-disasm {paths[stem]} and {path} share the library name {stem!r}")
+    texts = {}  # stem -> (text, sha256); read first, so an unreadable path is exit 1
+    for stem, path in paths.items():
+        sha256 = hashlib.sha256()
+        texts[stem] = (_read(path, sha256), sha256.hexdigest())
+    unmatched = sorted(paths.keys() - {name for name, _ in memmap.libraries})
+    if unmatched:
+        raise AnalysisError(f"no `lib` line in the memory map for: {', '.join(unmatched)}")
+    offsets = {}
+    for stem, path in paths.items():
+        (text, digest), listed = texts[stem], mapping.libraries.get(stem)
+        if digest == listed:
+            offsets[stem] = _parsed(path, header_extents, text)
+            continue
+        _parsed(path, function_extents, text)
+        where = f"--mapping {', '.join(args.mapping)}"
+        if listed is None:
+            raise ParseError(f"{path}: no library {stem!r} in {where}; "
+                             "re-run `syscage analyze` on this file")
+        raise ParseError(f"{path}: sha256 {digest}, not {listed} as in {where}: "
+                         "not the SDIS that `syscage analyze` read")
+    return offsets
 
 
 def _probe(paths: list[str]) -> None:
@@ -139,7 +195,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_analyze(args) -> int:
-    unit = _parse_unit(args.lib_disasm)
+    sha256 = hashlib.sha256()
+    unit = _load(args.lib_disasm, parse_disassembly, sha256=sha256)
     facts = _load(args.facts, load_source_facts)
     table = _read_table(args.table)
     graph = merge(build_direct_fcg(unit), build_indirect_edges(facts))
@@ -152,14 +209,15 @@ def cmd_analyze(args) -> int:
                 raise AnalysisError(f"API {fn.api_name!r} defined by more than one "
                                     f"function: {first}, {fn.canonical_name}")
     mapping = build_mapping(graph, resolved, apis)
+    mapping.libraries[Path(args.lib_disasm).stem] = sha256.hexdigest()
     _write(args.output, dump_json(mapping.to_document()))
     return EXIT_OK
 
 
 def cmd_profile(args) -> int:
-    unit = _parse_unit(args.target_disasm)
+    unit = _load(args.target_disasm, parse_disassembly)
     table = _read_table(args.table)
-    mapping = _load_mappings(args.mapping)
+    mapping, digests = _load_mappings(args.mapping)
     imports = extract_plt_imports(unit)
     embedded = [r.name for r in resolve_sites(unit, table)]
     trace = load_trace([_read(p) for p in args.trace]) if args.trace else None
@@ -178,7 +236,7 @@ def cmd_profile(args) -> int:
     if profile.fallback:
         print(f"warning: allowing every syscall: {profile.fallback}", file=sys.stderr)
     docker, sidecar = (dump_json(profile.to_docker_document()),
-                       dump_json(profile.sidecar_document()))
+                       dump_json(profile.sidecar_document(digests)))
     _probe([args.output, args.sidecar])
     _write(args.output, docker)
     _write(args.sidecar, sidecar)
@@ -186,21 +244,16 @@ def cmd_profile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suspicious = _load(args.sidecar, lambda text: suspicious_names(
+    suspicious, made_from = _load(args.sidecar, lambda text: read_sidecar(
         _json(text), f"suspicious_{args.policy}"))
-    mapping = _load_mappings(args.mapping)
+    mapping, digests = _load_mappings(args.mapping)
+    if digests != made_from:
+        raise ParseError(f"{args.sidecar}: mapping_sha256 {made_from}, not {digests} as of "
+                         f"--mapping {', '.join(args.mapping)}; re-run `syscage profile`")
     memmap = _load(args.memmap, parse_memory_map)
     table = _read_table(args.table)
 
-    # a library is named by its file stem, so two files may not share one
-    paths: dict[str, str] = {}
-    for path in args.lib_disasm:
-        stem = Path(path).stem
-        if paths.setdefault(stem, path) != path:
-            raise AnalysisError(
-                f"--lib-disasm {paths[stem]} and {path} share the library name {stem!r}")
-    offsets = {stem: _load(path, function_extents) for stem, path in paths.items()}
-    fat = locate_functions(memmap, offsets)
+    fat = locate_functions(memmap, _library_offsets(args, memmap, mapping))
 
     entries, hosts = mapping.walk_ends()
     ctx = VerifierContext(
@@ -226,7 +279,7 @@ def cmd_cve(args) -> int:
     records = _load(args.dataset, lambda text: load_cve_dataset(
         text, table_names=table.names, strict=args.strict), "cve_seed.tsv")
     allowed = _load(args.profile, lambda text: SeccompProfile.allowed_in_docker_document(
-        _json(text)))
+        _json(text), table.names))
     blocked = table.names - allowed
     _write(args.output, dump_json(report_document(records, blocked)))
     return EXIT_OK

@@ -17,9 +17,11 @@ possessive match takes a header and every blank or instruction line of its
 body, keeping no backtracking state, one `findall` takes their addresses,
 and one search finds their `call`, `callq` and `syscall` lines.  Two
 readers share the one validating loop: `function_extents` stops at each
-function's extent, and `parse_disassembly` also looks for its sites.  No
-instruction is decoded here: a function holding a `syscall` keeps its body
-text, which `sysnum.resolve_numbers` reads.
+function's extent, and `parse_disassembly` also looks for its sites.
+`header_extents` gives the same extents from one scan for headers, with no
+validation, for a text known to be valid.  No instruction is decoded here:
+a function holding a `syscall` keeps its body text, which
+`sysnum.resolve_numbers` reads.
 """
 
 from __future__ import annotations
@@ -36,12 +38,15 @@ _WS = r"[^\S\n]"  # whitespace inside a line
 # what follows the mnemonic: the operand token, then the comment
 _TAIL = rf"(?:{_WS}+(\S+)(?:{_WS}+<([^>\n]+)>)?)?$"
 # an instruction line, without captures
-_INSN = rf"{_WS}+[0-9a-f]+:\t[a-z0-9.]+(?:{_WS}+\S+(?:{_WS}+<[^>\n]+>)?)?"
+_INSN = rf"{_WS}++[0-9a-f]++:\t[a-z0-9.]++(?:{_WS}++\S++(?:{_WS}++<[^>\n]++>)?+)?+"
 INSN_RE = re.compile(rf"{_INSN}$", re.M)
+_HEADER = r"([0-9a-f]{1,16}) <([^>\n]++)>:$"  # address, then symbol
 # a header, then its body: blank and instruction lines, each after its `\n`
-FUNCTION_RE = re.compile(
-    rf"^([0-9a-f]{{1,16}}) <([^>\n]+)>:$((?:\n(?:{_INSN}|{_WS}*)$)*+)", re.M)
-ADDRESS_RE = re.compile(rf"\n{_WS}+([0-9a-f]+):")
+FUNCTION_RE = re.compile(rf"^{_HEADER}((?:\n(?:{_INSN}|{_WS}*+)$)*+)", re.M)
+# a header after its `\n`: the literal first character makes the scan fast
+HEADER_RE = re.compile(rf"\n{_HEADER}", re.M)
+OPENING_HEADER_RE = re.compile(_HEADER, re.M)  # a header at the text's start
+ADDRESS_RE = re.compile(rf"\n{_WS}++([0-9a-f]++):")
 # a `call`, `callq` or `syscall` line from the `:\t` after its address:
 # "syscall" or None, then the tail.  The literal `:\t` makes the search
 # fast; a match must still be at the line's first `:\t`
@@ -127,10 +132,9 @@ def _functions(text: str):
     line of its body are validated."""
     pos = first.start() if (first := _FIRST_LINE.search(text)) else len(text)
     last = -1  # the highest address so far; -1 before the first function
-    while pos < len(text):
-        m = FUNCTION_RE.match(text, pos)
-        if m is None:
-            raise _bad_line(text, pos, last >= 0)
+    for m in FUNCTION_RE.finditer(text, pos):
+        if m.start() != pos:  # the line at `pos` starts no function
+            break
         symbol, start = m.group(2), int(m.group(1), 16)
         if start <= last:
             raise ParseError(f"line {_lineno(text, pos)}: function {symbol} at "
@@ -140,12 +144,45 @@ def _functions(text: str):
         last = max(_check_addresses(text, lo, hi, start - 1), start)
         yield symbol, start, last + 1, lo, hi
         pos = hi + 1  # past the `\n` after the body, or past the text's end
+    if pos < len(text):
+        raise _bad_line(text, pos, last >= 0)
 
 
 def function_extents(text: str) -> list[tuple[str, int, int]]:
     """(name, start, end) of each function of SDIS `text`, every line
     validated as `parse_disassembly` does, but no site looked for."""
     return [(symbol, start, end) for symbol, start, end, _, _ in _functions(text)]
+
+
+def header_extents(text: str) -> list[tuple[str, int, int]]:
+    """(name, start, end) of each function of SDIS `text` that has been
+    validated already, read from the headers alone: equal to
+    `function_extents` on every text that `parse_disassembly` accepts.
+
+    In such a text only a header starts with a hex digit, and a body line
+    holds a `:\\t` exactly when it is an instruction line, whose address is
+    what comes before its first `:\\t`.  So a function ends one past the
+    address of the last body line holding one, or one past its start when
+    no line does.  On any other text this returns some extents or raises
+    ParseError."""
+    headers = list(HEADER_RE.finditer(text))
+    if (first := OPENING_HEADER_RE.match(text)) is not None:
+        headers.insert(0, first)
+    extents = []
+    for i, h in enumerate(headers):
+        start, body = int(h.group(1), 16), h.end()  # the body's lines follow the header
+        stop = headers[i + 1].start() if i + 1 < len(headers) else len(text)
+        tab = text.rfind(":\t", body, stop)
+        if tab < 0:
+            extents.append((h.group(2), start, start + 1))
+            continue
+        line = text.rfind("\n", body, tab) + 1
+        address = text[line:text.find(":\t", line)].strip()  # int() strips less
+        try:
+            extents.append((h.group(2), start, int(address, 16) + 1))
+        except ValueError:
+            raise ParseError(f"line {_lineno(text, line)}: bad address {address!r}") from None
+    return extents
 
 
 def parse_disassembly(text: str) -> DisasmUnit:

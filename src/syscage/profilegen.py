@@ -23,8 +23,11 @@ from .errors import MISSING, AnalysisError, ParseError, expect_json, expect_name
 from .sysnum import ResolvedSyscallSite, SyscallTable
 
 TRACE_TOKEN_RE = re.compile(r"^[a-z0-9_]+", re.M)  # under re.M, ^ follows \n alone
-MAPPING_FORMAT = 3
+MAPPING_FORMAT = 4
 SYSCALL_ENTRY = "mapping API {!r} syscalls[{}]"
+# the Seccomp actions under which a syscall runs; a tuple, since `in` then
+# compares a rule's action of any JSON type and hashes none
+RUN_ACTIONS = ("SCMP_ACT_ALLOW", "SCMP_ACT_LOG")
 
 # only bench/worker.py's traced run patches this name; ROADMAP item 1 deletes it
 enumerate_secure_paths = None
@@ -44,10 +47,13 @@ class ApiSyscallMapping:
     call_graph: dict[str, list[str]] = field(default_factory=dict)
     # syscall -> sorted functions that invoke it
     hosts: dict[str, list[str]] = field(default_factory=dict)
+    # library (its SDIS file's stem) -> the sha256 of that SDIS file
+    libraries: dict[str, str] = field(default_factory=dict)
 
     def to_document(self) -> dict:
         return {
             "format": MAPPING_FORMAT,
+            "libraries": self.libraries,
             "call_graph": self.call_graph,
             "hosts": self.hosts,
             "apis": {
@@ -70,8 +76,11 @@ class ApiSyscallMapping:
                 f"mapping is not format {MAPPING_FORMAT}; "
                 "re-run `syscage analyze` to regenerate it"
             )
+        libraries = expect_json(doc.get("libraries", MISSING), dict, "mapping libraries")
+        for stem, digest in libraries.items():
+            expect_json(digest, str, "mapping libraries[{!r}]", stem)
         mapping = cls(call_graph=_name_lists(doc, "call_graph"),
-                      hosts=_name_lists(doc, "hosts"))
+                      hosts=_name_lists(doc, "hosts"), libraries=libraries)
         for api, rec in expect_json(doc.get("apis", MISSING), dict, "mapping apis").items():
             expect_json(rec, dict, "mapping API {!r}", api)
             syscalls: dict[str, bool] = {}
@@ -98,6 +107,10 @@ class ApiSyscallMapping:
         return mapping
 
     def merge_from(self, other: "ApiSyscallMapping") -> None:
+        for stem, digest in other.libraries.items():
+            if self.libraries.setdefault(stem, digest) != digest:
+                raise AnalysisError(f"library {stem!r} has two sha256 digests: "
+                                    f"{self.libraries[stem]}, {digest}")
         for api, rec in other.records.items():
             if api in self.records:
                 raise AnalysisError(f"API {api!r} defined by more than one mapping")
@@ -141,27 +154,38 @@ class SeccompProfile:
         }
 
     @staticmethod
-    def allowed_in_docker_document(doc) -> set[str]:
-        """The syscall names that the rules of a Docker profile allow."""
-        rules = expect_json(expect_json(doc, dict, "profile").get("syscalls", []),
-                            list, "profile syscalls")
-        allowed: set[str] = set()
+    def allowed_in_docker_document(doc, names: set[str]) -> set[str]:
+        """The syscall names that a Docker profile lets run: those that a
+        rule with an action in RUN_ACTIONS names and, when the default
+        action is one of them, every name of `names` that no other rule
+        names."""
+        doc = expect_json(doc, dict, "profile")
+        default = expect_json(doc.get("defaultAction", MISSING), str, "profile defaultAction")
+        rules = expect_json(doc.get("syscalls", []), list, "profile syscalls")
+        run: set[str] = set()
+        stop: set[str] = set()
         for i, rule in enumerate(rules):
-            if expect_json(rule, dict, "profile syscalls[{}]", i).get("action") == "SCMP_ACT_ALLOW":
-                allowed.update(expect_names(rule.get("names", []), "profile syscalls[{}] names", i))
-        return allowed
+            action = expect_json(rule, dict, "profile syscalls[{}]", i).get("action")
+            (run if action in RUN_ACTIONS else stop).update(
+                expect_names(rule.get("names", []), "profile syscalls[{}] names", i))
+        return run | (names - stop) if default in RUN_ACTIONS else run
 
-    def sidecar_document(self) -> dict:
+    def sidecar_document(self, mapping_sha256: list[str]) -> dict:
+        """The sidecar of a profile made from mappings whose files have the
+        sha256 digests `mapping_sha256`, in `--mapping` order."""
         return {
+            "mapping_sha256": mapping_sha256,
             "suspicious_indirect": sorted(self.suspicious_indirect),
             "suspicious_rare": sorted(self.suspicious_rare),
         }
 
 
-def suspicious_names(sidecar, key: str) -> set[str]:
-    """The syscall names that a sidecar document lists under `key`."""
+def read_sidecar(sidecar, key: str) -> tuple[set[str], list[str]]:
+    """The syscall names that a sidecar document lists under `key`, and the
+    sha256 of each mapping file that it was made from, in order."""
     doc = expect_json(sidecar, dict, "sidecar")
-    return set(expect_names(doc.get(key, MISSING), "sidecar {}", key))
+    return (set(expect_names(doc.get(key, MISSING), "sidecar {}", key)),
+            expect_names(doc.get("mapping_sha256", MISSING), "sidecar mapping_sha256"))
 
 
 def build_mapping(

@@ -169,11 +169,8 @@ def locate_functions(
     function extends to the start of the next function of its library, so
     that the return address of a trailing call (to a function that does not
     return) still lies in the caller; the last function keeps its end.
-    Every library of `offsets` needs a `lib` line; a `lib` line needs no
-    offsets."""
-    unmatched = sorted(set(offsets).difference(name for name, _ in memmap.libraries))
-    if unmatched:
-        raise AnalysisError(f"no `lib` line in the memory map for: {', '.join(unmatched)}")
+    Only the libraries that have a `lib` line are read from `offsets`; a
+    `lib` line needs no offsets."""
     entries = []
     for name, region in memmap.libraries:
         base, size = region.start, region.stop - region.start

@@ -119,7 +119,7 @@ def test_profile_partition_on_fixture_targets():
             for _ in range(rng.randint(0, 6))
         ]
         apis[f"api{i}"] = syscalls
-    doc = {"format": 3, "call_graph": {}, "hosts": {}, "apis": {
+    doc = {"format": 4, "libraries": {}, "call_graph": {}, "hosts": {}, "apis": {
         api: {
             "entry_function": api,
             "unresolved_sites": 0,

@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import os
+import re
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -8,9 +10,13 @@ from pathlib import Path
 import pytest
 
 from syscage.cli import COMMANDS, MAP_MIN_BYTES, build_parser, main
-from syscage.profilegen import SeccompProfile
+from syscage.profilegen import SeccompProfile, dump_json
 
 DATA_ARGS = {}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.fixture
@@ -268,6 +274,105 @@ def test_malformed_lib_disasm_fails_verify_as_it_fails_analyze(data_dir, tmp_pat
     assert (code, capsys.readouterr().err) == (2, expected)
 
 
+def _shifted(text: str, by: int) -> str:
+    """SDIS `text` with every header, instruction and call-target address
+    raised by `by`."""
+    def shift(m):
+        return f"{m[1]}{int(m[2], 16) + by:0{len(m[2])}x}{m[3]}"
+    return re.sub(r"(^|^\s+|\t)([0-9a-f]+)(:| <)", shift, text, flags=re.M)
+
+
+def test_a_shifted_lib_disasm_is_rejected(data_dir, tmp_path, capsys):
+    """The fixture SDIS with every address raised by 0x1000 is well formed,
+    and replayed against the fixture mapping it would turn three verdicts
+    into RipOutOfRange; it is not the SDIS that the mapping was made from."""
+    lib = tmp_path / "minilib.sdis"
+    lib.write_text(_shifted((data_dir / "minilib.sdis").read_text(), 0x1000))
+    assert main(["analyze", str(lib), str(data_dir / "minilib.facts.json"),
+                 "-o", str(tmp_path / "m.json")]) == 0
+    capsys.readouterr()
+    code, log = _verify_golden(data_dir, tmp_path, lib=lib)
+    golden = data_dir / "golden" / "mapping.json"
+    assert (code, capsys.readouterr().err) == (2, (
+        f"syscage: parse error: {lib}: sha256 {_sha256(lib)}, "
+        f"not {_sha256(data_dir / 'minilib.sdis')} as in --mapping {golden}: "
+        "not the SDIS that `syscage analyze` read\n"))
+    assert not log.exists()
+
+
+def test_a_lib_disasm_that_no_mapping_lists_is_rejected(data_dir, tmp_path, capsys):
+    lib = tmp_path / "otherlib.sdis"  # the fixture's bytes under another stem
+    lib.write_bytes((data_dir / "minilib.sdis").read_bytes())
+    memmap = tmp_path / "memmap.txt"
+    memmap.write_text((data_dir / "memmap.txt").read_text().replace("minilib", "otherlib"))
+    golden = data_dir / "golden"
+    argv = ["verify", "--sidecar", str(golden / "sidecar.json"),
+            "--mapping", str(golden / "mapping.json"), "--memmap", str(memmap),
+            "--events", str(data_dir / "events.txt"), "--lib-disasm", str(lib),
+            "-o", str(tmp_path / "v.log")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"syscage: parse error: {lib}: no library 'otherlib' in --mapping "
+        f"{golden / 'mapping.json'}; re-run `syscage analyze` on this file\n")
+    # validated first: a malformed unlisted file fails as `analyze` fails on it
+    lib.write_bytes(lib.read_bytes() + b"junk\n")
+    assert main(argv) == 2
+    line = lib.read_bytes().count(b"\n")
+    assert capsys.readouterr().err == (
+        f"syscage: parse error: {lib}: line {line}: bad function header: 'junk'\n")
+
+
+def test_a_sidecar_made_from_another_mapping_is_rejected(data_dir, tmp_path, capsys):
+    # the golden mapping indented: the same document in other bytes
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps(_golden_mapping(data_dir), indent=1))
+    sidecar = data_dir / "golden" / "sidecar.json"
+    code, log = _verify_golden(data_dir, tmp_path, mapping=mapping)
+    assert (code, capsys.readouterr().err) == (2, (
+        f"syscage: parse error: {sidecar}: mapping_sha256 "
+        f"{[_sha256(data_dir / 'golden' / 'mapping.json')]}, not {[_sha256(mapping)]} "
+        f"as of --mapping {mapping}; re-run `syscage profile`\n"))
+    assert not log.exists()
+    # one more --mapping than the sidecar was made from
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"format": 4, "libraries": {}, "call_graph": {},
+                                 "hosts": {}, "apis": {}}))
+    code, _ = _verify_golden(data_dir, tmp_path, extra=["--mapping", str(empty)])
+    assert code == 2 and "re-run `syscage profile`" in capsys.readouterr().err
+
+
+def test_two_digests_of_one_library_are_an_analysis_error(data_dir, tmp_path, capsys):
+    doc = _golden_mapping(data_dir)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({**doc, "apis": {"read": doc["apis"]["read"]}}))
+    second.write_text(json.dumps({**doc, "apis": {"open": doc["apis"]["open"]},
+                                  "libraries": {"minilib": "0" * 64}}))
+    code = main(["profile", str(data_dir / "target.sdis"), "--mapping", str(first),
+                 "--mapping", str(second), "-o", str(tmp_path / "p.json"),
+                 "--sidecar", str(tmp_path / "s.json")])
+    assert (code, capsys.readouterr().err) == (3, (
+        "syscage: analysis error: library 'minilib' has two sha256 digests: "
+        f"{doc['libraries']['minilib']}, {'0' * 64}\n"))
+
+
+def test_verify_reads_a_vouched_lib_disasm_by_its_headers(data_dir, tmp_path, monkeypatch):
+    """The mapping lists the sha256 of the fixture SDIS, so verify reads its
+    extents from the headers and never runs the validating loop; analyze
+    does."""
+    import syscage.disasm
+
+    def validate(text):
+        raise AssertionError("validated every line")
+        yield
+
+    monkeypatch.setattr(syscage.disasm, "_functions", validate)
+    code, log = _verify_golden(data_dir, tmp_path)
+    assert code == 0
+    assert log.read_bytes() == (data_dir / "golden" / "verdicts.log").read_bytes()
+    with pytest.raises(AssertionError, match="validated every line"):
+        _analyze(data_dir, tmp_path)
+
+
 @contextmanager
 def _events(tmp_path, kind, data):
     """An events file holding `data`: a regular file, or a FIFO that a
@@ -377,6 +482,12 @@ def _format_1(doc):
     doc["format"] = 1
 
 
+def _format_3(doc):
+    # the previous format: no sha256 of the library SDIS
+    del doc["libraries"]
+    doc["format"] = 3
+
+
 def _format_2(doc):
     # the previous format: the hosts listed on each entry, none at the top
     for rec in doc["apis"].values():
@@ -414,6 +525,10 @@ def _syscall_an_array(doc):
     doc["apis"]["open"]["syscalls"][0]["syscall"] = ["ioctl"]
 
 
+def _libraries_listing_a_number(doc):
+    doc["libraries"]["minilib"] = 0
+
+
 def _tainted_a_string(doc):
     doc["apis"]["open"]["syscalls"][0]["tainted"] = "yes"
 
@@ -438,11 +553,14 @@ def _callee_an_array(doc):
 SIDECARS = {
     "sidecar-list": ["ioctl", "open"],
     "sidecar-listing-an-array": {"suspicious_indirect": [[1]], "suspicious_rare": []},
+    "sidecar-digests-not-strings": {"mapping_sha256": [1], "suspicious_indirect": [],
+                                    "suspicious_rare": []},
 }
 
 
 @pytest.mark.parametrize("spoil", [
-    _without_format, _format_1, _format_2, _entry_without_syscall, _hosts_not_a_list,
+    _without_format, _format_1, _format_2, _format_3, _entry_without_syscall,
+    _hosts_not_a_list, _libraries_listing_a_number,
     _call_graph_not_an_object, _unresolved_sites_a_string, _unresolved_sites_true,
     _unresolved_sites_negative, _syscall_an_array,
     _tainted_a_string, _host_an_array, _duplicate_syscall, _entry_function_a_number,
@@ -463,7 +581,7 @@ def test_malformed_mapping_or_sidecar_is_a_parse_error(data_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and f"parse error: {bad}: " in err
-    if spoil in (_without_format, _format_1, _format_2):
+    if spoil in (_without_format, _format_1, _format_2, _format_3):
         assert "re-run `syscage analyze`" in err
     if spoil is _duplicate_syscall:
         assert "mapping API 'open' syscalls[2]: duplicate syscall 'open'" in err
@@ -472,7 +590,8 @@ def test_malformed_mapping_or_sidecar_is_a_parse_error(data_dir, tmp_path, capsy
 
 
 # each field that `analyze` writes, as its path in the mapping document
-MAPPING_FIELDS = [("call_graph",), ("hosts",), ("apis",), ("apis", "open", "entry_function"),
+MAPPING_FIELDS = [("libraries",), ("call_graph",), ("hosts",), ("apis",),
+                  ("apis", "open", "entry_function"),
                   ("apis", "open", "unresolved_sites"), ("apis", "open", "syscalls")]
 
 
@@ -493,13 +612,22 @@ def test_a_missing_mapping_field_is_a_parse_error(data_dir, tmp_path, capsys, pa
 
 @pytest.mark.parametrize("policy", ["indirect", "rare"])
 def test_a_missing_sidecar_list_is_a_parse_error(data_dir, tmp_path, capsys, policy):
+    _assert_sidecar_field_missing(data_dir, tmp_path, capsys, f"suspicious_{policy}",
+                                  ["--policy", policy])
+
+
+def test_a_sidecar_without_mapping_digests_is_a_parse_error(data_dir, tmp_path, capsys):
+    _assert_sidecar_field_missing(data_dir, tmp_path, capsys, "mapping_sha256", [])
+
+
+def _assert_sidecar_field_missing(data_dir, tmp_path, capsys, key, extra):
     doc = json.loads((data_dir / "golden" / "sidecar.json").read_text())
-    del doc[f"suspicious_{policy}"]
+    del doc[key]
     sidecar = tmp_path / "sidecar.json"
     sidecar.write_text(json.dumps(doc))
-    code, log = _verify_golden(data_dir, tmp_path, sidecar=sidecar, extra=["--policy", policy])
+    code, log = _verify_golden(data_dir, tmp_path, sidecar=sidecar, extra=extra)
     assert (code, capsys.readouterr().err) == (
-        2, f"syscage: parse error: {sidecar}: sidecar suspicious_{policy} is missing\n")
+        2, f"syscage: parse error: {sidecar}: sidecar {key} is missing\n")
     assert not log.exists()
 
 
@@ -546,8 +674,6 @@ def test_long_call_chain_matches(tmp_path):
     base = 0x7F0000000000
     (tmp_path / "chain.sdis").write_text(_chain_library(n))
     (tmp_path / "chain.facts.json").write_text("{}")
-    (tmp_path / "sidecar.json").write_text(
-        json.dumps({"suspicious_indirect": ["getpid"], "suspicious_rare": []}))
     (tmp_path / "memmap.txt").write_text(
         f"lib chain {base:x} 10000\nstack 7ffc00000000 7ffc00100000\ncode 400000 500000\n")
     returns = [base + 0x1000 + 0x10 * i + 5 for i in reversed(range(n - 1))]
@@ -558,6 +684,9 @@ def test_long_call_chain_matches(tmp_path):
     mapping = tmp_path / "mapping.json"
     assert main(["analyze", str(tmp_path / "chain.sdis"),
                  str(tmp_path / "chain.facts.json"), "-o", str(mapping)]) == 0
+    (tmp_path / "sidecar.json").write_text(json.dumps({
+        "mapping_sha256": [_sha256(mapping)],
+        "suspicious_indirect": ["getpid"], "suspicious_rare": []}))
     log = tmp_path / "verdicts.log"
     assert main([
         "verify", "--sidecar", str(tmp_path / "sidecar.json"), "--mapping", str(mapping),
@@ -637,7 +766,9 @@ def test_a_lone_cr_in_disassembly_is_not_a_line_break(data_dir, tmp_path, capsys
     sdis.write_bytes(text)
     argv = ["analyze", str(sdis), str(data_dir / "minilib.facts.json"), "-o", str(mapping)]
     assert main(argv) == 0
-    assert mapping.read_bytes() == (data_dir / "golden" / "mapping.json").read_bytes()
+    golden = _golden_mapping(data_dir)
+    golden["libraries"] = {"minilib": _sha256(sdis)}
+    assert mapping.read_text() == dump_json(golden)
     sdis.write_bytes(text + b"bad\n")
     assert main(argv) == 2
     line = text.count(b"\n") + 1
@@ -682,14 +813,17 @@ def _golden_outputs(data_dir, tmp_path, *mappings):
                  "--lib-disasm", str(data_dir / "minilib.sdis"),
                  "--target", "target", "-o", str(log)]) == 0
     golden = data_dir / "golden"
-    for out, name in ((profile, "profile.json"), (sidecar, "sidecar.json"),
-                      (log, "verdicts.log")):
+    for out, name in ((profile, "profile.json"), (log, "verdicts.log")):
         assert out.read_bytes() == (golden / name).read_bytes(), name
+    # the sidecar names the mapping files it was made from
+    expected = json.loads((golden / "sidecar.json").read_text())
+    expected["mapping_sha256"] = [_sha256(m) for m in mappings]
+    assert sidecar.read_text() == dump_json(expected)
 
 
 def test_an_indented_mapping_gives_the_same_outputs(data_dir, tmp_path):
-    # the layout `analyze` wrote before its output became compact: format 3
-    # takes any JSON whitespace
+    # the layout `analyze` wrote before its output became compact: a mapping
+    # takes any JSON whitespace, and its sidecar records these bytes
     mapping = tmp_path / "indented.json"
     mapping.write_text(json.dumps(_golden_mapping(data_dir), indent=2, sort_keys=True) + "\n")
     assert mapping.read_bytes() != (data_dir / "golden" / "mapping.json").read_bytes()
@@ -702,11 +836,12 @@ def test_mappings_merge_in_order(data_dir, tmp_path, capsys):
     `open`'s host listed in both."""
     doc = _golden_mapping(data_dir)
     graph, hosts, apis = doc["call_graph"], doc["hosts"], doc["apis"]
-    first = {"format": 3, "apis": {k: apis[k] for k in ("read", "write")},
+    libraries = doc["libraries"]  # in both files: one digest per library merges
+    first = {"format": 4, "libraries": libraries, "apis": {k: apis[k] for k in ("read", "write")},
              "call_graph": {"dispatch": ["log_call"], "do_write": graph["do_write"],
                             "write@@GLIBC_2.2.5": graph["write@@GLIBC_2.2.5"]},
              "hosts": {k: hosts[k] for k in ("open", "read", "write")}}
-    second = {"format": 3, "apis": {"open": apis["open"]},
+    second = {"format": 4, "libraries": libraries, "apis": {"open": apis["open"]},
               "call_graph": {"dispatch": ["ioctl_handler", "open_handler"],
                              "log_call": graph["log_call"],
                              "open@@GLIBC_2.2.5": graph["open@@GLIBC_2.2.5"]},
@@ -915,7 +1050,8 @@ def test_policy_choices_name_the_sidecar_keys():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     policy = next(a for a in sub.choices["verify"]._actions if a.dest == "policy")
     profile = SeccompProfile(allowed=[], suspicious_indirect=set(), suspicious_rare=set())
-    assert {f"suspicious_{c}" for c in policy.choices} == set(profile.sidecar_document())
+    assert {f"suspicious_{c}" for c in policy.choices} == {
+        key for key in profile.sidecar_document([]) if key.startswith("suspicious_")}
 
 
 def test_conflicting_alias_is_a_parse_error(data_dir, tmp_path, capsys):

@@ -2,6 +2,7 @@
 fixture's files for the others, `main` returns 0, 1, 2 or 3 and raises
 nothing; on 2, its error is one line that names the file."""
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -79,13 +80,24 @@ def _assert_contract(role: str, content: bytes, tmp_path: Path, capsys) -> None:
     path = tmp_path / FIXTURES[role].name
     path.write_bytes(content)
     files = {**FIXTURES, role: path}
+    if role == "mapping":
+        # the sidecar of this mapping, so that verify reads on past the check
+        # that the sidecar was made from it
+        sidecar = json.loads(FIXTURES["sidecar"].read_text())
+        sidecar["mapping_sha256"] = [hashlib.sha256(content).hexdigest()]
+        files["sidecar"] = tmp_path / "made-from-this.json"
+        files["sidecar"].write_text(json.dumps(sidecar))
     for command in READERS[role]:
         capsys.readouterr()
         code = main(_argv(command, files, tmp_path))
         assert code in (0, 1, 2, 3), command
         if code == 2:
             err = capsys.readouterr().err
-            assert err.startswith(f"syscage: parse error: {path}: "), (command, err)
+            # a sha256 that one file lists and another does not have is the
+            # fault of neither alone: the error leads with one, names the other
+            chained = (err.startswith("syscage: parse error: ")
+                       and "sha256" in err and f" {path}" in err)
+            assert err.startswith(f"syscage: parse error: {path}: ") or chained, (command, err)
             assert err.count("\n") == 1, (command, err)
 
 
@@ -162,6 +174,10 @@ def test_any_bytes_end_in_a_documented_exit_code(tmp_path, capsys, role, content
 # syscall entry that repeats the name of the one before it
 @example(value=_Splice([0, 0, 1, 0, 1], 1))
 @example(value=_Splice([0, 0, 1, 1, 0], "ioctl"))
+# a sha256 that no file has: of the library SDIS, in the mapping's
+# `libraries` (its fifth key); of a mapping, in the sidecar's first key
+@example(value=_Splice([4, 0], "0" * 64))
+@example(value=_Splice([0, 0], "0" * 64))
 def test_any_json_value_ends_in_a_documented_exit_code(tmp_path, capsys, role, value):
     if isinstance(value, _Splice):
         value = value.apply(json.loads(FIXTURES[role].read_text()))

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syscage import packaged_data
+from syscage.cli import main
 from syscage.cve import CveRecord, load_cve_dataset, mitigation_report, report_document
 from syscage.errors import AnalysisError, ParseError
 
@@ -168,3 +170,20 @@ def test_load_cve_dataset_parses_or_raises(seed_table, text, strict):
     except (ParseError, AnalysisError):
         return
     assert len({r.id for r in records}) == len(records)
+
+
+def test_cve_reads_what_a_profile_lets_run(tmp_path, capsys, seed_records):
+    """A profile whose default lets every syscall run, less one that a rule
+    stops, mitigates only the CVEs of that one; a profile with no default
+    action is a parse error, not one that blocks everything."""
+    profile, report = tmp_path / "profile.json", tmp_path / "report.json"
+    profile.write_text(json.dumps({"defaultAction": "SCMP_ACT_ALLOW", "syscalls": [
+        {"names": ["ioctl"], "action": "SCMP_ACT_ERRNO"}]}))
+    assert main(["cve", str(profile), "-o", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc == report_document(seed_records, {"ioctl"})
+    assert doc["count"] == 29 and doc["per_syscall"] == {"ioctl": 29}
+    profile.write_text("{}")
+    assert main(["cve", str(profile), "-o", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"syscage: parse error: {profile}: profile defaultAction is missing\n")

@@ -17,6 +17,7 @@ from syscage.disasm import (
     SyscallSite,
     extract_plt_imports,
     function_extents,
+    header_extents,
     parse_disassembly,
 )
 from syscage.errors import ParseError
@@ -472,3 +473,68 @@ def test_extents_equal_those_of_the_full_parse(text):
         return
     assert [name for name, _, _ in function_extents(text)] == \
         [f.canonical_name for f in unit.functions]
+
+
+# whitespace inside a line, `\x0c` and `\r` among it
+_INLINE = " \t\x0c\r\x0b\x85\u3000"
+
+
+@st.composite
+def _valid_sdis(draw):
+    """SDIS text that `parse_disassembly` accepts: blank lines before the
+    first header and in bodies, odd in-line whitespace, header names and
+    comments that hold `:\t`, a first instruction at its header's address,
+    empty bodies, and a final `\n` or none."""
+    ws = st.text(st.sampled_from(_INLINE), min_size=1, max_size=2)
+    blank = st.text(st.sampled_from(_INLINE), max_size=2)
+    name = st.text(st.characters(blacklist_characters=">\n"), min_size=1, max_size=5)
+    comment = name | st.just("y:\tcall *b")
+    operand = st.text(st.sampled_from("$0x1,%eax*():<"), min_size=1, max_size=5)
+    lines = draw(st.lists(blank, max_size=2))
+    last = draw(st.integers(-1, 0xfff))  # the highest address so far
+    for _ in range(draw(st.integers(0, 4))):
+        start = last + draw(st.integers(1, 0x20))
+        lines.append(f"{start:x}".zfill(draw(st.integers(len(f"{start:x}"), 16)))
+                     + f" <{draw(name)}>:")
+        addr = start - 1  # the first instruction may be at `start`
+        for _ in range(draw(st.integers(0, 4))):
+            if draw(st.booleans()):
+                lines.append(draw(blank))
+                continue
+            addr += draw(st.integers(1, 8))
+            line = f"{draw(ws)}{draw(st.sampled_from(['', '0']))}{addr:x}:\t" + draw(
+                st.sampled_from(["nop", "callq", "syscall", "mov", "x.1"]))
+            if draw(st.booleans()):
+                line += draw(ws) + draw(operand)
+                if draw(st.booleans()):
+                    line += f"{draw(ws)}<{draw(comment)}>"
+            lines.append(line)
+        last = max(addr, start)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_valid_sdis())
+@example(text="\n\r\n0000000000001000 <f:\tg>:\n\x0c\n    1000:\tcallq\t2000\r<a:\tb>\n"
+              "0000000000001008 <h>:\n")
+def test_header_extents_equal_the_validated_extents(text):
+    parse_disassembly(text)  # valid by construction
+    assert header_extents(text) == function_extents(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | _mutated_fixture() | _valid_sdis().map(lambda t: t.replace("0", "\x1c")))
+@example(text="0000000000001000 <f>:\n    zz:\tnop\n")
+@example(text="0000000000001000 <f>:\n\x1c:\tnop\n")
+def test_header_extents_raise_only_parse_errors(text):
+    """On any text, `header_extents` returns or raises ParseError, and on one
+    that `function_extents` accepts it gives the same extents."""
+    try:
+        got = header_extents(text)
+    except ParseError:
+        got = None
+    try:
+        expected = function_extents(text)
+    except ParseError:
+        return
+    assert got == expected

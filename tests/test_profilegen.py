@@ -23,7 +23,7 @@ from syscage.profilegen import (
     dump_json,
     generate_profile,
     load_trace,
-    suspicious_names,
+    read_sidecar,
 )
 from syscage.srcfacts import load_source_facts
 from syscage.sysnum import ResolvedSyscallSite, load_syscall_table, resolve_sites
@@ -76,11 +76,20 @@ def test_mapping_call_graph_leaves_out_leaves(minilib_mapping):
 
 def test_merge_from_unions_call_graphs():
     first = ApiSyscallMapping(call_graph={"a": ["b", "d"], "x": ["y"]},
-                              hosts={"read": ["h1", "h3"], "open": ["h0"]})
+                              hosts={"read": ["h1", "h3"], "open": ["h0"]},
+                              libraries={"liba": "1a", "libc": "3c"})
     first.merge_from(ApiSyscallMapping(call_graph={"a": ["c", "d"], "p": ["q"]},
-                                       hosts={"read": ["h2", "h3"], "close": ["h4"]}))
+                                       hosts={"read": ["h2", "h3"], "close": ["h4"]},
+                                       libraries={"libb": "2b", "libc": "3c"}))
     assert first.call_graph == {"a": ["b", "c", "d"], "x": ["y"], "p": ["q"]}
     assert first.hosts == {"read": ["h1", "h2", "h3"], "open": ["h0"], "close": ["h4"]}
+    assert first.libraries == {"liba": "1a", "libb": "2b", "libc": "3c"}
+
+
+def test_merge_from_rejects_two_digests_of_one_library():
+    first = ApiSyscallMapping(libraries={"libc": "3c"})
+    with pytest.raises(AnalysisError, match="^library 'libc' has two sha256 digests: 3c, 4d$"):
+        first.merge_from(ApiSyscallMapping(libraries={"libc": "4d"}))
 
 
 def test_mapping_document_roundtrip(minilib_mapping):
@@ -99,6 +108,7 @@ _MAPPINGS = st.builds(
         unresolved_sites=st.integers(min_value=0)), max_size=4),
     call_graph=_NAME_LISTS,
     hosts=_NAME_LISTS,
+    libraries=st.dictionaries(_NAME, _NAME, max_size=3),
 )
 
 
@@ -123,13 +133,31 @@ _PROFILES = st.builds(
 @given(_PROFILES)
 def test_docker_document_allows_exactly_the_allowed_set(profile):
     doc = json.loads(dump_json(profile.to_docker_document()))
-    assert SeccompProfile.allowed_in_docker_document(doc) == set(profile.allowed)
+    names = set(profile.allowed) | {"other"}
+    assert SeccompProfile.allowed_in_docker_document(doc, names) == set(profile.allowed)
+
+
+@pytest.mark.parametrize("default", ["SCMP_ACT_ALLOW", "SCMP_ACT_LOG"])
+def test_a_default_that_runs_allows_what_no_other_rule_names(default):
+    names = {"ioctl", "read", "write"}
+    doc = {"defaultAction": default, "syscalls": [
+        {"names": ["ioctl"], "action": "SCMP_ACT_ERRNO"},
+        {"names": ["write"], "action": "SCMP_ACT_LOG"}]}
+    assert SeccompProfile.allowed_in_docker_document(doc, names) == {"read", "write"}
+    # under a default that stops a call, only what a rule lets run
+    doc["defaultAction"] = "SCMP_ACT_KILL"
+    assert SeccompProfile.allowed_in_docker_document(doc, names) == {"write"}
+
+
+def test_a_profile_without_a_default_action_is_a_parse_error():
+    with pytest.raises(ParseError, match="^profile defaultAction is missing$"):
+        SeccompProfile.allowed_in_docker_document({}, {"read"})
 
 
 DOCUMENT_PARSERS = {
     "mapping.json": ApiSyscallMapping.from_document,
-    "sidecar.json": lambda doc: suspicious_names(doc, "suspicious_indirect"),
-    "profile.json": SeccompProfile.allowed_in_docker_document,
+    "sidecar.json": lambda doc: read_sidecar(doc, "suspicious_indirect"),
+    "profile.json": lambda doc: SeccompProfile.allowed_in_docker_document(doc, {"read"}),
 }
 
 
@@ -222,7 +250,7 @@ def test_trace_counts_equal_the_line_by_line_reference(texts):
 
 
 def _simple_mapping(entries, unresolved=0):
-    doc = {"format": 3, "call_graph": {}, "hosts": {}, "apis": {}}
+    doc = {"format": 4, "libraries": {}, "call_graph": {}, "hosts": {}, "apis": {}}
     for api, syscalls in entries.items():
         doc["apis"][api] = {
             "entry_function": api,
@@ -237,7 +265,8 @@ def _simple_mapping(entries, unresolved=0):
 
 def _blocked(profile, table):
     """The table entries that the profile's Docker document does not allow."""
-    return table.names - SeccompProfile.allowed_in_docker_document(profile.to_docker_document())
+    return table.names - SeccompProfile.allowed_in_docker_document(
+        profile.to_docker_document(), table.names)
 
 
 def test_profile_partition_sizes(seed_table):
