@@ -17,7 +17,7 @@ from pathlib import Path
 from . import packaged_data
 from .callgraph import build_direct_fcg, build_indirect_edges, merge
 from .cve import load_cve_dataset, report_document
-from .disasm import extract_plt_imports, function_extents, header_extents, parse_disassembly
+from .disasm import extract_plt_imports, header_extents, parse_disassembly
 from .errors import AnalysisError, ParseError
 from .profilegen import (
     ApiSyscallMapping,
@@ -135,9 +135,8 @@ def _library_offsets(args, memmap, mapping: ApiSyscallMapping):
     library is named by its file stem, so two files may not share one, and
     each needs a `lib` line; both are checked before any file is parsed.
     When a file's sha256 is the one that the mappings list for its library,
-    `analyze` validated its text, and the headers alone give the extents.
-    Any other file is validated, so that a malformed one fails as it does
-    in `analyze`, and then rejected."""
+    `analyze` validated its text, and the headers alone give the extents;
+    any other file is rejected unparsed."""
     paths: dict[str, str] = {}
     for path in args.lib_disasm:
         stem = Path(path).stem
@@ -154,16 +153,14 @@ def _library_offsets(args, memmap, mapping: ApiSyscallMapping):
     offsets = {}
     for stem, path in paths.items():
         (text, digest), listed = texts[stem], mapping.libraries.get(stem)
-        if digest == listed:
-            offsets[stem] = _parsed(path, header_extents, text)
-            continue
-        _parsed(path, function_extents, text)
-        where = f"--mapping {', '.join(args.mapping)}"
-        if listed is None:
-            raise ParseError(f"{path}: no library {stem!r} in {where}; "
-                             "re-run `syscage analyze` on this file")
-        raise ParseError(f"{path}: sha256 {digest}, not {listed} as in {where}: "
-                         "not the SDIS that `syscage analyze` read")
+        if digest != listed:
+            where = f"--mapping {', '.join(args.mapping)}"
+            if listed is None:
+                raise ParseError(f"{path}: no library {stem!r} in {where}; "
+                                 "re-run `syscage analyze` on this file")
+            raise ParseError(f"{path}: sha256 {digest}, not {listed} as in {where}: "
+                             "not the SDIS that `syscage analyze` read")
+        offsets[stem] = _parsed(path, header_extents, text)
     return offsets
 
 

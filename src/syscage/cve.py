@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import AnalysisError, ParseError
+from .errors import AnalysisError, ParseError, content_lines
 
 CVE_ID_RE = re.compile(r"^CVE-[0-9]{4}-[0-9]{4,}$")  # \d would take any Unicode digit
 
@@ -30,10 +30,7 @@ def load_cve_dataset(
     text that is not read; duplicate ids are merged with their syscall sets
     unioned."""
     by_id: dict[str, CveRecord] = {}
-    for lineno, line in enumerate(text.split("\n"), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         fields = stripped.split("\t")
         cve_id = fields[0].strip()
         if not CVE_ID_RE.match(cve_id):

@@ -15,13 +15,11 @@ than skipped, so broken fixtures surface immediately.
 The regular-expression engine reads the lines, not a Python loop: one
 possessive match takes a header and every blank or instruction line of its
 body, keeping no backtracking state, one `findall` takes their addresses,
-and one search finds their `call`, `callq` and `syscall` lines.  Two
-readers share the one validating loop: `function_extents` stops at each
-function's extent, and `parse_disassembly` also looks for its sites.
-`header_extents` gives the same extents from one scan for headers, with no
-validation, for a text known to be valid.  No instruction is decoded here:
-a function holding a `syscall` keeps its body text, which
-`sysnum.resolve_numbers` reads.
+and one search finds their `call`, `callq` and `syscall` lines.
+`parse_disassembly` validates every line this way.  `header_extents` reads
+only the headers of a text known to be valid, and decides where each
+function ends.  No instruction is decoded here: a function holding a
+`syscall` keeps its body text, which `sysnum.resolve_numbers` reads.
 """
 
 from __future__ import annotations
@@ -127,9 +125,9 @@ def _check_addresses(text: str, lo: int, hi: int, last: int) -> int:
 
 
 def _functions(text: str):
-    """Each function of SDIS `text` in text order, as (symbol, start, end,
-    lo, hi) with its body lines in text[lo:hi], once its header and every
-    line of its body are validated."""
+    """Each function of SDIS `text` in text order, as (symbol, lo, hi) with
+    its body lines in text[lo:hi], once its header and every line of its
+    body are validated."""
     pos = first.start() if (first := _FIRST_LINE.search(text)) else len(text)
     last = -1  # the highest address so far; -1 before the first function
     for m in FUNCTION_RE.finditer(text, pos):
@@ -142,47 +140,39 @@ def _functions(text: str):
         lo, hi = m.span(3)
         # one below `start`, so that the check also rejects an address below it
         last = max(_check_addresses(text, lo, hi, start - 1), start)
-        yield symbol, start, last + 1, lo, hi
+        yield symbol, lo, hi
         pos = hi + 1  # past the `\n` after the body, or past the text's end
     if pos < len(text):
         raise _bad_line(text, pos, last >= 0)
 
 
-def function_extents(text: str) -> list[tuple[str, int, int]]:
-    """(name, start, end) of each function of SDIS `text`, every line
-    validated as `parse_disassembly` does, but no site looked for."""
-    return [(symbol, start, end) for symbol, start, end, _, _ in _functions(text)]
-
-
 def header_extents(text: str) -> list[tuple[str, int, int]]:
     """(name, start, end) of each function of SDIS `text` that has been
-    validated already, read from the headers alone: equal to
-    `function_extents` on every text that `parse_disassembly` accepts.
+    validated already, read from the headers alone, in text order.
 
-    In such a text only a header starts with a hex digit, and a body line
-    holds a `:\\t` exactly when it is an instruction line, whose address is
-    what comes before its first `:\\t`.  So a function ends one past the
-    address of the last body line holding one, or one past its start when
-    no line does.  On any other text this returns some extents or raises
-    ParseError."""
+    Each function ends at the next one's start, so that the return address
+    of a trailing call (to a function that does not return) still lies in
+    the caller.  The last one ends one past the address of its last
+    instruction line, or one past its start when it has none: in a valid
+    text only a header starts with a hex digit, and a body line holds a
+    `:\\t` exactly when it is an instruction line, whose address is what
+    comes before its first `:\\t`.  On any other text this returns some
+    extents or raises ParseError."""
     headers = list(HEADER_RE.finditer(text))
     if (first := OPENING_HEADER_RE.match(text)) is not None:
         headers.insert(0, first)
-    extents = []
-    for i, h in enumerate(headers):
-        start, body = int(h.group(1), 16), h.end()  # the body's lines follow the header
-        stop = headers[i + 1].start() if i + 1 < len(headers) else len(text)
-        tab = text.rfind(":\t", body, stop)
-        if tab < 0:
-            extents.append((h.group(2), start, start + 1))
-            continue
+    if not headers:
+        return []
+    starts = [int(h.group(1), 16) for h in headers]
+    end, body = starts[-1] + 1, headers[-1].end()  # the body's lines follow the header
+    if (tab := text.rfind(":\t", body)) >= 0:
         line = text.rfind("\n", body, tab) + 1
         address = text[line:text.find(":\t", line)].strip()  # int() strips less
         try:
-            extents.append((h.group(2), start, int(address, 16) + 1))
+            end = int(address, 16) + 1
         except ValueError:
             raise ParseError(f"line {_lineno(text, line)}: bad address {address!r}") from None
-    return extents
+    return list(zip([h.group(2) for h in headers], starts, starts[1:] + [end]))
 
 
 def parse_disassembly(text: str) -> DisasmUnit:
@@ -194,7 +184,7 @@ def parse_disassembly(text: str) -> DisasmUnit:
     text.
     """
     unit = DisasmUnit()
-    for symbol, _, _, lo, hi in _functions(text):
+    for symbol, lo, hi in _functions(text):
         sites = len(unit.syscall_sites)
         for s in SITE_RE.finditer(text, lo, hi):
             line = text.rfind("\n", lo, s.start()) + 1

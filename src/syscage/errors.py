@@ -1,7 +1,8 @@
 """ParseError: an input is malformed (exit code 2).  AnalysisError: the
 inputs are well formed but the analysis cannot use them (exit code 3).  A
 message says what failed and, where there is one, where.  Also the checks of
-JSON document shapes, which raise ParseError."""
+JSON document shapes, which raise ParseError, and the line rule of the
+line-based inputs."""
 
 
 class ParseError(Exception):
@@ -35,3 +36,14 @@ def expect_names(value, what: str, *args) -> list[str]:
     except TypeError:
         raise ParseError(f"{what.format(*args)} is not an array of strings") from None
     return value
+
+
+def content_lines(text: str):
+    """(N, line) for each line of `text` that is neither blank nor a `#`
+    comment, stripped of its whitespace.  Lines end at `\\n` alone, and N
+    counts them from 1, so that `line N` of an error is the text's N-th such
+    line."""
+    for lineno, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped

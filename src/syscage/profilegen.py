@@ -158,16 +158,21 @@ class SeccompProfile:
         """The syscall names that a Docker profile lets run: those that a
         rule with an action in RUN_ACTIONS names and, when the default
         action is one of them, every name of `names` that no other rule
-        names."""
+        stops.  A rule with `args` conditions stops only the calls that
+        meet them, so it stops no name."""
         doc = expect_json(doc, dict, "profile")
         default = expect_json(doc.get("defaultAction", MISSING), str, "profile defaultAction")
         rules = expect_json(doc.get("syscalls", []), list, "profile syscalls")
         run: set[str] = set()
         stop: set[str] = set()
         for i, rule in enumerate(rules):
-            action = expect_json(rule, dict, "profile syscalls[{}]", i).get("action")
-            (run if action in RUN_ACTIONS else stop).update(
-                expect_names(rule.get("names", []), "profile syscalls[{}] names", i))
+            rule = expect_json(rule, dict, "profile syscalls[{}]", i)
+            listed = expect_names(rule.get("names", []), "profile syscalls[{}] names", i)
+            conditions = expect_json(rule.get("args", []), list, "profile syscalls[{}] args", i)
+            if rule.get("action") in RUN_ACTIONS:
+                run.update(listed)
+            elif not conditions:
+                stop.update(listed)
         return run | (names - stop) if default in RUN_ACTIONS else run
 
     def sidecar_document(self, mapping_sha256: list[str]) -> dict:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .disasm import CALL_MNEMONICS, DisasmUnit, FunctionRecord, SyscallSite
-from .errors import ParseError
+from .errors import ParseError, content_lines
 
 MASK32 = 0xFFFFFFFF
 
@@ -110,10 +110,7 @@ def load_syscall_table(text: str) -> SyscallTable:
     Rows of the x32 ABI are skipped: they repeat 64-bit names."""
     number_to_name: dict[int, str] = {}
     names: set[str] = set()
-    for lineno, line in enumerate(text.split("\n"), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         fields = stripped.split()
         if len(fields) < 3:
             raise ParseError(f"line {lineno}: expected <num> <abi> <name>")

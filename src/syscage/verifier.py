@@ -5,6 +5,8 @@ RIP/RSP, and the raw stack words read upward from RSP.  The verifier
 reconstructs the invocation path by scanning those words against the
 in-memory function layout and looks in it for a walk of the library's call
 graph from an API that can issue the syscall to a function that issues it.
+The layout is each library's extents as `disasm.header_extents` gives them,
+rebased onto the library's `lib` line by `locate_functions`.
 
 An event line is `<tag> <syscall> rip=<hex> rsp=<hex> stack=<hex>,...`, each
 address lowercase hex with an optional `0x`.  Lines end at `\n` only; the
@@ -13,7 +15,7 @@ is blank and skipped.  `run_event_trace` reads the text in one scan, one
 match of `EVENT_LINE_RE` per line, and rejects a line that is not an event
 in time linear in its length, however long a run of whitespace, of tag
 characters or of stack commas it holds.  Empty stack words are skipped and
-only the first 512 are scanned (`DEFAULT_SCAN_LIMIT`), but any malformed
+only the first 512 are scanned (`SCAN_LIMIT`), but any malformed
 word rejects the whole trace (`parse_event_line`).  Every word is checked,
 but converted to an integer only for events of the target that issue a
 suspicious syscall not yet matched: no other verdict reads them.
@@ -29,9 +31,9 @@ from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import AnalysisError, ParseError
+from .errors import AnalysisError, ParseError, content_lines
 
-DEFAULT_SCAN_LIMIT = 512
+SCAN_LIMIT = 512
 
 ALLOW = "Allow"
 DENY = "Deny"
@@ -125,10 +127,7 @@ def parse_memory_map(text: str) -> MemoryMap:
     """Lines: `lib <name> <base> <size>`, `stack <lo> <hi>`, `code <lo> <hi>`,
     at most one of each (one `lib` line per name)."""
     regions: dict[tuple[str, ...], range] = {}  # ("stack",), ("code",), ("lib", name)
-    for lineno, line in enumerate(text.split("\n"), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         fields = stripped.split()
         try:
             if fields[0] == "lib" and len(fields) == 4:
@@ -165,24 +164,19 @@ def _check_regions(regions: list[range]) -> None:
 def locate_functions(
     memmap: MemoryMap, offsets: dict[str, list[tuple[str, int, int]]]
 ) -> FunctionAddressTable:
-    """Rebase per-library static offsets onto the load addresses.  Each
-    function extends to the start of the next function of its library, so
-    that the return address of a trailing call (to a function that does not
-    return) still lies in the caller; the last function keeps its end.
-    Only the libraries that have a `lib` line are read from `offsets`; a
-    `lib` line needs no offsets."""
+    """Rebase per-library static offsets, each library's extents as
+    `disasm.header_extents` gives them, onto the load addresses.  Only the
+    libraries that have a `lib` line are read from `offsets`; a `lib` line
+    needs no offsets."""
     entries = []
     for name, region in memmap.libraries:
         base, size = region.start, region.stop - region.start
-        funcs = sorted(offsets.get(name, []), key=lambda f: f[1])
-        for i, (fname, start, end) in enumerate(funcs):
+        for fname, start, end in offsets.get(name, ()):
             if end > size:
                 raise AnalysisError(
                     f"function {fname} [{start:#x},{end:#x}) exceeds the size "
                     f"{size:#x} that the memory map gives library {name}"
                 )
-            if i + 1 < len(funcs):
-                end = funcs[i + 1][1]
             entries.append((fname, base + start, base + end))
     return FunctionAddressTable(entries)
 
@@ -280,11 +274,10 @@ def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
     return Verdict(DENY, NO_PATH_MATCH, path)
 
 
-def parse_event_line(m: re.Match, ctx: VerifierContext,
-                     scan_limit: int = DEFAULT_SCAN_LIMIT) -> SyscallEvent:
+def parse_event_line(m: re.Match, ctx: VerifierContext) -> SyscallEvent:
     """The event of a line, given as its `EVENT_LINE_RE` match; a bad or a
     blank line raises ParseError.  Every stack word is validated, also past
-    `scan_limit`, but words are converted only when `ctx.may_walk` holds, for
+    `SCAN_LIMIT`, but words are converted only when `ctx.may_walk` holds, for
     events of the target that issue a suspicious syscall not yet matched;
     others get `stack_words == ()`.  Parse each line just before verifying
     it, so that the cache is current; a checked event then pays its
@@ -295,7 +288,7 @@ def parse_event_line(m: re.Match, ctx: VerifierContext,
     words = ()
     try:
         if ctx.may_walk(tag, name):
-            words = tuple(map(int, filter(None, stack.split(",")), repeat(16)))[:scan_limit]
+            words = tuple(map(int, filter(None, stack.split(",")), repeat(16)))[:SCAN_LIMIT]
         elif "x" in stack and not all(map(ADDRESS_RE.fullmatch, filter(None, stack.split(",")))):
             raise ValueError(stack)  # the pattern leaves only words with an `x` to check
         return SyscallEvent(tag, name, int(rip, 16), int(rsp, 16), words)
@@ -303,9 +296,7 @@ def parse_event_line(m: re.Match, ctx: VerifierContext,
         raise ParseError(f"bad address in event line {m[0].strip()!r}") from exc
 
 
-def run_event_trace(
-    text: str, ctx: VerifierContext, scan_limit: int = DEFAULT_SCAN_LIMIT
-) -> tuple[list[Verdict], Counter]:
+def run_event_trace(text: str, ctx: VerifierContext) -> tuple[list[Verdict], Counter]:
     """One verdict per event line, in order, plus counts by reason.  The
     lines are the matches of one scan of `text`; a line's number is counted
     only when it is rejected."""
@@ -314,7 +305,7 @@ def run_event_trace(
         if m.lastindex is None:  # a blank line
             continue
         try:
-            event = parse_event_line(m, ctx, scan_limit)
+            event = parse_event_line(m, ctx)
         except ParseError as exc:
             lineno = text.count("\n", 0, m.start()) + 1
             raise ParseError(f"line {lineno}: {exc}") from exc

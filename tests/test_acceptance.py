@@ -13,7 +13,7 @@ from syscage.disasm import (
     INDIRECT,
     CallSite,
     SyscallSite,
-    function_extents,
+    header_extents,
     parse_disassembly,
 )
 from syscage.profilegen import ApiSyscallMapping, generate_profile
@@ -156,7 +156,7 @@ def test_cve_seed_counts():
 def test_verifier_conformance(data_dir):
     memmap = parse_memory_map((data_dir / "memmap.txt").read_text())
     table = locate_functions(
-        memmap, {"minilib": function_extents((data_dir / "minilib.sdis").read_text())})
+        memmap, {"minilib": header_extents((data_dir / "minilib.sdis").read_text())})
     base = 0x7F0000000000
     secure = walk_sets({"open": [("open@@GLIBC_2.2.5", "dispatch", "open_handler")]})
     ctx = VerifierContext(

@@ -266,12 +266,18 @@ def test_malformed_lib_disasm_fails_verify_as_it_fails_analyze(data_dir, tmp_pat
     lib = tmp_path / "minilib.sdis"  # the stem of the memory map's `lib` line
     lib.write_bytes((data_dir / "minilib.sdis").read_bytes() + b"    1000:\tnop\n")
     line = lib.read_bytes().count(b"\n")
-    expected = f"syscage: parse error: {lib}: line {line}: address 0x1000 does not increase\n"
     code = main(["analyze", str(lib), str(data_dir / "minilib.facts.json"),
                  "-o", str(tmp_path / "m.json")])
-    assert (code, capsys.readouterr().err) == (2, expected)
+    assert (code, capsys.readouterr().err) == (
+        2, f"syscage: parse error: {lib}: line {line}: address 0x1000 does not increase\n")
+    # verify parses no SDIS that its mapping does not vouch for, so a
+    # malformed one exits 2 as another sha256
     code, _ = _verify_golden(data_dir, tmp_path, lib=lib)
-    assert (code, capsys.readouterr().err) == (2, expected)
+    golden = data_dir / "golden" / "mapping.json"
+    assert (code, capsys.readouterr().err) == (2, (
+        f"syscage: parse error: {lib}: sha256 {_sha256(lib)}, "
+        f"not {_sha256(data_dir / 'minilib.sdis')} as in --mapping {golden}: "
+        "not the SDIS that `syscage analyze` read\n"))
 
 
 def _shifted(text: str, by: int) -> str:
@@ -314,12 +320,12 @@ def test_a_lib_disasm_that_no_mapping_lists_is_rejected(data_dir, tmp_path, caps
     assert capsys.readouterr().err == (
         f"syscage: parse error: {lib}: no library 'otherlib' in --mapping "
         f"{golden / 'mapping.json'}; re-run `syscage analyze` on this file\n")
-    # validated first: a malformed unlisted file fails as `analyze` fails on it
+    # a malformed unlisted file gets the same message: it is never parsed
     lib.write_bytes(lib.read_bytes() + b"junk\n")
     assert main(argv) == 2
-    line = lib.read_bytes().count(b"\n")
     assert capsys.readouterr().err == (
-        f"syscage: parse error: {lib}: line {line}: bad function header: 'junk'\n")
+        f"syscage: parse error: {lib}: no library 'otherlib' in --mapping "
+        f"{golden / 'mapping.json'}; re-run `syscage analyze` on this file\n")
 
 
 def test_a_sidecar_made_from_another_mapping_is_rejected(data_dir, tmp_path, capsys):
@@ -355,22 +361,45 @@ def test_two_digests_of_one_library_are_an_analysis_error(data_dir, tmp_path, ca
         f"{doc['libraries']['minilib']}, {'0' * 64}\n"))
 
 
+def _validate(text):
+    """In place of `disasm._functions`, the loop that validates every line."""
+    raise AssertionError("validated every line")
+    yield
+
+
 def test_verify_reads_a_vouched_lib_disasm_by_its_headers(data_dir, tmp_path, monkeypatch):
     """The mapping lists the sha256 of the fixture SDIS, so verify reads its
     extents from the headers and never runs the validating loop; analyze
     does."""
     import syscage.disasm
 
-    def validate(text):
-        raise AssertionError("validated every line")
-        yield
-
-    monkeypatch.setattr(syscage.disasm, "_functions", validate)
+    monkeypatch.setattr(syscage.disasm, "_functions", _validate)
     code, log = _verify_golden(data_dir, tmp_path)
     assert code == 0
     assert log.read_bytes() == (data_dir / "golden" / "verdicts.log").read_bytes()
     with pytest.raises(AssertionError, match="validated every line"):
         _analyze(data_dir, tmp_path)
+
+
+def test_verify_rejects_an_unvouched_lib_disasm_unparsed(data_dir, tmp_path, monkeypatch,
+                                                         capsys):
+    """An SDIS whose sha256 the mapping does not list exits 2 on its digest
+    alone, well formed (shifted) or not, and the validating loop never runs."""
+    import syscage.disasm
+
+    monkeypatch.setattr(syscage.disasm, "_functions", _validate)
+    text = (data_dir / "minilib.sdis").read_text()
+    golden = data_dir / "golden" / "mapping.json"
+    for name, spoilt in (("shifted", _shifted(text, 0x1000)), ("malformed", text + "junk\n")):
+        lib = tmp_path / name / "minilib.sdis"
+        lib.parent.mkdir()
+        lib.write_text(spoilt)
+        code, log = _verify_golden(data_dir, tmp_path, lib=lib)
+        assert (code, capsys.readouterr().err) == (2, (
+            f"syscage: parse error: {lib}: sha256 {_sha256(lib)}, "
+            f"not {_sha256(data_dir / 'minilib.sdis')} as in --mapping {golden}: "
+            "not the SDIS that `syscage analyze` read\n"))
+        assert not log.exists()
 
 
 @contextmanager

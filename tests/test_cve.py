@@ -187,3 +187,22 @@ def test_cve_reads_what_a_profile_lets_run(tmp_path, capsys, seed_records):
     assert main(["cve", str(profile), "-o", str(report)]) == 2
     assert capsys.readouterr().err == (
         f"syscage: parse error: {profile}: profile defaultAction is missing\n")
+
+
+def test_a_rule_with_args_conditions_mitigates_nothing(tmp_path, capsys):
+    """A rule that stops `ioctl` for one request only stops no CVE's
+    syscall, while the same rule without `args` mitigates the 29 `ioctl`
+    CVEs; an `args` that is not an array is a parse error naming the rule."""
+    profile, report = tmp_path / "profile.json", tmp_path / "report.json"
+    rule = {"names": ["ioctl"], "action": "SCMP_ACT_ERRNO"}
+    args = [{"index": 1, "value": 21505, "op": "SCMP_CMP_EQ"}]
+    for spec, count in (({"args": args}, 0), ({"args": []}, 29), ({}, 29), ({"args": {}}, None)):
+        profile.write_text(json.dumps({"defaultAction": "SCMP_ACT_ALLOW",
+                                       "syscalls": [{**rule, **spec}]}))
+        code = main(["cve", str(profile), "-o", str(report)])
+        if count is None:
+            assert code == 2
+            assert capsys.readouterr().err == (f"syscage: parse error: {profile}: "
+                                               "profile syscalls[0] args is not an array\n")
+        else:
+            assert code == 0 and json.loads(report.read_text())["count"] == count

@@ -16,7 +16,6 @@ from syscage.disasm import (
     CallSite,
     SyscallSite,
     extract_plt_imports,
-    function_extents,
     header_extents,
     parse_disassembly,
 )
@@ -41,7 +40,7 @@ def test_api_export_header():
     # objdump's label for code before or after a symbol is not an export
     for label in ("abort@@GLIBC_2.2.5-0x1f", "abort@@GLIBC_2.2.5+0x8"):
         assert parse_disassembly(f"0000000000001000 <{label}>:\n").functions[0].api_name is None
-    assert function_extents(text) == [("read@@GLIBC_2.2.5", 0x1130, 0x1136)]
+    assert header_extents(text) == [("read@@GLIBC_2.2.5", 0x1130, 0x1136)]
     assert [i.mnemonic for i in decode_instructions(fn.body)] == ["mov", "syscall"]
 
 
@@ -205,7 +204,7 @@ def test_a_long_body_is_one_match_in_little_memory():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert unit.syscall_sites == [SyscallSite("f", 0x19c40)]
-    assert function_extents(text) == [("f", 0x10000, 0x19c41)]
+    assert header_extents(text) == [("f", 0x10000, 0x19c41)]
 
 
 def test_overlapping_functions():
@@ -225,7 +224,7 @@ def test_overlapping_functions():
     ):
         with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
             parse_disassembly(text)
-    extents = function_extents(f + "0000000000001005 <g>:\n    1005:\tsyscall\n")
+    extents = header_extents(f + "0000000000001005 <g>:\n    1005:\tsyscall\n")
     assert extents == [("f", 0x1000, 0x1005), ("g", 0x1005, 0x1006)]
 
 
@@ -275,7 +274,7 @@ def test_parse_is_deterministic(data_dir):
 
 def test_every_instruction_inside_its_function(data_dir, minilib_unit):
     hosts = {s.function for s in minilib_unit.syscall_sites}
-    extents = function_extents((data_dir / "minilib.sdis").read_text())
+    extents = header_extents((data_dir / "minilib.sdis").read_text())
     checked = 0
     for fn, (name, start, end) in zip(minilib_unit.functions, extents, strict=True):
         assert fn.canonical_name == name
@@ -390,7 +389,7 @@ def test_long_bodies_equal_the_reference():
                 parse_disassembly(text)
             continue
         assert _read_view(parse_disassembly(text)) == _read_view(expected)
-        assert function_extents(text) == _extents(expected)
+        assert header_extents(text) == _extents(expected)
     assert errors == ["line 1202: address 0x144c does not increase",
                       "line 2202: bad instruction line: '    1898:\\tmov\\t$0x27, %eax'"]
 
@@ -398,7 +397,7 @@ def test_long_bodies_equal_the_reference():
 def test_decoding_on_demand_equals_the_reference_on_the_workloads(monkeypatch):
     """Every SDIS file of both benchmark workloads at seed 1: the same
     functions and sites, and the same instructions of each syscall host;
-    and the same extents from `function_extents`."""
+    and the same extents from `header_extents`."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import gen
 
@@ -408,7 +407,7 @@ def test_decoding_on_demand_equals_the_reference_on_the_workloads(monkeypatch):
                 unit, expected = parse_disassembly(text), parse_disassembly_reference(text)
                 assert _read_view(unit) == _read_view(expected), path
                 assert any(map(_instructions, unit.functions)) == bool(unit.syscall_sites)
-                assert function_extents(text) == _extents(expected), path
+                assert header_extents(text) == _extents(expected), path
 
 
 @settings(max_examples=300, deadline=None)
@@ -445,15 +444,20 @@ def test_parse_equals_the_line_by_line_reference(text):
         return
     unit = parse_disassembly(text)
     assert _read_view(unit) == _read_view(expected)
-    assert function_extents(text) == _extents(expected)
+    assert header_extents(text) == _extents(expected)
     kept = [bool(_instructions(f)) for f in unit.functions]
     assert kept == [any(i.mnemonic == "syscall" for i in f.instructions)
                     for f in expected.functions]
 
 
 def _extents(unit):
-    """The extent of each function of a unit of the reference parser."""
-    return [(f.canonical_name, f.start, f.end) for f in unit.functions]
+    """The extent of each function of a unit of the reference parser, as
+    `header_extents` gives it: each end but the last moved to the next
+    function's start, which the reference puts at or above that end."""
+    functions = unit.functions
+    ends = [f.start for f in functions[1:]] + [f.end for f in functions[-1:]]
+    assert all(f.end <= end for f, end in zip(functions, ends))
+    return [(f.canonical_name, f.start, end) for f, end in zip(functions, ends)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -462,17 +466,15 @@ def _extents(unit):
 @example(text="0000000000001000 <f>:\n    1000:\tnop\n    1000:\tnop\n")
 @example(text="0000000000001000 <f>:\n    1004:\tnop\n0000000000001002 <g>:\n")
 def test_extents_equal_those_of_the_full_parse(text):
-    """`function_extents` validates what `parse_disassembly` does: one extent
-    per function, in order, or the same error."""
+    """On a text that `parse_disassembly` accepts, `header_extents` gives one
+    extent per function, in order: those of the reference parser."""
     try:
         unit = parse_disassembly(text)
-    except ParseError as exc:
-        with pytest.raises(ParseError) as got:
-            function_extents(text)
-        assert str(got.value) == str(exc)
+    except ParseError:
         return
-    assert [name for name, _, _ in function_extents(text)] == \
-        [f.canonical_name for f in unit.functions]
+    extents = header_extents(text)
+    assert [name for name, _, _ in extents] == [f.canonical_name for f in unit.functions]
+    assert extents == _extents(parse_disassembly_reference(text))
 
 
 # whitespace inside a line, `\x0c` and `\r` among it
@@ -519,7 +521,7 @@ def _valid_sdis(draw):
               "0000000000001008 <h>:\n")
 def test_header_extents_equal_the_validated_extents(text):
     parse_disassembly(text)  # valid by construction
-    assert header_extents(text) == function_extents(text)
+    assert header_extents(text) == _extents(parse_disassembly_reference(text))
 
 
 @settings(max_examples=300, deadline=None)
@@ -528,13 +530,13 @@ def test_header_extents_equal_the_validated_extents(text):
 @example(text="0000000000001000 <f>:\n\x1c:\tnop\n")
 def test_header_extents_raise_only_parse_errors(text):
     """On any text, `header_extents` returns or raises ParseError, and on one
-    that `function_extents` accepts it gives the same extents."""
+    that the reference parser accepts it gives the reference's extents."""
     try:
         got = header_extents(text)
     except ParseError:
         got = None
     try:
-        expected = function_extents(text)
+        expected = _extents(parse_disassembly_reference(text))
     except ParseError:
         return
     assert got == expected

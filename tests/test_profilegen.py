@@ -149,6 +149,22 @@ def test_a_default_that_runs_allows_what_no_other_rule_names(default):
     assert SeccompProfile.allowed_in_docker_document(doc, names) == {"write"}
 
 
+def test_only_a_rule_without_args_stops_its_names():
+    names = {"ioctl", "read", "write"}
+    args = [{"index": 1, "value": 21505, "op": "SCMP_CMP_EQ"}]
+    doc = {"defaultAction": "SCMP_ACT_ALLOW", "syscalls": [
+        {"names": ["ioctl"], "action": "SCMP_ACT_ERRNO", "args": args},
+        {"names": ["read"], "action": "SCMP_ACT_KILL", "args": []}]}
+    assert SeccompProfile.allowed_in_docker_document(doc, names) == {"ioctl", "write"}
+    # a rule that lets a call run counts with or without `args`
+    doc["defaultAction"] = "SCMP_ACT_KILL"
+    doc["syscalls"].append({"names": ["write"], "action": "SCMP_ACT_ALLOW", "args": args})
+    assert SeccompProfile.allowed_in_docker_document(doc, names) == {"write"}
+    doc["syscalls"][1]["args"] = "none"
+    with pytest.raises(ParseError, match=r"^profile syscalls\[1\] args is not an array$"):
+        SeccompProfile.allowed_in_docker_document(doc, names)
+
+
 def test_a_profile_without_a_default_action_is_a_parse_error():
     with pytest.raises(ParseError, match="^profile defaultAction is missing$"):
         SeccompProfile.allowed_in_docker_document({}, {"read"})

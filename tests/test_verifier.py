@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syscage.callgraph import CallGraph
-from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, function_extents
+from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, header_extents
 from syscage.errors import AnalysisError, ParseError
 from syscage.profilegen import ApiSyscallMapping, build_mapping
 from syscage.sysnum import ResolvedSyscallSite
 from syscage.verifier import (
     ALLOW,
     CACHE_HIT,
-    DEFAULT_SCAN_LIMIT,
     DENY,
     EVENT_LINE_RE,
     NO_PATH_MATCH,
@@ -26,6 +25,7 @@ from syscage.verifier import (
     PATH_MATCHED,
     RIP_OUT_OF_RANGE,
     RSP_OUT_OF_RANGE,
+    SCAN_LIMIT,
     UNKNOWN_SYSCALL,
     FunctionAddressTable,
     MemoryMap,
@@ -114,6 +114,15 @@ def test_locate_functions_rebases():
     assert table.find(BASE + 0x1030) is None
 
 
+def test_locate_functions_keeps_every_end():
+    # the extents are rebased as they are: a gap after a function stays one
+    offsets = {"lib": [("g", 0x20, 0x30), ("f", 0x10, 0x18)]}
+    table = locate_functions(_memmap(), offsets)
+    assert (table.names, table.ends) == (["f", "g"], [BASE + 0x18, BASE + 0x30])
+    assert table.find(BASE + 0x17) == "f"
+    assert table.find(BASE + 0x18) is None
+
+
 def test_locate_functions_empty():
     table = locate_functions(_memmap(), {})
     assert (table.names, table.starts, table.ends) == ([], [], [])
@@ -168,19 +177,26 @@ def _reconstruct_reference(event, table, memmap):
     return tuple(path)
 
 
+def _extents(draw, library, size):
+    """Up to four extents in a library of `size` bytes, in address order,
+    each ending at or below the next one's start, as `header_extents` gives
+    them, but maybe short of it."""
+    starts = sorted(draw(st.sets(st.integers(0, size - 1), max_size=4)))
+    return [(f"{library}.f{i}", start, draw(st.integers(start + 1, stop)))
+            for i, (start, stop) in enumerate(zip(starts, starts[1:] + [size]))]
+
+
 @st.composite
 def _scan_cases(draw):
-    """Two adjacent libraries of random functions, a code segment that
-    starts right at the second library's end or lies below the first, and
-    stack words drawn mostly from the boundaries: function starts and ends,
-    the code segment's ends and 0."""
+    """Two adjacent libraries of random functions that do not overlap, a
+    code segment that starts right at the second library's end or lies below
+    the first, and stack words drawn mostly from the boundaries: function
+    starts and ends, the code segment's ends and 0."""
     base = first = draw(st.integers(1, 16)) * 0x100
     libraries, offsets = [], {}
     for name in ("liba", "libb"):
         size = draw(st.integers(1, 0x40))
-        starts = sorted(draw(st.sets(st.integers(0, size - 1), max_size=4)))
-        offsets[name] = [(f"{name}.f{i}", start, draw(st.integers(start + 1, size)))
-                         for i, start in enumerate(starts)]
+        offsets[name] = _extents(draw, name, size)
         libraries.append((name, range(base, base + size)))
         base += size
     if draw(st.booleans()):
@@ -208,17 +224,16 @@ def test_reconstruct_equals_find_and_region_reference(case):
 @st.composite
 def _gapped_cases(draw):
     """Two to four libraries with gaps between them, each with up to four
-    functions, or an empty table; a code segment anywhere; and stack words
-    drawn mostly from the boundaries: each function's start and end, the
-    span's ends `lo` and `hi`, and the code segment's."""
+    functions that do not overlap, or an empty table; a code segment
+    anywhere; and stack words drawn mostly from the boundaries: each
+    function's start and end, the span's ends `lo` and `hi`, and the code
+    segment's."""
     base = draw(st.integers(1, 16)) * 0x100
     libraries, offsets = [], {}
     for k in range(draw(st.integers(2, 4))):
         base += draw(st.integers(1, 0x40))  # the gap before the library
         size = draw(st.integers(1, 0x40))
-        starts = sorted(draw(st.sets(st.integers(0, size - 1), max_size=4)))
-        offsets[f"lib{k}"] = [(f"lib{k}.f{i}", start, draw(st.integers(start + 1, size)))
-                              for i, start in enumerate(starts)]
+        offsets[f"lib{k}"] = _extents(draw, f"lib{k}", size)
         libraries.append((f"lib{k}", range(base, base + size)))
         base += size
     if draw(st.integers(0, 4)) == 0:
@@ -334,7 +349,7 @@ def test_subsequence_equivalence_with_bruteforce():
 def test_return_address_after_a_trailing_call_keeps_its_caller():
     # api ends in a call to host, which does not return: the return address
     # 0x100b + 5 lies past api's last instruction, at host's first byte
-    extents = function_extents(
+    extents = header_extents(
         "0000000000001000 <api@@V_1>:\n"
         "    1000:\tpush\t%rbp\n"
         "    100b:\tcallq\t1010 <host>\n"
@@ -511,7 +526,7 @@ def _parse_ctx(line, step):
     return ctx
 
 
-def _parsed(line, step, scan_limit=DEFAULT_SCAN_LIMIT):
+def _parsed(line, step):
     """The event of `line`, stripped, under a context of `step`, or the
     ParseError's message.  A trace splits lines at `\n`, so a `line` with
     one inside is several lines, and is reported as such."""
@@ -519,7 +534,7 @@ def _parsed(line, step, scan_limit=DEFAULT_SCAN_LIMIT):
     if m is None:
         return "several lines"
     try:
-        return parse_event_line(m, _parse_ctx(line, step), scan_limit)
+        return parse_event_line(m, _parse_ctx(line, step))
     except ParseError as exc:
         return str(exc)
 
@@ -540,8 +555,9 @@ def test_parse_event_line_empty_stack():
 
 
 def test_parse_event_scan_limit():
-    line = "t read rip=1 rsp=2 stack=" + ",".join(["1"] * 20)
-    assert len(_parsed(line, "walks", scan_limit=5).stack_words) == 5
+    words = range(1, SCAN_LIMIT + 2)
+    line = "t read rip=1 rsp=2 stack=" + ",".join(f"{w:x}" for w in words)
+    assert _parsed(line, "walks").stack_words == tuple(words[:SCAN_LIMIT])
 
 
 def test_parse_event_malformed():
@@ -615,12 +631,12 @@ def _mutated_event_line(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(line=st.text() | _mutated_event_line(), scan_limit=st.integers(1, 5))
-def test_parse_event_line_equals_reference(line, scan_limit):
+@given(line=st.text() | _mutated_event_line())
+def test_parse_event_line_equals_reference(line):
     """Every context accepts or rejects the same lines, with the same
     message; only a walking one converts the stack words."""
-    expected = parse_event_reference(line, scan_limit)
-    got = {step: _parsed(line, step, scan_limit) for step in _STEPS}
+    expected = parse_event_reference(line, SCAN_LIMIT)
+    got = {step: _parsed(line, step) for step in _STEPS}
     if expected is None:
         assert all(isinstance(message, str) for message in got.values())
         assert len(set(got.values())) == 1
@@ -728,18 +744,16 @@ _READS_NO_WORD = {UNKNOWN_SYSCALL, NOT_TARGET, NOT_SUSPICIOUS, CACHE_HIT}
 @given(lines=st.lists(st.sampled_from(EVENT_LINES) | _mutated_event_line(), max_size=12),
        target=st.sampled_from(["target", "other", "t"]),
        suspicious=st.sets(st.sampled_from(["open", "read", "ioctl", "close"])),
-       cached=st.sets(st.sampled_from(["open", "read", "ioctl"])),
-       scan_limit=st.integers(1, 5))
-def test_may_walk_is_the_verdict_ladder(seed_table, lines, target, suspicious, cached,
-                                         scan_limit):
+       cached=st.sets(st.sampled_from(["open", "read", "ioctl"])))
+def test_may_walk_is_the_verdict_ladder(seed_table, lines, target, suspicious, cached):
     """Replaying with the context-aware parse gives the verdicts and the
     final cache of a replay of fully converted reference events, and every
     event whose words the parse left out ends before the stack walk."""
     lines = [line for line in lines  # valid, and one line of a trace
-             if parse_event_reference(line, scan_limit) and line.splitlines() == [line]]
+             if parse_event_reference(line, SCAN_LIMIT) and line.splitlines() == [line]]
     memmap = parse_memory_map((DATA / "memmap.txt").read_text())
     table = locate_functions(
-        memmap, {"minilib": function_extents((DATA / "minilib.sdis").read_text())})
+        memmap, {"minilib": header_extents((DATA / "minilib.sdis").read_text())})
     mapping = ApiSyscallMapping.from_document(
         json.loads((DATA / "golden" / "mapping.json").read_text()))
     entries, hosts = mapping.walk_ends()
@@ -749,16 +763,16 @@ def test_may_walk_is_the_verdict_ladder(seed_table, lines, target, suspicious, c
                                entries, hosts, table, memmap, cache=set(cached))
 
     reference = context()
-    expected = [verify_event(SyscallEvent(*parse_event_reference(line, scan_limit)), reference)
+    expected = [verify_event(SyscallEvent(*parse_event_reference(line, SCAN_LIMIT)), reference)
                 for line in lines]
     ctx = context()
-    verdicts, _ = run_event_trace("\n".join(lines), ctx, scan_limit)
+    verdicts, _ = run_event_trace("\n".join(lines), ctx)
     assert verdicts == expected
     assert ctx.cache == reference.cache
     ctx = context()
     for line, want in zip(lines, expected):
         walks = ctx.may_walk(*line.split()[:2])
-        event = parse_event_line(EVENT_LINE_RE.fullmatch(line), ctx, scan_limit)
+        event = parse_event_line(EVENT_LINE_RE.fullmatch(line), ctx)
         assert verify_event(event, ctx) == want
         assert walks or want.reason in _READS_NO_WORD
 
@@ -789,7 +803,7 @@ def _trace_text(draw):
     return text
 
 
-def _replay_reference(text, ctx, scan_limit):
+def _replay_reference(text, ctx):
     """(verdicts, counts) of a replay that splits `text` at `\n`, strips each
     line and parses it with parse_event_reference, or the ParseError's
     message."""
@@ -798,7 +812,7 @@ def _replay_reference(text, ctx, scan_limit):
         line = line.strip()
         if not line:
             continue
-        fields = parse_event_reference(line, scan_limit)
+        fields = parse_event_reference(line, SCAN_LIMIT)
         if fields is None:
             return f"line {lineno}: {event_line_error(line)}"
         verdicts.append(verify_event(SyscallEvent(*fields), ctx))
@@ -808,14 +822,14 @@ def _replay_reference(text, ctx, scan_limit):
 @settings(max_examples=300, deadline=None)
 @given(text=_trace_text(), target=st.sampled_from(["target", "other"]),
        suspicious=st.sets(st.sampled_from(["open", "read", "ioctl", "close"])),
-       cached=st.sets(st.sampled_from(["open", "read"])), scan_limit=st.integers(1, 5))
+       cached=st.sets(st.sampled_from(["open", "read"])))
 def test_run_event_trace_equals_line_by_line_replay(seed_table, text, target, suspicious,
-                                                    cached, scan_limit):
+                                                    cached):
     """The one scan of the whole text gives the verdicts, counts and final
     cache of a replay line by line, or the same ParseError at the same line."""
     memmap = parse_memory_map((DATA / "memmap.txt").read_text())
     table = locate_functions(
-        memmap, {"minilib": function_extents((DATA / "minilib.sdis").read_text())})
+        memmap, {"minilib": header_extents((DATA / "minilib.sdis").read_text())})
     mapping = ApiSyscallMapping.from_document(
         json.loads((DATA / "golden" / "mapping.json").read_text()))
     entries, hosts = mapping.walk_ends()
@@ -825,10 +839,10 @@ def test_run_event_trace_equals_line_by_line_replay(seed_table, text, target, su
                                entries, hosts, table, memmap, cache=set(cached))
 
     reference = context()
-    expected = _replay_reference(text, reference, scan_limit)
+    expected = _replay_reference(text, reference)
     ctx = context()
     try:
-        got = run_event_trace(text, ctx, scan_limit)
+        got = run_event_trace(text, ctx)
     except ParseError as exc:
         got = str(exc)
     assert got == expected
