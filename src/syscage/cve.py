@@ -23,12 +23,10 @@ class CveRecord:
     syscalls: set[str]
 
 
-def load_cve_dataset(
-    text: str, table_names: set[str] | None = None, strict: bool = False
-) -> list[CveRecord]:
+def load_cve_dataset(text: str, table_names: set[str], strict: bool = False) -> list[CveRecord]:
     """Lines: `<CVE-id>\\t<syscall[,syscall...]>[\\t<note>]`, the note free
     text that is not read; duplicate ids are merged with their syscall sets
-    unioned."""
+    unioned.  With `strict`, a syscall outside `table_names` is an error."""
     by_id: dict[str, CveRecord] = {}
     for lineno, stripped in content_lines(text):
         fields = stripped.split("\t")
@@ -38,7 +36,7 @@ def load_cve_dataset(
         if len(fields) < 2 or not fields[1].strip():
             raise ParseError(f"line {lineno}: missing syscall list")
         syscalls = {s.strip() for s in fields[1].split(",") if s.strip()}
-        if strict and table_names is not None:
+        if strict:
             unknown = sorted(syscalls - table_names)
             if unknown:
                 raise AnalysisError(f"line {lineno}: unknown syscall(s): {', '.join(unknown)}")
@@ -46,20 +44,13 @@ def load_cve_dataset(
     return list(by_id.values())
 
 
-def mitigation_report(
-    records: list[CveRecord], blocked: set[str]
-) -> tuple[set[str], dict[str, int]]:
-    """Mitigated CVE ids (any dependent syscall blocked) and, per blocked
-    syscall, the number of CVEs depending on it."""
+def report_document(records: list[CveRecord], blocked: set[str]) -> dict:
+    """The mitigated CVE ids (any dependent syscall blocked), sorted, their
+    count and, per blocked syscall, the number of CVEs depending on it."""
     mitigated = {r.id for r in records if r.syscalls & blocked}
     counts = Counter(s for r in records for s in r.syscalls & blocked)
-    return mitigated, dict(sorted(counts.items()))
-
-
-def report_document(records: list[CveRecord], blocked: set[str]) -> dict:
-    mitigated, per_syscall = mitigation_report(records, blocked)
     return {
         "mitigated_ids": sorted(mitigated),
         "count": len(mitigated),
-        "per_syscall": per_syscall,
+        "per_syscall": dict(sorted(counts.items())),
     }

@@ -16,10 +16,12 @@ The regular-expression engine reads the lines, not a Python loop: one
 possessive match takes a header and every blank or instruction line of its
 body, keeping no backtracking state, one `findall` takes their addresses,
 and one search finds their `call`, `callq` and `syscall` lines.
-`parse_disassembly` validates every line this way.  `header_extents` reads
-only the headers of a text known to be valid, and decides where each
-function ends.  No instruction is decoded here: a function holding a
-`syscall` keeps its body text, which `sysnum.resolve_numbers` reads.
+`parse_disassembly` validates every line this way, and it alone decides
+which lines are `syscall` sites.  `header_extents` reads only the headers of
+a text known to be valid, and decides where each function ends.  No
+instruction is decoded here: a function holding a `syscall` keeps its body
+text and where each of its `syscall` lines starts there, from which
+`sysnum.resolve_numbers` walks back.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import islice
 from operator import lt
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, line_number
 
 _WS = r"[^\S\n]"  # whitespace inside a line
 # what follows the mnemonic: the operand token, then the comment
@@ -67,6 +69,9 @@ class FunctionRecord(NamedTuple):
     # the body lines, each after its `\n`, of a function that holds a
     # `syscall` (the only ones `sysnum.resolve_numbers` reads); "" otherwise
     body: str = ""
+    # the index in `body` of the `\n` that opens each `syscall` line, in
+    # order: one per site of this function in `DisasmUnit.syscall_sites`
+    syscall_lines: tuple[int, ...] = ()
 
 
 class CallSite(NamedTuple):
@@ -87,10 +92,6 @@ class DisasmUnit:
     syscall_sites: list[SyscallSite] = field(default_factory=list)
 
 
-def _lineno(text: str, pos: int) -> int:
-    return text.count("\n", 0, pos) + 1
-
-
 def _bad_line(text: str, pos: int, in_body: bool) -> ParseError:
     """The error for the line at `pos`, which starts no function: after a
     function, an indented line is a bad instruction line; before the first,
@@ -102,7 +103,7 @@ def _bad_line(text: str, pos: int, in_body: bool) -> ParseError:
     else:
         kind = "instruction line" if in_body and line[0].isspace() else "function header"
         what = f"bad {kind}: {line!r}"
-    return ParseError(f"line {_lineno(text, pos)}: {what}")
+    return ParseError(f"line {line_number(text, pos)}: {what}")
 
 
 def _check_addresses(text: str, lo: int, hi: int, last: int) -> int:
@@ -118,7 +119,7 @@ def _check_addresses(text: str, lo: int, hi: int, last: int) -> int:
     for m in ADDRESS_RE.finditer(text, lo, hi):
         addr = int(m.group(1), 16)
         if addr <= last:
-            raise ParseError(f"line {_lineno(text, m.start() + 1)}: "
+            raise ParseError(f"line {line_number(text, m.start() + 1)}: "
                              f"address {addr:#x} does not increase")
         last = addr
     return last
@@ -135,7 +136,7 @@ def _functions(text: str):
             break
         symbol, start = m.group(2), int(m.group(1), 16)
         if start <= last:
-            raise ParseError(f"line {_lineno(text, pos)}: function {symbol} at "
+            raise ParseError(f"line {line_number(text, pos)}: function {symbol} at "
                              f"{start:#x} is not above address {last:#x}")
         lo, hi = m.span(3)
         # one below `start`, so that the check also rejects an address below it
@@ -171,7 +172,7 @@ def header_extents(text: str) -> list[tuple[str, int, int]]:
         try:
             end = int(address, 16) + 1
         except ValueError:
-            raise ParseError(f"line {_lineno(text, line)}: bad address {address!r}") from None
+            raise ParseError(f"line {line_number(text, line)}: bad address {address!r}") from None
     return list(zip([h.group(2) for h in headers], starts, starts[1:] + [end]))
 
 
@@ -185,15 +186,16 @@ def parse_disassembly(text: str) -> DisasmUnit:
     """
     unit = DisasmUnit()
     for symbol, lo, hi in _functions(text):
-        sites = len(unit.syscall_sites)
+        lines = []  # the `\n` that opens each `syscall` line, from `lo`
         for s in SITE_RE.finditer(text, lo, hi):
-            line = text.rfind("\n", lo, s.start()) + 1
+            line = text.rfind("\n", lo, s.start())
             if text.find(":\t", line, s.start()) >= 0:
                 continue  # a `:\t` inside a comment
             syscall, op, comment = s.groups()
             if syscall:
                 address = int(text[line:s.start()].strip(), 16)
                 unit.syscall_sites.append(SyscallSite(symbol, address))
+                lines.append(line - lo)
             elif op:
                 op = op.split(",", 1)[0]
                 if op.startswith("*"):
@@ -202,8 +204,8 @@ def parse_disassembly(text: str) -> DisasmUnit:
                     unit.callsites.append(CallSite(symbol, comment, DIRECT))
                 # any other operand form is an unmodeled call; not a callsite
         api = e.group(1) if (e := EXPORT_RE.match(symbol)) else None
-        body = text[lo:hi] if len(unit.syscall_sites) > sites else ""
-        unit.functions.append(FunctionRecord(symbol, api, body))
+        body = text[lo:hi] if lines else ""
+        unit.functions.append(FunctionRecord(symbol, api, body, tuple(lines)))
     return unit
 
 

@@ -38,6 +38,12 @@ def expect_names(value, what: str, *args) -> list[str]:
     return value
 
 
+def line_number(text: str, pos: int) -> int:
+    """The number of the line that holds `text[pos]`, by the rule of
+    `content_lines`."""
+    return text.count("\n", 0, pos) + 1
+
+
 def content_lines(text: str):
     """(N, line) for each line of `text` that is neither blank nor a `#`
     comment, stripped of its whitespace.  Lines end at `\\n` alone, and N

@@ -12,21 +12,21 @@ anything else is unresolved, never guessed.  A `syscall` then makes `rax`,
 `rcx` and `r11` unknown, as the kernel writes them.  A `$` constant counts
 only in SDIS syntax, hex after `0x` or decimal; any other is unknown.
 
-The resolver reads only the lines that decide each number.  It finds each
-`syscall` line of a host's body text as `disasm` does, and walks up from
-it one line at a time, one pattern match a line, to the line that writes
-the accumulator; from a full-width `mov`, `add` or `sub` it walks on for
-the source register, and for `add` and `sub` for the old value too.  A
-walk stops, with the value unknown, exactly where the model loses it: at a
-call, at a `syscall` for `rax`, `rcx` and `r11`, at a partial-width write
-or read, at any other write whose last operand is the register, at any
-other source, and at the top of the function.  The walks of one function
-share the value of every (cell, line) pair that any of them passed, so no
-pair is examined twice: the work is at most the body's lines times the
-cells it names.  A stack of waiting walks stands in for recursion, so a
-chain of any length fits.  No instruction objects are built, an address is
-read only at a `syscall`, and the operand token is split only at its last
-comma.
+The resolver reads only the lines that decide each number.  It finds no
+`syscall` line itself: `disasm` hands it, with a host's body text, where
+each `syscall` line starts, and it walks up from each one line at a time,
+one pattern match a line, to the line that writes the accumulator; from a
+full-width `mov`, `add` or `sub` it walks on for the source register, and
+for `add` and `sub` for the old value too.  A walk stops, with the value
+unknown, exactly where the model loses it: at a call, at a `syscall` for
+`rax`, `rcx` and `r11`, at a partial-width write or read, at any other
+write whose last operand is the register, at any other source, and at the
+top of the function.  The walks of one function share the value of every
+(cell, line) pair that any of them passed, so no pair is examined twice:
+the work is at most the body's lines times the cells it names.  A stack of
+waiting walks stands in for recursion, so a chain of any length fits.  No
+instruction objects are built, no address is read, and the operand token
+is split only at its last comma.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ MASK32 = 0xFFFFFFFF
 # a line of validated body text, from its `\n`: its mnemonic and operand
 # token, None where it has none
 LINE_RE = re.compile(r"\n[^\S\n]+[0-9a-f]+:\t([a-z0-9.]+)(?:[^\S\n]+(\S+))?")
-# a `syscall` mnemonic from the `:\t` after its address; a match must still
-# be at the line's first `:\t`
-SYSCALL_RE = re.compile(r":\tsyscall(?![a-z0-9.])")
 CONSTANT_RE = re.compile(r"\$-?(?:0x[0-9a-f]+|[0-9]+)")
 
 # the modelled instructions: new destination value from its old value and
@@ -132,19 +129,12 @@ def load_syscall_table(text: str) -> SyscallTable:
     return SyscallTable(number_to_name=number_to_name, names=frozenset(names))
 
 
-def resolve_numbers(function: FunctionRecord) -> dict[int, int | None]:
-    """Syscall number at each `syscall` of `function`, by address; None where
-    the accumulator's value is unknown there."""
-    body = function.body
+def resolve_numbers(function: FunctionRecord) -> list[int | None]:
+    """Syscall number at each `syscall` line of `function`, in order; None
+    where the accumulator's value is unknown there."""
     known: dict[tuple[str, int], int | None] = {}  # shared by the walks of every site
-    numbers: dict[int, int | None] = {}
-    for site in SYSCALL_RE.finditer(body):
-        at = site.start()
-        line = body.rfind("\n", 0, at)
-        if body.find(":\t", line, at) < 0:  # not a `:\t` inside a comment
-            address = int(body[line:at].strip(), 16)
-            numbers[address] = _value(body, (ACCUMULATOR, line), known)
-    return numbers
+    return [_value(function.body, (ACCUMULATOR, line), known)
+            for line in function.syscall_lines]
 
 
 def _value(body: str, key: tuple[str, int], known: dict) -> int | None:
@@ -211,9 +201,8 @@ def _walk(body: str, key: tuple[str, int], known: dict):
 
 def resolve_sites(unit: DisasmUnit, table: SyscallTable) -> list[ResolvedSyscallSite]:
     """Resolve every syscall site of a unit against the table."""
-    numbers: dict[int, int | None] = {}
-    for fn in unit.functions:
-        if fn.body:  # only a function that holds a `syscall` keeps its body
-            numbers.update(resolve_numbers(fn))
-    return [ResolvedSyscallSite(site, table.number_to_name.get(numbers.get(site.site_address)))
-            for site in unit.syscall_sites]
+    # the sites are in function order, each function's in line order
+    numbers = [n for fn in unit.functions if fn.syscall_lines
+               for n in resolve_numbers(fn)]
+    return [ResolvedSyscallSite(site, table.number_to_name.get(number))
+            for site, number in zip(unit.syscall_sites, numbers, strict=True)]

@@ -31,7 +31,7 @@ from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import AnalysisError, ParseError, content_lines
+from .errors import AnalysisError, ParseError, content_lines, line_number
 
 SCAN_LIMIT = 512
 
@@ -307,8 +307,7 @@ def run_event_trace(text: str, ctx: VerifierContext) -> tuple[list[Verdict], Cou
         try:
             event = parse_event_line(m, ctx)
         except ParseError as exc:
-            lineno = text.count("\n", 0, m.start()) + 1
-            raise ParseError(f"line {lineno}: {exc}") from exc
+            raise ParseError(f"line {line_number(text, m.start())}: {exc}") from exc
         verdicts.append(verify_event(event, ctx))
     return verdicts, Counter(map(attrgetter("reason"), verdicts))
 

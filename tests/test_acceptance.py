@@ -7,7 +7,7 @@ import time
 from syscage import packaged_data
 from syscage.callgraph import CallGraph
 from syscage.cli import main
-from syscage.cve import load_cve_dataset, mitigation_report
+from syscage.cve import load_cve_dataset, report_document
 from syscage.disasm import (
     DIRECT,
     INDIRECT,
@@ -18,7 +18,7 @@ from syscage.disasm import (
 )
 from syscage.profilegen import ApiSyscallMapping, generate_profile
 from syscage.srcfacts import resolve_indirect_targets
-from syscage.sysnum import ResolvedSyscallSite, load_syscall_table, resolve_numbers
+from syscage.sysnum import ResolvedSyscallSite, load_syscall_table
 from syscage.verifier import (
     CACHE_HIT,
     NO_PATH_MATCH,
@@ -33,7 +33,7 @@ from syscage.verifier import (
 from oracles import closure_floyd_warshall
 from test_callgraph import _reachable
 from test_cve import SEED_COUNTS
-from test_sysnum import _check_every_site, _function, _random_body
+from test_sysnum import _check_every_site, _random_body, _resolve
 from test_verifier import walk_sets
 
 
@@ -92,8 +92,7 @@ def test_syscall_number_oracle():
                      ["%ebx", "%eax"][-2 if rng.random() < 0.5 else -1:]))
         body.append(("add", ["$1", "%eax"]))
         body.append(("syscall", []))
-        fn, site = _function(body)
-        assert resolve_numbers(fn)[site.site_address] is None
+        assert _resolve(body) is None
     _passed("syscall-number-oracle")
 
 
@@ -142,14 +141,11 @@ def test_profile_partition_on_fixture_targets():
     _passed("profile-partition")
 
 
-def test_cve_seed_counts():
-    records = load_cve_dataset(packaged_data("cve_seed.tsv"))
-    mitigated, per = mitigation_report(records, {"ioctl"})
-    assert len(mitigated) == 29
-    mitigated2, _ = mitigation_report(records, {"unshare", "waitid"})
-    assert len(mitigated2) == 4
-    _, per_all = mitigation_report(records, set(SEED_COUNTS))
-    assert per_all == SEED_COUNTS
+def test_cve_seed_counts(seed_table):
+    records = load_cve_dataset(packaged_data("cve_seed.tsv"), seed_table.names)
+    assert report_document(records, {"ioctl"})["count"] == 29
+    assert report_document(records, {"unshare", "waitid"})["count"] == 4
+    assert report_document(records, set(SEED_COUNTS))["per_syscall"] == SEED_COUNTS
     _passed("cve-seed-counts")
 
 

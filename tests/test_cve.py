@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from syscage import packaged_data
 from syscage.cli import main
-from syscage.cve import CveRecord, load_cve_dataset, mitigation_report, report_document
+from syscage.cve import CveRecord, load_cve_dataset, report_document
 from syscage.errors import AnalysisError, ParseError
 
 from test_verifier import _replace_run
@@ -22,23 +22,27 @@ SEED_COUNTS = {
 
 
 @pytest.fixture(scope="module")
-def seed_records():
-    return load_cve_dataset(packaged_data("cve_seed.tsv"))
+def seed_records(seed_table):
+    return load_cve_dataset(packaged_data("cve_seed.tsv"), seed_table.names)
+
+
+def _load(text):
+    return load_cve_dataset(text, set())
 
 
 def test_load_single_record():
-    records = load_cve_dataset("CVE-2016-0728\tkeyctl,add_key,request_key\n")
+    records = _load("CVE-2016-0728\tkeyctl,add_key,request_key\n")
     assert len(records) == 1
     assert records[0].id == "CVE-2016-0728"
     assert records[0].syscalls == {"keyctl", "add_key", "request_key"}
 
 
 def test_load_empty():
-    assert load_cve_dataset("") == []
+    assert _load("") == []
 
 
 def test_duplicate_ids_unioned():
-    records = load_cve_dataset(
+    records = _load(
         "CVE-2016-0728\tkeyctl\n"
         "CVE-2016-0728\tadd_key\n"
     )
@@ -48,65 +52,56 @@ def test_duplicate_ids_unioned():
 
 def test_malformed_id():
     with pytest.raises(ParseError, match="line 1: bad CVE id 'CVE-XX-1'"):
-        load_cve_dataset("CVE-XX-1\tioctl\n")
+        _load("CVE-XX-1\tioctl\n")
     with pytest.raises(ParseError, match="line 1: bad CVE id 'CVE-\uff12\uff10\uff12\uff10-1234'"):
-        load_cve_dataset("CVE-\uff12\uff10\uff12\uff10-1234\tread\n")
+        _load("CVE-\uff12\uff10\uff12\uff10-1234\tread\n")
     with pytest.raises(ParseError, match="line 1: missing syscall list"):
-        load_cve_dataset("CVE-2016-0728\n")
+        _load("CVE-2016-0728\n")
 
 
 def test_cve_lines_are_numbered_by_newline():
     # fields are tab-separated, so a stray \x0c or \r is stripped at either
     # end of a field but stays inside one; `line N` is the N-th `\n` line
-    records = load_cve_dataset("CVE-2016-0728\x0c\tkeyctl\r,\x0cadd_key\tnote\r\n")
+    records = _load("CVE-2016-0728\x0c\tkeyctl\r,\x0cadd_key\tnote\r\n")
     assert records == [CveRecord("CVE-2016-0728", {"keyctl", "add_key"})]
     with pytest.raises(ParseError, match=r"^line 2: bad CVE id 'CVE-2016\\r-0728'$"):
-        load_cve_dataset("CVE-2016-0729\tread\x0c\nCVE-2016\r-0728\tioctl\n")
+        _load("CVE-2016-0729\tread\x0c\nCVE-2016\r-0728\tioctl\n")
 
 
 def test_unknown_syscall_strict(seed_table):
     with pytest.raises(AnalysisError, match="line 1: unknown syscall\\(s\\): not_a_syscall"):
-        load_cve_dataset(
-            "CVE-2016-0728\tnot_a_syscall\n",
-            table_names=seed_table.names,
-            strict=True,
-        )
+        load_cve_dataset("CVE-2016-0728\tnot_a_syscall\n", seed_table.names, strict=True)
     # non-strict keeps the record
-    records = load_cve_dataset(
-        "CVE-2016-0728\tnot_a_syscall\n", table_names=seed_table.names
-    )
+    records = load_cve_dataset("CVE-2016-0728\tnot_a_syscall\n", seed_table.names)
     assert len(records) == 1
 
 
 def test_seed_blocking_ioctl_mitigates_29(seed_records):
-    mitigated, per = mitigation_report(seed_records, {"ioctl"})
-    assert len(mitigated) == 29
-    assert per == {"ioctl": 29}
+    doc = report_document(seed_records, {"ioctl"})
+    assert doc["count"] == len(doc["mitigated_ids"]) == 29
+    assert doc["per_syscall"] == {"ioctl": 29}
 
 
 def test_seed_blocking_unshare_waitid_mitigates_4(seed_records):
-    mitigated, _ = mitigation_report(seed_records, {"unshare", "waitid"})
-    assert len(mitigated) == 4
+    assert report_document(seed_records, {"unshare", "waitid"})["count"] == 4
 
 
 def test_seed_per_syscall_counts_exact(seed_records):
-    _, per = mitigation_report(seed_records, set(SEED_COUNTS))
+    per = report_document(seed_records, set(SEED_COUNTS))["per_syscall"]
     assert per == SEED_COUNTS
     assert list(per) == sorted(SEED_COUNTS)  # the report lists them in this order
 
 
 def test_shared_cve_deduplicated(seed_records):
-    mitigated, _ = mitigation_report(
-        seed_records, {"keyctl", "add_key", "request_key"}
-    )
+    doc = report_document(seed_records, {"keyctl", "add_key", "request_key"})
     # CVE-2016-0728 appears under all three rows but counts once
-    assert len(mitigated) == 8 + 4 + 2 - 2
-    assert "CVE-2016-0728" in mitigated
+    assert doc["count"] == len(doc["mitigated_ids"]) == 8 + 4 + 2 - 2
+    assert "CVE-2016-0728" in doc["mitigated_ids"]
 
 
 def test_empty_blocked(seed_records):
-    mitigated, per = mitigation_report(seed_records, set())
-    assert mitigated == set() and per == {}
+    assert report_document(seed_records, set()) == {
+        "mitigated_ids": [], "count": 0, "per_syscall": {}}
 
 
 def test_monotone_in_blocked(seed_records):
@@ -115,13 +110,13 @@ def test_monotone_in_blocked(seed_records):
     for _ in range(30):
         small = set(rng.sample(names, rng.randint(0, 10)))
         big = small | set(rng.sample(names, rng.randint(0, 10)))
-        m_small, _ = mitigation_report(seed_records, small)
-        m_big, _ = mitigation_report(seed_records, big)
-        assert m_small <= m_big
+        m_small = report_document(seed_records, small)["mitigated_ids"]
+        m_big = report_document(seed_records, big)["mitigated_ids"]
+        assert set(m_small) <= set(m_big)
 
 
 def test_mitigated_bounded_by_unique_ids(seed_records):
-    mitigated, _ = mitigation_report(seed_records, set(SEED_COUNTS))
+    mitigated = report_document(seed_records, set(SEED_COUNTS))["mitigated_ids"]
     assert len(mitigated) <= len(seed_records)
     assert len(mitigated) == len({r.id for r in seed_records if r.syscalls})
 
@@ -166,7 +161,7 @@ def _edited_dataset(draw):
 @given(text=st.text() | _edited_dataset(), strict=st.booleans())
 def test_load_cve_dataset_parses_or_raises(seed_table, text, strict):
     try:
-        records = load_cve_dataset(text, table_names=seed_table.names, strict=strict)
+        records = load_cve_dataset(text, seed_table.names, strict=strict)
     except (ParseError, AnalysisError):
         return
     assert len({r.id for r in records}) == len(records)

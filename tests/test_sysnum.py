@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syscage import packaged_data
-from syscage.disasm import FunctionRecord, SyscallSite, parse_disassembly
+from syscage.disasm import parse_disassembly
 from syscage.errors import ParseError
 from syscage.sysnum import (
     load_syscall_table,
@@ -16,26 +16,25 @@ from syscage.sysnum import (
     resolve_sites,
 )
 
-from oracles import decode_instructions, interpret_accumulator, resolve_numbers_reference
+from oracles import interpret_accumulator, resolve_numbers_reference
 from test_verifier import _replace_run
 
 
 def _function(body):
-    """body: list of (mnemonic, operands) ending with syscall, kept as the
-    SDIS body text of a host."""
-    lines = []
+    """body: list of (mnemonic, operands) ending with syscall.  The host `f`
+    that `parse_disassembly` makes of it, and the unit that holds `f`."""
+    lines = ["0000000000001000 <f>:"]
     addr = 0x1000
     for mnemonic, operands in body:
-        lines.append(f"\n    {addr:x}:\t{mnemonic}" + (f"\t{','.join(operands)}" if operands else ""))
+        lines.append(f"    {addr:x}:\t{mnemonic}" + (f"\t{','.join(operands)}" if operands else ""))
         addr += 5
-    fn = FunctionRecord("f", None, "".join(lines))
-    site = SyscallSite("f", addr - 5)
-    return fn, site
+    unit = parse_disassembly("\n".join(lines))
+    return unit.functions[0], unit
 
 
 def _resolve(body):
-    fn, site = _function(body)
-    return resolve_numbers(fn)[site.site_address]
+    """The resolved number of the last `syscall` of `body`."""
+    return _numbers(body)[-1]
 
 
 def test_constant_to_accumulator():
@@ -181,11 +180,18 @@ def _random_body(rng: random.Random, length: int, mid_syscalls: int = 0):
 
 def _numbers(body):
     """Resolved number of each `syscall` of `body`, in order."""
-    fn, _ = _function(body)
-    found = resolve_numbers(fn)
-    numbers = [found[ins.address] for ins in decode_instructions(fn.body)
-               if ins.mnemonic == "syscall"]
-    assert len(found) == len(numbers)
+    return resolve_numbers(_function(body)[0])
+
+
+def _check_against_reference(unit):
+    """The resolved numbers of every site of `unit`: one per site that
+    `disasm` found, in site order, each the object-based reference's number
+    at that site's address."""
+    numbers = [n for fn in unit.functions for n in resolve_numbers(fn)]
+    sites = [site.site_address for site in unit.syscall_sites]
+    assert len(numbers) == len(sites)
+    assert list(zip(sites, numbers)) == [
+        item for fn in unit.functions for item in resolve_numbers_reference(fn).items()]
     return numbers
 
 
@@ -255,12 +261,13 @@ _PART = st.sampled_from([
 ])
 # an instruction line: mnemonic, operand token and comment; `syscall`
 # twice, so a body holds several sites, and mnemonics that only start
-# with it.  A comment may hold a `:\tsyscall`, which is no site
+# with it.  A comment may hold a `:\tsyscall`, alone or followed by an
+# operand, which is no site
 _LINE = st.tuples(
     st.sampled_from(["mov", "add", "sub", "lea", "pop", "xor", "cmp", "nop", "call", "callq",
                      "syscall", "syscall", "syscalls", "syscall.1"]),
     st.lists(_PART, max_size=4).map(",".join),  # 0-3 commas
-    st.sampled_from(["", " <g>", " <g+0x8:\tsyscall>"]),
+    st.sampled_from(["", " <g>", " <g+0x8:\tsyscall>", " <g+0x8:\tsyscall 0x1>"]),
 ) | st.sampled_from(["", " ", "\t", "\x0c"])  # a blank line
 
 
@@ -272,10 +279,7 @@ def test_resolver_matches_the_object_based_reference_on_any_operands(lines):
             for i, line in enumerate(lines)]
     body.append(f"    {0x1000 + 4 * len(lines):x}:\tsyscall")
     unit = parse_disassembly("\n".join(["0000000000001000 <f>:", *body, ""]))
-    fn = unit.functions[0]
-    numbers = resolve_numbers(fn)
-    assert numbers == resolve_numbers_reference(fn)
-    assert list(numbers) == [site.site_address for site in unit.syscall_sites]
+    numbers = _check_against_reference(unit)
     assert len(numbers) == 1 + sum(not isinstance(line, str) and line[0] == "syscall"
                                    for line in lines)
 
@@ -289,10 +293,9 @@ def test_resolver_matches_the_object_based_reference_on_the_workloads(monkeypatc
     for name, seed in (("libc-rare", 1), ("libc-rare", 2), ("indirect-attack", 1)):
         for path, text in gen.BUILDERS[name](seed).files().items():
             if path.endswith(".sdis"):
-                for fn in parse_disassembly(text).functions:
-                    if fn.body:
-                        assert resolve_numbers(fn) == resolve_numbers_reference(fn), path
-                        hosts += 1
+                unit = parse_disassembly(text)
+                _check_against_reference(unit)
+                hosts += sum(1 for fn in unit.functions if fn.body)
     assert hosts > 450
 
 
@@ -311,12 +314,12 @@ def test_resolver_matches_the_object_based_reference_on_the_workloads(monkeypatc
 def test_resolver_work_is_linear_in_the_body(body, number):
     # a walk that recursed would pass Python's stack limit on the first two,
     # and one that kept no values would walk back to the top from each site
-    fn, _ = _function(body)
+    fn, unit = _function(body)
     started = time.perf_counter()
     numbers = resolve_numbers(fn)
     assert time.perf_counter() - started < 5
-    assert numbers == resolve_numbers_reference(fn)
-    assert set(numbers.values()) == {number}
+    assert _check_against_reference(unit) == numbers
+    assert set(numbers) == {number}
 
 
 def test_unsupported_write_sequences_always_unresolved():
