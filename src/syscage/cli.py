@@ -156,7 +156,7 @@ def _library_offsets(args, memmap, mapping: ApiSyscallMapping):
         if digest != listed:
             where = f"--mapping {', '.join(args.mapping)}"
             if listed is None:
-                raise ParseError(f"{path}: no library {stem!r} in {where}; "
+                raise ParseError(f"{path}: no sha256 of library {stem!r} in {where}; "
                                  "re-run `syscage analyze` on this file")
             raise ParseError(f"{path}: sha256 {digest}, not {listed} as in {where}: "
                              "not the SDIS that `syscage analyze` read")

@@ -25,6 +25,7 @@ from .sysnum import ResolvedSyscallSite, SyscallTable
 TRACE_TOKEN_RE = re.compile(r"^[a-z0-9_]+", re.M)  # under re.M, ^ follows \n alone
 MAPPING_FORMAT = 4
 SYSCALL_ENTRY = "mapping API {!r} syscalls[{}]"
+SHA256_RE = re.compile(r"[0-9a-f]{64}")  # hashlib's hexdigest
 # the Seccomp actions under which a syscall runs; a tuple, since `in` then
 # compares a rule's action of any JSON type and hashes none
 RUN_ACTIONS = ("SCMP_ACT_ALLOW", "SCMP_ACT_LOG")
@@ -78,7 +79,10 @@ class ApiSyscallMapping:
             )
         libraries = expect_json(doc.get("libraries", MISSING), dict, "mapping libraries")
         for stem, digest in libraries.items():
-            expect_json(digest, str, "mapping libraries[{!r}]", stem)
+            # a digest is echoed in errors, so one that could hold a line
+            # break, or match no file, is refused here
+            if not SHA256_RE.fullmatch(expect_json(digest, str, "mapping libraries[{!r}]", stem)):
+                raise ParseError(f"mapping libraries[{stem!r}] is not a sha256 digest")
         mapping = cls(call_graph=_name_lists(doc, "call_graph"),
                       hosts=_name_lists(doc, "hosts"), libraries=libraries)
         for api, rec in expect_json(doc.get("apis", MISSING), dict, "mapping apis").items():

@@ -15,10 +15,13 @@ is blank and skipped.  `run_event_trace` reads the text in one scan, one
 match of `EVENT_LINE_RE` per line, and rejects a line that is not an event
 in time linear in its length, however long a run of whitespace, of tag
 characters or of stack commas it holds.  Empty stack words are skipped and
-only the first 512 are scanned (`SCAN_LIMIT`), but any malformed
-word rejects the whole trace (`parse_event_line`).  Every word is checked,
-but converted to an integer only for events of the target that issue a
-suspicious syscall not yet matched: no other verdict reads them.
+only the first 512 are scanned (`SCAN_LIMIT`), but any malformed address
+rejects the whole trace.  The replay decides the verdicts that read no
+stack word (UnknownSyscall, NotTarget, NotSuspicious, CacheHit) from the
+tag and the syscall name, converting no address and checking each only for
+its syntax.  Only an event of the target that issues a suspicious syscall
+not yet matched is parsed into a `SyscallEvent` (`parse_event_line`) and
+checked by `verify_event`.
 """
 
 from __future__ import annotations
@@ -245,11 +248,6 @@ class VerifierContext:
     memmap: MemoryMap
     cache: set[str] = field(default_factory=set)  # syscalls matched already
 
-    def may_walk(self, tag: str, name: str) -> bool:
-        """True when `verify_event` gets past NotTarget, NotSuspicious and
-        CacheHit, the three steps that read no stack word."""
-        return tag == self.target_tag and name in self.suspicious and name not in self.cache
-
 
 def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
     if event.syscall_name not in ctx.known_syscalls:
@@ -274,41 +272,58 @@ def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
     return Verdict(DENY, NO_PATH_MATCH, path)
 
 
-def parse_event_line(m: re.Match, ctx: VerifierContext) -> SyscallEvent:
-    """The event of a line, given as its `EVENT_LINE_RE` match; a bad or a
-    blank line raises ParseError.  Every stack word is validated, also past
-    `SCAN_LIMIT`, but words are converted only when `ctx.may_walk` holds, for
-    events of the target that issue a suspicious syscall not yet matched;
-    others get `stack_words == ()`.  Parse each line just before verifying
-    it, so that the cache is current; a checked event then pays its
-    conversion here, not in `verify_event`."""
-    tag, name, rip, rsp, stack, _ = m.groups()
-    if tag is None:
-        raise ParseError(f"bad event line {m[0].strip()!r}")
-    words = ()
-    try:
-        if ctx.may_walk(tag, name):
-            words = tuple(map(int, filter(None, stack.split(",")), repeat(16)))[:SCAN_LIMIT]
-        elif "x" in stack and not all(map(ADDRESS_RE.fullmatch, filter(None, stack.split(",")))):
-            raise ValueError(stack)  # the pattern leaves only words with an `x` to check
-        return SyscallEvent(tag, name, int(rip, 16), int(rsp, 16), words)
-    except ValueError as exc:
-        raise ParseError(f"bad address in event line {m[0].strip()!r}") from exc
+def parse_event_line(tag: str, name: str, rip: str, rsp: str, stack: str) -> SyscallEvent:
+    """The event of a line that may walk, from the five fields that
+    `EVENT_LINE_RE` extracts: every address converted, the empty stack words
+    skipped and the first `SCAN_LIMIT` words kept.  A malformed address
+    raises ValueError: on the pattern's `[0-9a-fx]` runs, `int(word, 16)`
+    accepts exactly what `ADDRESS_RE` does."""
+    words = tuple(map(int, filter(None, stack.split(",")), repeat(16)))[:SCAN_LIMIT]
+    return SyscallEvent(tag, name, int(rip, 16), int(rsp, 16), words)
+
+
+def _bad_line(text: str, m: re.Match, kind: str) -> ParseError:
+    return ParseError(f"line {line_number(text, m.start())}: {kind} {m[0].strip()!r}")
 
 
 def run_event_trace(text: str, ctx: VerifierContext) -> tuple[list[Verdict], Counter]:
     """One verdict per event line, in order, plus counts by reason.  The
     lines are the matches of one scan of `text`; a line's number is counted
-    only when it is rejected."""
+    only when it is rejected.  The verdicts that read no stack word are
+    decided here, in `verify_event`'s order; such a line's addresses are
+    only checked, and only when one holds an `x` (the pattern admits no
+    other malformed one).  A line that may walk is parsed and checked then,
+    so that the cache is current, by the module's `parse_event_line` and
+    `verify_event`, which a benchmark probe may swap."""
     verdicts: list[Verdict] = []
+    append = verdicts.append
+    target, suspicious = ctx.target_tag, ctx.suspicious
+    known, cache = ctx.known_syscalls, ctx.cache
     for m in EVENT_LINE_RE.finditer(text):
-        if m.lastindex is None:  # a blank line
+        tag, name, rip, rsp, stack, bad = m.groups()
+        if tag is None:
+            if bad is None:  # a blank line
+                continue
+            raise _bad_line(text, m, "bad event line")
+        if name not in known:
+            verdict = _UNKNOWN_SYSCALL
+        elif tag != target:
+            verdict = _NOT_TARGET
+        elif name not in suspicious:
+            verdict = _NOT_SUSPICIOUS
+        elif name in cache:
+            verdict = _CACHE_HIT
+        else:  # the stack walk may follow
+            try:
+                event = parse_event_line(tag, name, rip, rsp, stack)
+            except ValueError as exc:
+                raise _bad_line(text, m, "bad address in event line") from exc
+            append(verify_event(event, ctx))
             continue
-        try:
-            event = parse_event_line(m, ctx)
-        except ParseError as exc:
-            raise ParseError(f"line {line_number(text, m.start())}: {exc}") from exc
-        verdicts.append(verify_event(event, ctx))
+        if "x" in rip or "x" in rsp or "x" in stack:
+            if not all(map(ADDRESS_RE.fullmatch, [rip, rsp, *filter(None, stack.split(","))])):
+                raise _bad_line(text, m, "bad address in event line")
+        append(verdict)
     return verdicts, Counter(map(attrgetter("reason"), verdicts))
 
 

@@ -318,13 +318,13 @@ def test_a_lib_disasm_that_no_mapping_lists_is_rejected(data_dir, tmp_path, caps
             "-o", str(tmp_path / "v.log")]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"syscage: parse error: {lib}: no library 'otherlib' in --mapping "
+        f"syscage: parse error: {lib}: no sha256 of library 'otherlib' in --mapping "
         f"{golden / 'mapping.json'}; re-run `syscage analyze` on this file\n")
     # a malformed unlisted file gets the same message: it is never parsed
     lib.write_bytes(lib.read_bytes() + b"junk\n")
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"syscage: parse error: {lib}: no library 'otherlib' in --mapping "
+        f"syscage: parse error: {lib}: no sha256 of library 'otherlib' in --mapping "
         f"{golden / 'mapping.json'}; re-run `syscage analyze` on this file\n")
 
 

@@ -157,6 +157,9 @@ def _dumps(value) -> str:
 @example(content=b"[" * 100_000)
 # a table row whose number int() does not read
 @example(content=b"0 common read\n1" + b"0" * 4300 + b" common write\n")
+# in the mapping, a space in the name of its library: verify finds no
+# sha256 for the SDIS that it is handed
+@example(content=_Mutation(4619, 0, b" "))
 def test_any_bytes_end_in_a_documented_exit_code(tmp_path, capsys, role, content):
     original = FIXTURES[role].read_bytes()
     if isinstance(content, _Mutation):
@@ -178,6 +181,8 @@ def test_any_bytes_end_in_a_documented_exit_code(tmp_path, capsys, role, content
 # `libraries` (its fifth key); of a mapping, in the sidecar's first key
 @example(value=_Splice([4, 0], "0" * 64))
 @example(value=_Splice([0, 0], "0" * 64))
+# a library sha256 that would break the error line that echoes it
+@example(value=_Splice([4, 0], "\n"))
 def test_any_json_value_ends_in_a_documented_exit_code(tmp_path, capsys, role, value):
     if isinstance(value, _Splice):
         value = value.apply(json.loads(FIXTURES[role].read_text()))

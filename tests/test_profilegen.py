@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -108,7 +109,8 @@ _MAPPINGS = st.builds(
         unresolved_sites=st.integers(min_value=0)), max_size=4),
     call_graph=_NAME_LISTS,
     hosts=_NAME_LISTS,
-    libraries=st.dictionaries(_NAME, _NAME, max_size=3),
+    libraries=st.dictionaries(_NAME, st.binary(max_size=8).map(
+        lambda b: hashlib.sha256(b).hexdigest()), max_size=3),
 )
 
 

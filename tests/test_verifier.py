@@ -4,11 +4,13 @@ import re
 import time
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import syscage.verifier as vf
 from syscage.callgraph import CallGraph
 from syscage.disasm import DIRECT, INDIRECT, CallSite, SyscallSite, header_extents
 from syscage.errors import AnalysisError, ParseError
@@ -18,7 +20,6 @@ from syscage.verifier import (
     ALLOW,
     CACHE_HIT,
     DENY,
-    EVENT_LINE_RE,
     NO_PATH_MATCH,
     NOT_SUSPICIOUS,
     NOT_TARGET,
@@ -508,70 +509,85 @@ def test_memory_map_lines_are_numbered_by_newline():
         parse_memory_map("stack 1000 2000\x0c\nbogus\ncode 3000 4000\n")
 
 
-# the steps of verify_event that an event can stop at before its words are
-# read, and the one where the stack walk may follow
-_STEPS = ("walks", "not target", "not suspicious", "cached")
+# the steps of the verdict ladder that read no stack word, each with the
+# reason of its verdict, and "walks" for a line whose stack walk may follow
+_STEPS = {"walks": None, "unknown": UNKNOWN_SYSCALL, "not target": NOT_TARGET,
+          "not suspicious": NOT_SUSPICIOUS, "cached": CACHE_HIT}
 
 
-def _parse_ctx(line, step):
-    """A context in which the event of `line` gets past NotTarget,
-    NotSuspicious and CacheHit ("walks"), or stops at the named step."""
+def _step_ctx(line, step):
+    """A context in which the event of `line` gets past UnknownSyscall,
+    NotTarget, NotSuspicious and CacheHit ("walks"), or stops at the named
+    step."""
     tag, name = (line.split() + ["", ""])[:2]
     table, memmap = _table()
     ctx = _ctx(table, memmap, suspicious=() if step == "not suspicious" else (name,))
+    ctx.known_syscalls = set() if step == "unknown" else {name}
     ctx.target_tag = tag + "!" if step == "not target" else tag
     if step == "cached":
         ctx.cache.add(name)
-    assert ctx.may_walk(tag, name) == (step == "walks")
     return ctx
 
 
-def _parsed(line, step):
-    """The event of `line`, stripped, under a context of `step`, or the
-    ParseError's message.  A trace splits lines at `\n`, so a `line` with
-    one inside is several lines, and is reported as such."""
-    m = EVENT_LINE_RE.fullmatch(line.strip())
-    if m is None:
+def _replayed(line, step):
+    """What `run_event_trace` makes of `line`, stripped, under a context of
+    `step`: the event that it parses and hands `verify_event`, the reason of
+    its verdict when it parses none, None for a blank line, or the
+    ParseError's message without its `line 1: `.  A trace splits lines at
+    `\n`, so a `line` with one inside is several lines, and is reported as
+    such."""
+    line = line.strip()
+    if "\n" in line:
         return "several lines"
-    try:
-        return parse_event_line(m, _parse_ctx(line, step))
-    except ParseError as exc:
-        return str(exc)
+    with (mock.patch.object(vf, "parse_event_line", wraps=parse_event_line) as parse,
+          mock.patch.object(vf, "verify_event", wraps=verify_event) as check):
+        try:
+            verdicts, _ = run_event_trace(line, _step_ctx(line, step))
+        except ParseError as exc:
+            return str(exc).removeprefix("line 1: ")
+    if not verdicts:
+        return None
+    (verdict,) = verdicts
+    events = [call.args[0] for call in check.call_args_list]
+    assert parse.call_count == len(events) <= 1
+    return events[0] if events else verdict.reason
 
 
 def test_parse_event_line():
     line = "target open rip=7f0000001005 rsp=7ffc00001000 stack=1,2,3"
-    event = _parsed(line, "walks")
+    event = _replayed(line, "walks")
     assert event.process_tag == "target"
     assert event.syscall_name == "open"
     assert (event.rip, event.rsp) == (0x7F0000001005, 0x7FFC00001000)
     assert event.stack_words == (1, 2, 3)
-    for step in _STEPS[1:]:  # words no verdict of these steps reads
-        assert _parsed(line, step) == event._replace(stack_words=())
+    for step, reason in _STEPS.items():  # no event is parsed for these steps
+        if reason:
+            assert _replayed(line, step) == reason
 
 
 def test_parse_event_line_empty_stack():
-    assert _parsed("t read rip=1 rsp=2 stack=", "walks").stack_words == ()
+    assert _replayed("t read rip=1 rsp=2 stack=", "walks").stack_words == ()
 
 
 def test_parse_event_scan_limit():
     words = range(1, SCAN_LIMIT + 2)
     line = "t read rip=1 rsp=2 stack=" + ",".join(f"{w:x}" for w in words)
-    assert _parsed(line, "walks").stack_words == tuple(words[:SCAN_LIMIT])
+    assert _replayed(line, "walks").stack_words == tuple(words[:SCAN_LIMIT])
 
 
 def test_parse_event_malformed():
     for step in _STEPS:
-        assert _parsed("nonsense", step) == "bad event line 'nonsense'"
-        assert _parsed("t read rip=zz rsp=2 stack=", step) == \
+        assert _replayed("nonsense", step) == "bad event line 'nonsense'"
+        assert _replayed("t read rip=zz rsp=2 stack=", step) == \
             "bad event line 't read rip=zz rsp=2 stack='"
-        assert _parsed("t read rip=x rsp=2 stack=", step) == \
-            "bad address in event line 't read rip=x rsp=2 stack='"
-        # a malformed stack word rejects the line, wherever it stands, also
+        # a malformed address rejects the line, wherever it stands, also
         # when no verdict would read it
+        for rip, rsp in (("x", "2"), ("0x0x1", "2"), ("1", "1x"), ("1", "0x")):
+            line = f"t read rip={rip} rsp={rsp} stack="
+            assert _replayed(line, step) == f"bad address in event line {line!r}"
         for stack in ("1,0x0x1", "1,x", "00x1", "0x1,2,0x"):
             line = f"t read rip=1 rsp=2 stack={stack}"
-            assert _parsed(line, step) == f"bad address in event line {line!r}"
+            assert _replayed(line, step) == f"bad address in event line {line!r}"
 
 
 def test_line_break_characters_do_not_separate_fields():
@@ -581,7 +597,7 @@ def test_line_break_characters_do_not_separate_fields():
     for sep in ("\x0b", "\x85", "\x0c", "\r", "\u2028"):
         line = f"target open{sep}rip=1 rsp=2 stack="
         for step in _STEPS:
-            assert _parsed(line, step) == f"bad event line {line!r}"
+            assert _replayed(line, step) == f"bad event line {line!r}"
         with pytest.raises(ParseError, match=f"^line 2: bad event line {re.escape(repr(line))}$"):
             run_event_trace(f"target read rip=1 rsp=2 stack=\n{line}\n", _ctx(table, memmap))
 
@@ -634,15 +650,19 @@ def _mutated_event_line(draw):
 @given(line=st.text() | _mutated_event_line())
 def test_parse_event_line_equals_reference(line):
     """Every context accepts or rejects the same lines, with the same
-    message; only a walking one converts the stack words."""
+    message; only a walking one parses the event, into the reference's, and
+    every other gives the verdict of its step."""
     expected = parse_event_reference(line, SCAN_LIMIT)
-    got = {step: _parsed(line, step) for step in _STEPS}
+    got = {step: _replayed(line, step) for step in _STEPS}
+    if not line.strip():  # a blank line, which a trace skips
+        assert set(got.values()) == {None}
+        return
     if expected is None:
         assert all(isinstance(message, str) for message in got.values())
         assert len(set(got.values())) == 1
         return
-    for step, event in got.items():
-        assert tuple(event) == expected[:4] + (expected[4] if step == "walks" else (),)
+    for step, reason in _STEPS.items():
+        assert got[step] == (reason or SyscallEvent(*expected))
 
 
 MEMMAP_LINES = (DATA / "memmap.txt").read_text().splitlines()
@@ -707,10 +727,16 @@ def test_run_event_trace_malformed_line_number():
     text = "t open rip=1 rsp=2 stack=\nbad hex line\n"
     with pytest.raises(ParseError, match="line 2: bad event line 'bad hex line'"):
         run_event_trace(text, _ctx(table, memmap))
-    # a NotTarget event, whose words path matching would never read
-    text = "t open rip=1 rsp=2 stack=\n\nother open rip=1 rsp=2 stack=1,0x0x1\n"
-    with pytest.raises(ParseError, match="line 3: bad address in event line 'other open"):
-        run_event_trace(text, _ctx(table, memmap))
+    # events that read no stack word, whose addresses are still all checked:
+    # a NotTarget event with a bad stack word or a bad rip, and a CacheHit
+    # event whose 600th stack word, past the SCAN_LIMIT, is bad
+    for line in ("other open rip=1 rsp=2 stack=1,0x0x1", "other open rip=0x0x1 rsp=2 stack=1",
+                 "target open rip=1 rsp=2 stack=" + "1," * 599 + "0x0x1"):
+        ctx = _ctx(table, memmap)
+        ctx.cache.add("open")
+        with pytest.raises(ParseError,
+                           match=f"^line 3: bad address in event line {re.escape(repr(line))}$"):
+            run_event_trace(f"t open rip=1 rsp=2 stack=\n\n{line}\n", ctx)
 
 
 def test_bad_lines_are_rejected_in_linear_time():
@@ -745,10 +771,12 @@ _READS_NO_WORD = {UNKNOWN_SYSCALL, NOT_TARGET, NOT_SUSPICIOUS, CACHE_HIT}
        target=st.sampled_from(["target", "other", "t"]),
        suspicious=st.sets(st.sampled_from(["open", "read", "ioctl", "close"])),
        cached=st.sets(st.sampled_from(["open", "read", "ioctl"])))
-def test_may_walk_is_the_verdict_ladder(seed_table, lines, target, suspicious, cached):
-    """Replaying with the context-aware parse gives the verdicts and the
-    final cache of a replay of fully converted reference events, and every
-    event whose words the parse left out ends before the stack walk."""
+def test_replay_parses_and_checks_only_lines_that_may_walk(seed_table, lines, target,
+                                                           suspicious, cached):
+    """Replaying gives the verdicts, counts and final cache of a replay of
+    fully converted reference events, and parses and checks with
+    `verify_event` exactly the lines whose reference verdict is none of the
+    four that read no stack word, handing each its reference event."""
     lines = [line for line in lines  # valid, and one line of a trace
              if parse_event_reference(line, SCAN_LIMIT) and line.splitlines() == [line]]
     memmap = parse_memory_map((DATA / "memmap.txt").read_text())
@@ -763,18 +791,20 @@ def test_may_walk_is_the_verdict_ladder(seed_table, lines, target, suspicious, c
                                entries, hosts, table, memmap, cache=set(cached))
 
     reference = context()
-    expected = [verify_event(SyscallEvent(*parse_event_reference(line, SCAN_LIMIT)), reference)
-                for line in lines]
+    events = [SyscallEvent(*parse_event_reference(line, SCAN_LIMIT)) for line in lines]
+    expected = [verify_event(event, reference) for event in events]
     ctx = context()
-    verdicts, _ = run_event_trace("\n".join(lines), ctx)
+    with (mock.patch.object(vf, "parse_event_line", wraps=parse_event_line) as parse,
+          mock.patch.object(vf, "verify_event", wraps=verify_event) as check):
+        verdicts, counts = run_event_trace("\n".join(lines), ctx)
     assert verdicts == expected
+    assert counts == Counter(v.reason for v in expected)
     assert ctx.cache == reference.cache
-    ctx = context()
-    for line, want in zip(lines, expected):
-        walks = ctx.may_walk(*line.split()[:2])
-        event = parse_event_line(EVENT_LINE_RE.fullmatch(line), ctx)
-        assert verify_event(event, ctx) == want
-        assert walks or want.reason in _READS_NO_WORD
+    walks = [i for i, want in enumerate(expected) if want.reason not in _READS_NO_WORD]
+    fields = [line.split() for line in lines]
+    assert [call.args for call in parse.call_args_list] == [
+        (*fields[i][:2], fields[i][2][4:], fields[i][3][4:], fields[i][4][6:]) for i in walks]
+    assert [call.args[0] for call in check.call_args_list] == [events[i] for i in walks]
 
 
 # whitespace that str.strip removes and a `\n` split leaves inside a line
