@@ -61,6 +61,13 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def event_tag(text: str) -> str:
+    """argparse type for `--target`: a tag that an event line can carry."""
+    if text.split() != [text]:  # empty, or holds whitespace
+        raise argparse.ArgumentTypeError(f"must be non-empty with no whitespace, got {text!r}")
+    return text
+
+
 def _read(path: str, sha256=None) -> str:
     """The UTF-8 text of `path`, its line ends as they are in the file.  A
     large file is decoded straight from a read-only map, so that its bytes
@@ -313,7 +320,8 @@ def _verify_options(p: _Parser) -> None:
                    help="library SDIS providing function offsets; repeatable")
     p.add_argument("--table", help="syscall table file (default: bundled)")
     p.add_argument("--policy", choices=["indirect", "rare"], default="indirect")
-    p.add_argument("--target", default="target", help="target process tag")
+    p.add_argument("--target", type=event_tag, default="target",
+                   help="target process tag: a non-empty run of non-whitespace characters")
     p.add_argument("-o", "--output", help="verdict log output")
     p.set_defaults(func=cmd_verify)
 

@@ -16,12 +16,11 @@ match of `EVENT_LINE_RE` per line, and rejects a line that is not an event
 in time linear in its length, however long a run of whitespace, of tag
 characters or of stack commas it holds.  Empty stack words are skipped and
 only the first 512 are scanned (`SCAN_LIMIT`), but any malformed address
-rejects the whole trace.  The replay decides the verdicts that read no
-stack word (UnknownSyscall, NotTarget, NotSuspicious, CacheHit) from the
-tag and the syscall name, converting no address and checking each only for
-its syntax.  Only an event of the target that issues a suspicious syscall
-not yet matched is parsed into a `SyscallEvent` (`parse_event_line`) and
-checked by `verify_event`.
+rejects the whole trace.  The replay checks a line's addresses, then alone
+decides the verdicts that read no stack word (UnknownSyscall, NotTarget,
+NotSuspicious, CacheHit) from the tag and the syscall name.  Only an event
+of the target that issues a suspicious syscall not yet matched is parsed
+into a `SyscallEvent` (`parse_event_line`) and checked by `verify_event`.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ class FunctionAddressTable:
 
 
 class SyscallEvent(NamedTuple):
-    process_tag: str
     syscall_name: str
     rip: int
     rsp: int
@@ -250,14 +248,8 @@ class VerifierContext:
 
 
 def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
-    if event.syscall_name not in ctx.known_syscalls:
-        return _UNKNOWN_SYSCALL
-    if event.process_tag != ctx.target_tag:
-        return _NOT_TARGET
-    if event.syscall_name not in ctx.suspicious:
-        return _NOT_SUSPICIOUS
-    if event.syscall_name in ctx.cache:
-        return _CACHE_HIT
+    """The verdict of an event that `run_event_trace` found may walk: the
+    target's, its syscall in the table, suspicious and not matched yet."""
     if event.rsp not in ctx.memmap.stack:
         return _RSP_OUT_OF_RANGE
     rip_fn = ctx.table.find(event.rip)
@@ -272,14 +264,13 @@ def verify_event(event: SyscallEvent, ctx: VerifierContext) -> Verdict:
     return Verdict(DENY, NO_PATH_MATCH, path)
 
 
-def parse_event_line(tag: str, name: str, rip: str, rsp: str, stack: str) -> SyscallEvent:
-    """The event of a line that may walk, from the five fields that
-    `EVENT_LINE_RE` extracts: every address converted, the empty stack words
-    skipped and the first `SCAN_LIMIT` words kept.  A malformed address
-    raises ValueError: on the pattern's `[0-9a-fx]` runs, `int(word, 16)`
-    accepts exactly what `ADDRESS_RE` does."""
+def parse_event_line(name: str, rip: str, rsp: str, stack: str) -> SyscallEvent:
+    """The event of a line that may walk, from the fields that
+    `EVENT_LINE_RE` extracts and whose addresses `run_event_trace` has
+    checked: every address converted, the empty stack words skipped and the
+    first `SCAN_LIMIT` words kept."""
     words = tuple(map(int, filter(None, stack.split(",")), repeat(16)))[:SCAN_LIMIT]
-    return SyscallEvent(tag, name, int(rip, 16), int(rsp, 16), words)
+    return SyscallEvent(name, int(rip, 16), int(rsp, 16), words)
 
 
 def _bad_line(text: str, m: re.Match, kind: str) -> ParseError:
@@ -289,12 +280,12 @@ def _bad_line(text: str, m: re.Match, kind: str) -> ParseError:
 def run_event_trace(text: str, ctx: VerifierContext) -> tuple[list[Verdict], Counter]:
     """One verdict per event line, in order, plus counts by reason.  The
     lines are the matches of one scan of `text`; a line's number is counted
-    only when it is rejected.  The verdicts that read no stack word are
-    decided here, in `verify_event`'s order; such a line's addresses are
-    only checked, and only when one holds an `x` (the pattern admits no
-    other malformed one).  A line that may walk is parsed and checked then,
-    so that the cache is current, by the module's `parse_event_line` and
-    `verify_event`, which a benchmark probe may swap."""
+    only when it is rejected.  A line's addresses are checked first, when
+    one holds an `x` (the pattern admits no other malformed one); then its
+    verdict is decided by the README's ladder.  A line past the four steps
+    that read no stack word is parsed and checked then, so that the cache
+    is current, by the module's `parse_event_line` and `verify_event`,
+    which a benchmark probe may swap."""
     verdicts: list[Verdict] = []
     append = verdicts.append
     target, suspicious = ctx.target_tag, ctx.suspicious
@@ -305,6 +296,9 @@ def run_event_trace(text: str, ctx: VerifierContext) -> tuple[list[Verdict], Cou
             if bad is None:  # a blank line
                 continue
             raise _bad_line(text, m, "bad event line")
+        if "x" in rip or "x" in rsp or "x" in stack:
+            if not all(map(ADDRESS_RE.fullmatch, [rip, rsp, *filter(None, stack.split(","))])):
+                raise _bad_line(text, m, "bad address in event line")
         if name not in known:
             verdict = _UNKNOWN_SYSCALL
         elif tag != target:
@@ -314,15 +308,7 @@ def run_event_trace(text: str, ctx: VerifierContext) -> tuple[list[Verdict], Cou
         elif name in cache:
             verdict = _CACHE_HIT
         else:  # the stack walk may follow
-            try:
-                event = parse_event_line(tag, name, rip, rsp, stack)
-            except ValueError as exc:
-                raise _bad_line(text, m, "bad address in event line") from exc
-            append(verify_event(event, ctx))
-            continue
-        if "x" in rip or "x" in rsp or "x" in stack:
-            if not all(map(ADDRESS_RE.fullmatch, [rip, rsp, *filter(None, stack.split(","))])):
-                raise _bad_line(text, m, "bad address in event line")
+            verdict = verify_event(parse_event_line(name, rip, rsp, stack), ctx)
         append(verdict)
     return verdicts, Counter(map(attrgetter("reason"), verdicts))
 

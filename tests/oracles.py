@@ -17,6 +17,9 @@ bounded secure-path enumerator and the iterator subsequence matcher are
 the matcher that `verifier.walk_embeds` replaced, kept as a second
 reference for it.  `load_trace_reference` is the per-line trace counter
 that `profilegen.load_trace`'s one multi-line `findall` per text replaced.
+`replay_reference` is the verdict ladder written from the README, line by
+line over `parse_event_reference`, as a reference for `run_event_trace`'s
+one scan; only an event past the ladder reaches `verify_event`.
 """
 
 from __future__ import annotations
@@ -36,6 +39,18 @@ from syscage.disasm import (
     SyscallSite,
 )
 from syscage.errors import ParseError
+from syscage.verifier import (
+    ALLOW,
+    CACHE_HIT,
+    DENY,
+    NOT_SUSPICIOUS,
+    NOT_TARGET,
+    SCAN_LIMIT,
+    UNKNOWN_SYSCALL,
+    SyscallEvent,
+    Verdict,
+    verify_event,
+)
 
 
 def closure_floyd_warshall(nodes, edges):
@@ -304,6 +319,39 @@ def event_line_error(line):
     line `line`, which parse_event_reference finds malformed."""
     kind = "bad event line" if _EVENT_LINE.fullmatch(line) is None else "bad address in event line"
     return f"{kind} {line!r}"
+
+
+def replay_reference(text, ctx):
+    """(verdicts, counts by reason) of the event trace `text` replayed line
+    by line, or the message of the ParseError that rejects it.  The text is
+    split at every `\n`; each line is stripped, skipped when blank and
+    parsed with parse_event_reference.  An event then takes the first
+    verdict in the README's order that applies to it: Deny UnknownSyscall
+    for a syscall not in the table, Allow NotTarget for another process's
+    event, Allow NotSuspicious for a syscall not suspicious, Allow CacheHit
+    for a syscall matched already; any other is handed to `verify_event`,
+    which reads its stack and caches a match in `ctx.cache`."""
+    verdicts = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = parse_event_reference(line, SCAN_LIMIT)
+        if fields is None:
+            return f"line {lineno}: {event_line_error(line)}"
+        tag, name = fields[:2]
+        if name not in ctx.known_syscalls:
+            verdict = Verdict(DENY, UNKNOWN_SYSCALL)
+        elif tag != ctx.target_tag:
+            verdict = Verdict(ALLOW, NOT_TARGET)
+        elif name not in ctx.suspicious:
+            verdict = Verdict(ALLOW, NOT_SUSPICIOUS)
+        elif name in ctx.cache:
+            verdict = Verdict(ALLOW, CACHE_HIT)
+        else:
+            verdict = verify_event(SyscallEvent(*fields[1:]), ctx)
+        verdicts.append(verdict)
+    return verdicts, Counter(v.reason for v in verdicts)
 
 
 _TRACE_TOKEN = re.compile(r"[a-z0-9_]+")

@@ -162,6 +162,18 @@ def test_verify_malformed_events(data_dir, outdir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("tag", ["", "tar get"])
+def test_verify_target_is_an_event_tag(data_dir, tmp_path, capsys, tag):
+    """No event line carries such a tag, so every event would read NotTarget:
+    the option is refused as a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        _verify_golden(data_dir, tmp_path, extra=("--target", tag))
+    assert exc.value.code == 1
+    assert (f"argument --target: must be non-empty with no whitespace, got {tag!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "v.log").exists()
+
+
 def test_cve_report(data_dir, outdir):
     _, mapping = _analyze(data_dir, outdir)
     _, profile, _ = _profile(data_dir, outdir, mapping)

@@ -4,6 +4,7 @@ nothing; on 2, its error is one line that names the file."""
 
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -198,3 +199,21 @@ def test_a_limit_takes_ascii_digits_only(tmp_path, capsys, command, flag):
             main(argv + [flag, value])
         assert exc.value.code == 1
         assert flag in capsys.readouterr().err
+
+
+@EXAMPLES
+@given(tag=st.text(max_size=6))
+@example(tag="")
+@example(tag="tar get")
+@example(tag="\x1c")  # whitespace that no tag holds
+def test_a_target_tag_is_a_run_of_non_whitespace(tmp_path, capsys, tag):
+    """`verify --target` takes what an event line's tag can be, `\\S+`, and
+    exits 1 on any other value."""
+    argv = _argv("verify", FIXTURES, tmp_path) + [f"--target={tag}"]
+    if re.fullmatch(r"\S+", tag):
+        assert main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "argument --target" in capsys.readouterr().err

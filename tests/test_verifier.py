@@ -1,8 +1,8 @@
+import dataclasses
 import json
 import random
 import re
 import time
-from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -46,10 +46,10 @@ from oracles import (
     all_simple_paths_bruteforce,
     closure_floyd_warshall,
     enumerate_secure_paths,
-    event_line_error,
     is_subsequence,
     parse_event_reference,
     predecessors,
+    replay_reference,
     subsequence_bruteforce,
 )
 
@@ -77,9 +77,13 @@ def _table():
     return locate_functions(memmap, offsets), memmap
 
 
-def _event(name="open", tag="target", rip=BASE + 0x1005,
-           rsp=0x7FFC00001000, stack=()):
-    return SyscallEvent(tag, name, rip, rsp, tuple(stack))
+def _event(name="open", rip=BASE + 0x1005, rsp=0x7FFC00001000, stack=()):
+    return SyscallEvent(name, rip, rsp, tuple(stack))
+
+
+def _line(name="open", tag="target", rip=BASE + 0x1005, rsp=0x7FFC00001000, stack=()):
+    """The event line of `_event`'s event, from process `tag`."""
+    return f"{tag} {name} rip={rip:x} rsp={rsp:x} stack={','.join(f'{w:x}' for w in stack)}"
 
 
 def walk_sets(secure_paths):
@@ -266,33 +270,42 @@ def test_flat_table_walk_equals_find_of_every_word(case):
             (name for name, start, end in extents if start <= addr < end), None)
 
 
+def _replay(text, ctx):
+    """The verdicts of `run_event_trace` on `text`, which the reference
+    ladder gives too, with the same counts and final cache, on a copy of
+    `ctx`."""
+    reference = dataclasses.replace(ctx, cache=set(ctx.cache))
+    verdicts, counts = run_event_trace(text, ctx)
+    assert (verdicts, counts) == replay_reference(text, reference)
+    assert ctx.cache == reference.cache
+    return verdicts
+
+
 def test_verify_not_target():
     table, memmap = _table()
-    verdict = verify_event(_event(tag="other"), _ctx(table, memmap))
+    [verdict] = _replay(_line(tag="other"), _ctx(table, memmap))
     assert (verdict.decision, verdict.reason) == (ALLOW, NOT_TARGET)
 
 
 def test_verify_not_suspicious():
     table, memmap = _table()
-    verdict = verify_event(_event(name="read"), _ctx(table, memmap))
+    [verdict] = _replay(_line(name="read"), _ctx(table, memmap))
     assert (verdict.decision, verdict.reason) == (ALLOW, NOT_SUSPICIOUS)
 
 
 def test_verify_unknown_syscall():
     table, memmap = _table()
     for tag in ("target", "other"):
-        verdict = verify_event(_event(name="frobnicate", tag=tag), _ctx(table, memmap))
+        [verdict] = _replay(_line(name="frobnicate", tag=tag), _ctx(table, memmap))
         assert (verdict.decision, verdict.reason) == (DENY, UNKNOWN_SYSCALL)
 
 
 def test_verify_path_match_then_cache_hit():
     table, memmap = _table()
-    ctx = _ctx(table, memmap)
-    event = _event(stack=[BASE + 0x1015, BASE + 0x1025, 0x400abc])
-    first = verify_event(event, ctx)
+    line = _line(stack=[BASE + 0x1015, BASE + 0x1025, 0x400abc])
+    first, second = _replay(f"{line}\n{line}\n", _ctx(table, memmap))
     assert (first.decision, first.reason) == (ALLOW, PATH_MATCHED)
     assert first.reconstructed_path == ("wrapper", "B", "A")
-    second = verify_event(event, ctx)
     assert (second.decision, second.reason) == (ALLOW, CACHE_HIT)
 
 
@@ -556,7 +569,6 @@ def _replayed(line, step):
 def test_parse_event_line():
     line = "target open rip=7f0000001005 rsp=7ffc00001000 stack=1,2,3"
     event = _replayed(line, "walks")
-    assert event.process_tag == "target"
     assert event.syscall_name == "open"
     assert (event.rip, event.rsp) == (0x7F0000001005, 0x7FFC00001000)
     assert event.stack_words == (1, 2, 3)
@@ -662,7 +674,7 @@ def test_parse_event_line_equals_reference(line):
         assert len(set(got.values())) == 1
         return
     for step, reason in _STEPS.items():
-        assert got[step] == (reason or SyscallEvent(*expected))
+        assert got[step] == (reason or SyscallEvent(*expected[1:]))
 
 
 MEMMAP_LINES = (DATA / "memmap.txt").read_text().splitlines()
@@ -773,10 +785,10 @@ _READS_NO_WORD = {UNKNOWN_SYSCALL, NOT_TARGET, NOT_SUSPICIOUS, CACHE_HIT}
        cached=st.sets(st.sampled_from(["open", "read", "ioctl"])))
 def test_replay_parses_and_checks_only_lines_that_may_walk(seed_table, lines, target,
                                                            suspicious, cached):
-    """Replaying gives the verdicts, counts and final cache of a replay of
-    fully converted reference events, and parses and checks with
-    `verify_event` exactly the lines whose reference verdict is none of the
-    four that read no stack word, handing each its reference event."""
+    """Replaying gives the verdicts, counts and final cache of the
+    reference ladder, and parses and checks with `verify_event` exactly the
+    lines whose reference verdict is none of the four that read no stack
+    word, handing each its reference event."""
     lines = [line for line in lines  # valid, and one line of a trace
              if parse_event_reference(line, SCAN_LIMIT) and line.splitlines() == [line]]
     memmap = parse_memory_map((DATA / "memmap.txt").read_text())
@@ -790,20 +802,21 @@ def test_replay_parses_and_checks_only_lines_that_may_walk(seed_table, lines, ta
         return VerifierContext(target, set(suspicious), seed_table.names, mapping.call_graph,
                                entries, hosts, table, memmap, cache=set(cached))
 
+    text = "\n".join(lines)
     reference = context()
-    events = [SyscallEvent(*parse_event_reference(line, SCAN_LIMIT)) for line in lines]
-    expected = [verify_event(event, reference) for event in events]
+    expected, expected_counts = replay_reference(text, reference)
+    events = [SyscallEvent(*parse_event_reference(line, SCAN_LIMIT)[1:]) for line in lines]
     ctx = context()
     with (mock.patch.object(vf, "parse_event_line", wraps=parse_event_line) as parse,
           mock.patch.object(vf, "verify_event", wraps=verify_event) as check):
-        verdicts, counts = run_event_trace("\n".join(lines), ctx)
+        verdicts, counts = run_event_trace(text, ctx)
     assert verdicts == expected
-    assert counts == Counter(v.reason for v in expected)
+    assert counts == expected_counts
     assert ctx.cache == reference.cache
     walks = [i for i, want in enumerate(expected) if want.reason not in _READS_NO_WORD]
     fields = [line.split() for line in lines]
     assert [call.args for call in parse.call_args_list] == [
-        (*fields[i][:2], fields[i][2][4:], fields[i][3][4:], fields[i][4][6:]) for i in walks]
+        (fields[i][1], fields[i][2][4:], fields[i][3][4:], fields[i][4][6:]) for i in walks]
     assert [call.args[0] for call in check.call_args_list] == [events[i] for i in walks]
 
 
@@ -833,22 +846,6 @@ def _trace_text(draw):
     return text
 
 
-def _replay_reference(text, ctx):
-    """(verdicts, counts) of a replay that splits `text` at `\n`, strips each
-    line and parses it with parse_event_reference, or the ParseError's
-    message."""
-    verdicts = []
-    for lineno, line in enumerate(text.split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = parse_event_reference(line, SCAN_LIMIT)
-        if fields is None:
-            return f"line {lineno}: {event_line_error(line)}"
-        verdicts.append(verify_event(SyscallEvent(*fields), ctx))
-    return verdicts, Counter(v.reason for v in verdicts)
-
-
 @settings(max_examples=300, deadline=None)
 @given(text=_trace_text(), target=st.sampled_from(["target", "other"]),
        suspicious=st.sets(st.sampled_from(["open", "read", "ioctl", "close"])),
@@ -869,7 +866,7 @@ def test_run_event_trace_equals_line_by_line_replay(seed_table, text, target, su
                                entries, hosts, table, memmap, cache=set(cached))
 
     reference = context()
-    expected = _replay_reference(text, reference)
+    expected = replay_reference(text, reference)
     ctx = context()
     try:
         got = run_event_trace(text, ctx)
@@ -897,17 +894,23 @@ def test_determinism():
 
 
 def test_reason_decision_invariant():
+    """A Deny has one of the four reasons that deny, an Allow one of the
+    others; one trace gives all eight."""
     table, memmap = _table()
-    ctx = _ctx(table, memmap)
-    events = [
-        _event(tag="other"),
-        _event(name="read"),
-        _event(rsp=0x1),
-        _event(rip=0x1),
-        _event(stack=[BASE + 0x1015, BASE + 0x1025]),
-        _event(stack=[]),
+    walked = _line(stack=[BASE + 0x1015, BASE + 0x1025, 0x400abc])
+    lines = [
+        _line(name="frobnicate"),  # UnknownSyscall
+        _line(tag="other"),  # NotTarget
+        _line(name="read"),  # NotSuspicious
+        _line(rsp=0x1),  # RspOutOfRange
+        _line(rip=0x1),  # RipOutOfRange
+        _line(),  # NoPathMatch: the frames are wrapper alone
+        walked,  # PathMatched
+        walked,  # CacheHit
     ]
-    deny_reasons = {RSP_OUT_OF_RANGE, RIP_OUT_OF_RANGE, NO_PATH_MATCH}
-    for event in events:
-        verdict = verify_event(event, ctx)
+    verdicts = _replay("\n".join(lines), _ctx(table, memmap))
+    deny_reasons = {UNKNOWN_SYSCALL, RSP_OUT_OF_RANGE, RIP_OUT_OF_RANGE, NO_PATH_MATCH}
+    for verdict in verdicts:
         assert (verdict.decision == DENY) == (verdict.reason in deny_reasons)
+    assert {v.reason for v in verdicts} == deny_reasons | {
+        NOT_TARGET, NOT_SUSPICIOUS, PATH_MATCHED, CACHE_HIT}
