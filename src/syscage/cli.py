@@ -345,15 +345,17 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The parser of every subcommand name, with the options of `command`
-    only, or of all of them when it is None: a command parses with the
-    same results either way, and builds no other command's options."""
+    """The parser of every subcommand, or of `command` alone: a command
+    parses with the same results either way, and builds no other command's
+    parser.  The usage line names every subcommand either way."""
     parser = _Parser(prog="syscage")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if command in (None, name):
-            options(p)
+    # a parser of one command names every command in its usage line, as the
+    # full parser does by default; a metavar there would change its errors
+    metavar = "{" + ",".join(COMMANDS) + "}" if command is not None else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_line, options = COMMANDS[name]
+        options(sub.add_parser(name, help=help_line))
     return parser
 
 

@@ -17,12 +17,16 @@ import re
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .callgraph import CallGraph, bfs_reachable
 from .errors import MISSING, AnalysisError, ParseError, expect_json, expect_names
 from .sysnum import ResolvedSyscallSite, SyscallTable
 
-TRACE_TOKEN_RE = re.compile(r"^[a-z0-9_]+", re.M)  # under re.M, ^ follows \n alone
+_TRACE_TOKEN = r"[a-z0-9_]+"  # the syscall name that starts a trace line
+FIRST_TRACE_TOKEN_RE = re.compile(_TRACE_TOKEN)
+# a token after its `\n`: the literal first character makes the scan fast
+TRACE_TOKEN_RE = re.compile(rf"\n({_TRACE_TOKEN})")
 MAPPING_FORMAT = 4
 SYSCALL_ENTRY = "mapping API {!r} syscalls[{}]"
 SHA256_RE = re.compile(r"[0-9a-f]{64}")  # hashlib's hexdigest
@@ -85,14 +89,18 @@ class ApiSyscallMapping:
                 raise ParseError(f"mapping libraries[{stem!r}] is not a sha256 digest")
         mapping = cls(call_graph=_name_lists(doc, "call_graph"),
                       hosts=_name_lists(doc, "hosts"), libraries=libraries)
-        for api, rec in expect_json(doc.get("apis", MISSING), dict, "mapping apis").items():
-            expect_json(rec, dict, "mapping API {!r}", api)
+        # each type is checked inline; expect_json only words the error
+        if type(apis := doc.get("apis", MISSING)) is not dict:
+            expect_json(apis, dict, "mapping apis")
+        for api, rec in apis.items():
+            if type(rec) is not dict:
+                expect_json(rec, dict, "mapping API {!r}", api)
+            if type(entries := rec.get("syscalls", MISSING)) is not list:
+                expect_json(entries, list, "mapping API {!r} syscalls", api)
             syscalls: dict[str, bool] = {}
-            entries = expect_json(rec.get("syscalls", MISSING), list,
-                                  "mapping API {!r} syscalls", api)
             for i, e in enumerate(entries):
-                if not (isinstance(e, dict) and isinstance(e.get("syscall"), str)
-                        and isinstance(e.get("tainted"), bool)):  # say which is wrong
+                if (type(e) is not dict or type(e.get("syscall")) is not str
+                        or type(e.get("tainted")) is not bool):  # say which is wrong
                     expect_json(e, dict, SYSCALL_ENTRY, api, i)
                     expect_json(e.get("syscall"), str, SYSCALL_ENTRY + " syscall", api, i)
                     expect_json(e.get("tainted"), bool, SYSCALL_ENTRY + " tainted", api, i)
@@ -100,14 +108,13 @@ class ApiSyscallMapping:
                     raise ParseError(f"{SYSCALL_ENTRY.format(api, i)}: "
                                      f"duplicate syscall {e['syscall']!r}")
                 syscalls[e["syscall"]] = e["tainted"]
-            unresolved = expect_json(rec.get("unresolved_sites", MISSING), int,
-                                     "mapping API {!r} unresolved_sites", api)
+            if type(unresolved := rec.get("unresolved_sites", MISSING)) is not int:
+                expect_json(unresolved, int, "mapping API {!r} unresolved_sites", api)
             if unresolved < 0:  # would keep the allow-all fallback from firing
                 raise ParseError(f"mapping API {api!r} unresolved_sites is negative")
-            mapping.records[api] = ApiRecord(
-                entry_function=expect_json(rec.get("entry_function", MISSING), str,
-                                           "mapping API {!r} entry_function", api),
-                syscalls=syscalls, unresolved_sites=unresolved)
+            if type(entry := rec.get("entry_function", MISSING)) is not str:
+                expect_json(entry, str, "mapping API {!r} entry_function", api)
+            mapping.records[api] = ApiRecord(entry, syscalls, unresolved)
         return mapping
 
     def merge_from(self, other: "ApiSyscallMapping") -> None:
@@ -135,9 +142,16 @@ class ApiSyscallMapping:
 
 
 def _name_lists(doc: dict, key: str) -> dict[str, list[str]]:
-    """`doc[key]` when it is an object of string arrays."""
-    table = expect_json(doc.get(key, MISSING), dict, "mapping {}", key)
-    for name, names in table.items():
+    """`doc[key]` when it is an object of string arrays: checked at once,
+    and name by name only to word the error."""
+    table = doc.get(key, MISSING)
+    if type(table) is dict and set(map(type, table.values())) <= {list}:
+        try:  # TypeError on a name that is not a string
+            "".join(chain.from_iterable(table.values()))
+            return table
+        except TypeError:
+            pass
+    for name, names in expect_json(table, dict, "mapping {}", key).items():
         expect_names(names, "mapping {}[{!r}]", key, name)
     return table
 
@@ -239,6 +253,8 @@ def load_trace(texts: list[str]) -> Counter:
     token of a line is the syscall name, other lines are skipped."""
     counts: Counter = Counter()
     for text in texts:
+        if first := FIRST_TRACE_TOKEN_RE.match(text):
+            counts[first.group()] += 1
         counts.update(TRACE_TOKEN_RE.findall(text))
     return counts
 

@@ -16,7 +16,7 @@ where the real one walks back from each site over the body text.  The
 bounded secure-path enumerator and the iterator subsequence matcher are
 the matcher that `verifier.walk_embeds` replaced, kept as a second
 reference for it.  `load_trace_reference` is the per-line trace counter
-that `profilegen.load_trace`'s one multi-line `findall` per text replaced.
+that `profilegen.load_trace`'s one scan per text replaced.
 `replay_reference` is the verdict ladder written from the README, line by
 line over `parse_event_reference`, as a reference for `run_event_trace`'s
 one scan; only an event past the ladder reaches `verify_event`.

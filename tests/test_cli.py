@@ -1150,3 +1150,18 @@ def test_top_level_usage_names_every_command(capsys):
     out = capsys.readouterr().out
     assert all(f"{name}  " in out and help_line in out
                for name, (help_line, _) in COMMANDS.items())
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' "
+                "(choose from 'analyze', 'profile', 'verify', 'cve')"),
+])
+def test_the_full_parser_calls_the_command_argument_command(argv, error, capsys):
+    # the full parser, built when no command is named, keeps argparse's
+    # name for the argument in its errors; only its usage line lists them
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", "usage: syscage [-h] {analyze,profile,verify,cve} ...\n"
+                                       f"syscage: error: {error}\n")

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from oracles import Instruction, decode_instructions, parse_disassembly_reference
 from syscage.disasm import (
+    BODY_RE,
     DIRECT,
-    FUNCTION_RE,
     INDIRECT,
+    LINE_RE,
     CallSite,
     SyscallSite,
     extract_plt_imports,
@@ -191,20 +192,47 @@ def test_comma_joined_operands_take_linear_time():
 
 
 def test_a_long_body_is_one_match_in_little_memory():
-    # a possessive body keeps no backtracking state; a greedy one keeps
-    # about 1 KiB a line until the match ends
+    # one findall takes the address of every line of a valid body; on a body
+    # with a bad line, a possessive match finds it and keeps no backtracking
+    # state, where a greedy one keeps about 1 KiB a line until the match ends
     lines = [f"    {0x10000 + i:x}:\tmov\t$0x{i:x},%eax" for i in range(40_000)]
     text = "\n".join(["0000000000010000 <f>:", *lines, "    19c40:\tsyscall", ""])
+    bad = text + "    junk\n"
+    body = text.index("\n")
     tracemalloc.start()
     try:
-        assert FUNCTION_RE.match(text).end() == len(text)
+        assert len(LINE_RE.findall(text)) == 40_001
+        assert BODY_RE.match(bad, body).end() == len(text) - 1  # at the `\n` before `junk`
         unit = parse_disassembly(text)
+        with pytest.raises(ParseError, match="^line 40003: bad instruction line: '    junk'$"):
+            parse_disassembly(bad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert unit.syscall_sites == [SyscallSite("f", 0x19c40)]
     assert header_extents(text) == [("f", 0x10000, 0x19c41)]
+
+
+def test_a_body_that_adds_up_is_matched_once(monkeypatch):
+    # the findall that takes a body's addresses matches each of its lines
+    # once; only a body with more than its closing empty line besides its
+    # instruction lines is matched again
+    import syscage.disasm
+
+    again = []
+
+    class Spy:
+        def match(self, text, lo, hi):
+            again.append(text[lo:hi])
+            return BODY_RE.match(text, lo, hi)
+
+    monkeypatch.setattr(syscage.disasm, "BODY_RE", Spy())
+    assert len(parse_disassembly("\n".join(FIXTURE_LINES) + "\n").functions) > 1
+    assert again == []
+    text = "0000000000001000 <f>:\n    1000:\tnop\n\n\n0000000000001008 <g>:\n    1008:\tsyscall\n"
+    assert parse_disassembly(text).syscall_sites == [SyscallSite("g", 0x1008)]
+    assert again == ["\n    1000:\tnop\n\n"]
 
 
 def test_overlapping_functions():
@@ -434,6 +462,27 @@ def test_decoding_on_demand_equals_the_reference_on_the_workloads(monkeypatch):
 @example(text="0000000000001000 <f>:\n0000000000001000 <g>:\n    1000:\tsyscall\n")
 @example(text="0000000000001000 <f>:\n    1000:\tnop\n    1008:\tnop\n"
               "0000000000001008 <g>:\n    1008:\tsyscall\n")
+# a body that does not add up by its instruction lines and the empty line
+# that usually ends it: a blank line and a `\x0c`-only line inside it, a
+# whitespace-only last line before the next header, and no final `\n`
+@example(text="0000000000001000 <f>:\n    1000:\tnop\n\n    1001:\tsyscall\n\x0c\n"
+              "    1003:\tcallq\t1000 <f>\n")
+@example(text="0000000000001000 <f>:\n    1000:\tsyscall\n \t\n0000000000001008 <g>:\n")
+@example(text="0000000000001000 <f>:\n    1000:\tsyscall\n\n0000000000001008 <g>:\n"
+              "    1008:\tcallq\t1000 <f>")
+# addresses that cross a hex-length boundary in one function, rising or not
+@example(text="000000000000fff0 <f>:\n    fffe:\tnop\n    ffff:\tsyscall\n"
+              "    10000:\tcallq\t*%rax\n\n0000000000010008 <g>:\n    10008:\tsyscall\n")
+@example(text="000000000000fff0 <f>:\n    fffe:\tnop\n    10000:\tsyscall\n    ffff:\tnop\n")
+# an address error and a bad line in one body, in both orders
+@example(text="0000000000001000 <f>:\n    1005:\tnop\n    1003:\tnop\n    junk\n")
+@example(text="0000000000001000 <f>:\n    1005:\tnop\n    junk\n    1003:\tnop\n")
+# a header whose symbol holds what looks like a syscall line
+@example(text="0000000000001000 <f:\tsyscall x>:\n    1000:\tnop\n"
+              "0000000000001008 <g:\tcall *x>:\n    1008:\tsyscall\n")
+# text before the first header
+@example(text="junk\n0000000000001000 <f>:\n    1000:\tsyscall\n")
+@example(text=" \n\x0c\n    1000:\tnop\n0000000000001000 <f>:\n    1000:\tsyscall\n")
 def test_parse_equals_the_line_by_line_reference(text):
     try:
         expected = parse_disassembly_reference(text)

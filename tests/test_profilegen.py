@@ -99,6 +99,43 @@ def test_mapping_document_roundtrip(minilib_mapping):
     assert again.to_document() == doc
 
 
+def _mapping_doc(api, call_graph=None):
+    """A mapping document of one API record `api`, with `call_graph`.  The
+    fields that `api` leaves out are filled in, and one that it gives as
+    `...` is left out."""
+    if isinstance(api, dict):
+        defaults = {"entry_function": "f", "unresolved_sites": 0,
+                    "syscalls": [{"syscall": "read", "tainted": False}]}
+        api = {key: value for key, value in {**defaults, **api}.items() if value is not ...}
+    return {"format": 4, "libraries": {}, "call_graph": call_graph or {"f": ["g"]},
+            "hosts": {"read": ["f"]}, "apis": {"a": api}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    # a bool is not an integer, and an integer is not true or false
+    (_mapping_doc({"unresolved_sites": True}), "mapping API 'a' unresolved_sites is not an integer"),
+    (_mapping_doc({"unresolved_sites": 1.0}), "mapping API 'a' unresolved_sites is not an integer"),
+    (_mapping_doc({"syscalls": [{"syscall": "read", "tainted": 1}]}),
+     "mapping API 'a' syscalls[0] tainted is not true or false"),
+    (_mapping_doc({"syscalls": [{"syscall": "read", "tainted": False},
+                                {"syscall": 1, "tainted": "no"}]}),
+     "mapping API 'a' syscalls[1] syscall is not a string"),
+    (_mapping_doc({"syscalls": ["read"]}), "mapping API 'a' syscalls[0] is not an object"),
+    (_mapping_doc({"syscalls": {}}), "mapping API 'a' syscalls is not an array"),
+    (_mapping_doc([{"entry_function": "f"}]), "mapping API 'a' is not an object"),
+    (_mapping_doc({"entry_function": ...}), "mapping API 'a' entry_function is missing"),
+    (_mapping_doc({"entry_function": ["f"]}), "mapping API 'a' entry_function is not a string"),
+    # the first bad name list in document order
+    (_mapping_doc({}, {"f": ["g"], "g": "h", "h": [1]}), "mapping call_graph['g'] is not an array"),
+    (_mapping_doc({}, {"f": ["g"], "g": ["h", None]}),
+     "mapping call_graph['g'] is not an array of strings"),
+])
+def test_mapping_reader_names_each_wrong_type(doc, message):
+    with pytest.raises(ParseError) as exc:
+        ApiSyscallMapping.from_document(json.loads(json.dumps(doc)))
+    assert str(exc.value) == message
+
+
 _NAME = st.text(max_size=6)
 _NAME_LISTS = st.dictionaries(_NAME, st.lists(_NAME, max_size=3), max_size=4)
 _MAPPINGS = st.builds(
